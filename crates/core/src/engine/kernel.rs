@@ -11,7 +11,7 @@
 //! the paper sees cache-to-cache transfers even with the benchmark bound
 //! to one processor (Figure 8).
 
-use memsys::{AccessKind, Addr, HierarchyConfig, HitLevel, LatencyCosts, MemSink, MemorySystem};
+use memsys::{AccessKind, Addr, HierarchyConfig, MemSink, MemorySystem};
 use prng::SimRng;
 use probes::Histogram;
 use simcpu::{CpiReport, CpuTimer, LatencyTable, PipelineParams};
@@ -305,14 +305,7 @@ impl<W: Workload> Machine<W> {
     /// (costs from the machine's own latency table) and per-store drain
     /// time on every processor. Both reset with `begin_measurement`.
     pub fn enable_latency_hists(&mut self) {
-        let lat = self.cfg.latency;
-        self.mem.enable_latency_hist(LatencyCosts {
-            l1: lat.stall_for(HitLevel::L1),
-            l2: lat.stall_for(HitLevel::L2),
-            upgrade: lat.stall_for(HitLevel::Upgrade),
-            c2c: lat.stall_for(HitLevel::CacheToCache),
-            memory: lat.stall_for(HitLevel::Memory),
-        });
+        self.mem.enable_latency_hist(self.cfg.latency);
         for t in &mut self.timers {
             t.enable_drain_hist();
         }

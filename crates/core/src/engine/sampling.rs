@@ -38,7 +38,7 @@
 //! precisely what the differential validator
 //! (`figures validate-sampled`) bounds against a full run.
 
-use memsys::{AccessKind, Addr, BatchRef, MemSink, MemorySystem};
+use memsys::{AccessKind, Addr, MemSink, MemorySystem};
 use probes::registry::Snapshot;
 use probes::runlog::{EventRecord, SampleUnitRecord};
 use probes::Histogram;
@@ -413,19 +413,6 @@ impl SamplingState {
 /// between charge only the base and touch no simulated state; the
 /// detailed warming prefix inside each measured unit restores exact
 /// recency before statistics count.
-///
-/// Warming accesses are not issued one by one: they queue in a small
-/// buffer and drain through [`MemorySystem::access_batch`], whose
-/// lookahead warms the hierarchy's metadata ahead of each access. The
-/// batch is an *execution* reordering only — nothing else in the fast
-/// path reads memory-system state mid-step, and the clock stamp each
-/// buffered access would have carried is reconstructed exactly at
-/// flush time from its charge snapshot plus the outcome-priced charges
-/// of the buffered accesses that preceded it (the same prefix sum the
-/// scalar loop accumulated in place), so a batched fast span is
-/// bit-identical to the scalar one. [`FastSink::charge`] flushes, and
-/// every step ends by asking for its charge, so no access outlives its
-/// step.
 pub(crate) struct FastSink<'a> {
     mem: &'a mut MemorySystem,
     state: &'a mut SamplingState,
@@ -437,19 +424,7 @@ pub(crate) struct FastSink<'a> {
     /// DRAM sees them spread across the span rather than as one burst.
     base_clock: u64,
     clocked: bool,
-    /// Queued warming accesses awaiting an `access_batch` drain.
-    refs: Vec<BatchRef>,
-    /// Per-queued-access `(charge, charge_q8)` snapshots, excluding the
-    /// outcome charges of the accesses still queued ahead of them —
-    /// those are re-added as the drain discovers each outcome.
-    snaps: Vec<(u64, u64)>,
 }
-
-/// Queued warming accesses per `access_batch` drain. Bounds the charge
-/// error a thread can accumulate before its clock sees the outcome
-/// charges: one batch of misses at most, the same slack the scalar
-/// path's step granularity already allowed.
-const WARM_BATCH: usize = 32;
 
 impl<'a> FastSink<'a> {
     pub(crate) fn new(
@@ -467,63 +442,11 @@ impl<'a> FastSink<'a> {
             charge_q8: 0,
             base_clock,
             clocked,
-            refs: Vec::with_capacity(WARM_BATCH),
-            snaps: Vec::with_capacity(WARM_BATCH),
         }
-    }
-
-    /// Drains the queued warming accesses through the batched path,
-    /// reconstructing each access's clock stamp and outcome charge in
-    /// the scalar loop's exact order.
-    fn flush(&mut self) {
-        if self.refs.is_empty() {
-            return;
-        }
-        let FastSink {
-            mem,
-            state,
-            charge_q8,
-            base_clock,
-            clocked,
-            refs,
-            snaps,
-            ..
-        } = self;
-        let lat = &state.lat;
-        let warm_every = u64::from(state.warm_every);
-        // Outcome charges of the accesses drained so far this flush:
-        // access i's stamp is its snapshot plus the charges of accesses
-        // 0..i — exactly what the scalar loop's running total held.
-        let mut acc_q8 = 0u64;
-        if *clocked {
-            let (c, q) = snaps[0];
-            mem.set_now(*base_clock + c + (q >> 8));
-        }
-        mem.access_batch(refs, |i, outcome| {
-            if refs[i].kind != AccessKind::Store {
-                // The detailed timer stalls loads and ifetches by
-                // exactly this cost; store latency drains through the
-                // store buffer and surfaces in the calibrated base.
-                acc_q8 += (lat.cost_of(outcome) << 8) * warm_every;
-            }
-            if *clocked {
-                snaps
-                    .get(i + 1)
-                    .map(|&(c, q)| *base_clock + c + ((q + acc_q8) >> 8))
-            } else {
-                None
-            }
-        });
-        *charge_q8 += acc_q8;
-        refs.clear();
-        snaps.clear();
     }
 
     /// Cycles this step charges (at least 1, so time always advances).
-    /// Drains any queued warming accesses first — their outcomes price
-    /// part of the charge.
-    pub(crate) fn charge(&mut self) -> u64 {
-        self.flush();
+    pub(crate) fn charge(&self) -> u64 {
         (self.charge + (self.charge_q8 >> 8)).max(1)
     }
 }
@@ -543,16 +466,18 @@ impl MemSink for FastSink<'_> {
             // Functional warming: full state transition, statistics
             // discarded (counters recorded during fast spans never
             // enter per-unit deltas — those are captured strictly
-            // inside detailed spans). The outcome prices the charge,
-            // applied when the batch drains.
-            self.refs.push(BatchRef {
-                cpu: self.cpu as u32,
-                kind,
-                addr,
-            });
-            self.snaps.push((self.charge, self.charge_q8));
-            if self.refs.len() == WARM_BATCH {
-                self.flush();
+            // inside detailed spans).
+            if self.clocked {
+                self.mem
+                    .set_now(self.base_clock + self.charge + (self.charge_q8 >> 8));
+            }
+            let outcome = self.mem.access(self.cpu, kind, addr);
+            if kind != AccessKind::Store {
+                // The detailed timer stalls loads and ifetches by
+                // exactly this cost; store latency drains through the
+                // store buffer and surfaces in the calibrated base.
+                let warm_every = u64::from(self.state.warm_every);
+                self.charge_q8 += (self.state.lat.cost_of(&outcome) << 8) * warm_every;
             }
         }
     }

@@ -265,19 +265,6 @@ impl Cache {
         }
     }
 
-    /// Non-binding variant of [`Cache::prefetch_set`], for speculative
-    /// warming well ahead of use (see `MemorySystem::warm`): a plain
-    /// prefetch-instruction hint that is free when dropped, where the
-    /// volatile-load form above would bind a real load into the
-    /// pipeline.
-    #[inline]
-    pub fn hint_set(&self, set: usize) {
-        unsafe {
-            let p = self.meta.as_ptr().add(set * self.ways);
-            crate::mem::prefetch_hint(p.cast());
-        }
-    }
-
     /// The line index ([`Cache::line_index`]) that [`Cache::insert_at`]
     /// would evict from `set` right now, or `None` while a free way
     /// remains. Lets the miss path start fetching eviction-side metadata

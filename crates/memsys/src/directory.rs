@@ -53,9 +53,8 @@
 //! block: one page translation covers both (with a flat global table
 //! each touch was a separate TLB-missing page walk, and page-walk
 //! throughput — not line latency — was the measured wall at 16 CPUs),
-//! and a caller that knows the set early can pull the whole transaction
-//! into cache before it begins
-//! ([`MemorySystem::warm`](crate::system::MemorySystem::warm)).
+//! and the access path, which knows the set early, pulls the block
+//! into cache before the transaction begins ([`Directory::prefetch`]).
 //!
 //! Each entry is two adjacent `u64` words: a *meta* word (57-bit line
 //! tag, 7-bit owner) and a full 64-bit sharer bitset. Two words instead
@@ -205,19 +204,6 @@ impl Directory {
             let p = self.slots.as_ptr().add(self.home(line) * 2);
             std::ptr::read_volatile(p.cast::<u8>());
             crate::mem::prefetch_write(p.cast());
-        }
-    }
-
-    /// Non-binding variant of [`Directory::prefetch`], for speculative
-    /// warming well ahead of use (see `MemorySystem::warm`): a plain
-    /// prefetch-instruction hint that is free when dropped, where the
-    /// volatile-load form above would bind a real load into the
-    /// pipeline.
-    #[inline]
-    pub fn hint(&self, line: u64) {
-        unsafe {
-            let p = self.slots.as_ptr().add(self.home(line) * 2);
-            crate::mem::prefetch_hint(p.cast());
         }
     }
 

@@ -36,7 +36,7 @@ pub mod bus;
 pub mod cache;
 pub mod config;
 pub mod directory;
-mod filter;
+pub mod latency;
 pub mod linestats;
 mod mem;
 pub mod probe;
@@ -54,13 +54,14 @@ pub use bus::BusStats;
 pub use cache::{Cache, Evicted};
 pub use config::{CacheConfig, ConfigError, DramConfig, HierarchyConfig, MemoryConfig};
 pub use directory::Directory;
+pub use latency::LatencyTable;
 pub use linestats::LineStats;
 pub use protocol::{BusOp, LineState};
 pub use region::{RegionMap, OTHER_REGION};
 pub use sink::{CountingSink, MemSink, RecordingSink, TeeSink};
 pub use stats::{AccessKind, AccessOutcome, HitLevel, KindCounters, SystemStats};
 pub use sweep::{CacheSweep, SweepPoint, PAPER_SIZES};
-pub use system::{BatchRef, LatencyCosts, MemorySystem};
+pub use system::MemorySystem;
 pub use trace::{
     AccessSource, SystemSink, SystemTrace, SystemTraceEvent, Trace, TraceEvent, TraceSink,
 };

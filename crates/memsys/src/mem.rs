@@ -107,33 +107,3 @@ mod tests {
         assert!(v.iter().all(|&b| b == 0xAB));
     }
 }
-
-/// Non-binding prefetch of the cache line at `p`, fetch plus write-intent
-/// upgrade. Unlike the volatile-load scheme above, this never adds a real
-/// load to the pipeline: the CPU is free to drop the hint (and will, when
-/// the page translation is cold), which is the right trade for
-/// *speculative* warming issued well before — or without — a matching
-/// access. Use the volatile form when the fetch must happen; use this
-/// when it merely may help.
-///
-/// # Safety
-///
-/// `p` must point into a live allocation (prefetches of unmapped
-/// addresses don't fault, but handing the hint a wild pointer serves no
-/// purpose).
-#[inline]
-pub(crate) unsafe fn prefetch_hint(p: *const u8) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        std::arch::asm!(
-            "prefetcht0 [{0}]",
-            "prefetchw [{0}]",
-            in(reg) p,
-            options(nostack, preserves_flags, readonly)
-        );
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = p;
-    }
-}

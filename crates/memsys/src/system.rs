@@ -39,56 +39,10 @@ use crate::bus::BusStats;
 use crate::cache::Cache;
 use crate::config::{ConfigError, HierarchyConfig};
 use crate::directory::Directory;
-use crate::filter::MruFilter;
+use crate::latency::LatencyTable;
 use crate::linestats::LineStats;
 use crate::protocol::{BusOp, LineState};
 use crate::stats::{AccessKind, AccessOutcome, HitLevel, SystemStats};
-
-/// Caller-supplied per-outcome access costs for latency histogramming.
-///
-/// The memory system models *what happened* to each reference; how many
-/// cycles that costs is the CPU model's business (`simcpu::LatencyTable`),
-/// so the costs arrive from outside and this crate stays latency-agnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyCosts {
-    /// Cycles for an L1 hit.
-    pub l1: u64,
-    /// Cycles for an L2 hit.
-    pub l2: u64,
-    /// Cycles for a bus upgrade (invalidate-only transaction).
-    pub upgrade: u64,
-    /// Cycles for a cache-to-cache transfer (snoop copyback).
-    pub c2c: u64,
-    /// Cycles for a memory fetch.
-    pub memory: u64,
-}
-
-impl LatencyCosts {
-    /// The cost of one outcome level.
-    pub fn cost(&self, level: HitLevel) -> u64 {
-        match level {
-            HitLevel::L1 => self.l1,
-            HitLevel::L2 => self.l2,
-            HitLevel::Upgrade => self.upgrade,
-            HitLevel::CacheToCache => self.c2c,
-            HitLevel::Memory => self.memory,
-        }
-    }
-}
-
-/// One reference of a batched run (see [`MemorySystem::access_batch`]).
-///
-/// Kept to 16 bytes so a few thousand of them stream through the host
-/// cache like the trace events they usually come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchRef {
-    /// Issuing processor.
-    pub cpu: u32,
-    /// Reference kind.
-    pub kind: AccessKind,
-    /// Byte address.
-    pub addr: Addr,
-}
 
 /// A full multiprocessor cache hierarchy with snooping coherence.
 #[derive(Debug, Clone)]
@@ -100,11 +54,6 @@ pub struct MemorySystem {
     /// Exact sharer directory; `None` on broadcast systems and trivial
     /// topologies (a single L2 group has nobody to snoop).
     dir: Option<Directory>,
-    /// Per-CPU MRU line filter short-circuiting repeated hits; `None` on
-    /// reference implementations ([`MemorySystem::new_unfiltered`],
-    /// [`MemorySystem::new_broadcast`]) and on geometries it cannot
-    /// serve (see [`MruFilter::new`]).
-    filter: Option<MruFilter>,
     /// Precomputed L2 geometry for directory keys (`tag << index_bits | set`
     /// is the raw line index every group agrees on).
     l2_index_bits: u32,
@@ -114,7 +63,7 @@ pub struct MemorySystem {
     linestats: Option<LineStats>,
     /// Access-latency histogram (costs supplied by the caller); `None`
     /// until [`MemorySystem::enable_latency_hist`].
-    lat_hist: Option<(LatencyCosts, Histogram)>,
+    lat_hist: Option<(LatencyTable, Histogram)>,
     /// The main-memory timing model consulted on every memory fill.
     backend: Backend,
     /// The requesting side's current cycle, fed by [`Self::set_now`] when
@@ -127,29 +76,24 @@ impl MemorySystem {
     /// the sharer-directory snoop filter and L1 presence tracking enabled
     /// where the topology permits.
     pub fn new(cfg: HierarchyConfig) -> Self {
-        MemorySystem::build(cfg, /* filtered: */ true, /* mru: */ true)
+        MemorySystem::build(cfg, /* filtered: */ true)
     }
 
     /// Builds the broadcast reference implementation: every bus
     /// transaction probes every remote L2, and inclusion invalidations
     /// visit every processor of a group — the pre-filter behavior, kept as
     /// the differential oracle for the snoop filter's exactness claim.
-    /// No MRU line filter either: this is the ground truth everything
-    /// else must match.
     pub fn new_broadcast(cfg: HierarchyConfig) -> Self {
-        MemorySystem::build(cfg, false, false)
+        MemorySystem::build(cfg, false)
     }
 
-    /// Builds the system with the sharer directory but *without* the MRU
-    /// line filter: every reference walks the full hierarchy. This is the
-    /// reference implementation the filter's differential oracle
-    /// (`tests/mru_filter.rs`) compares against — one knob away from
-    /// [`MemorySystem::new`], so any divergence indicts the filter alone.
+    /// The same system as [`MemorySystem::new`]. Kept only because the
+    /// host-time benchmark (`hostbench/src/layers.rs`) still calls it.
     pub fn new_unfiltered(cfg: HierarchyConfig) -> Self {
-        MemorySystem::build(cfg, true, false)
+        MemorySystem::new(cfg)
     }
 
-    fn build(cfg: HierarchyConfig, filtered: bool, mru: bool) -> Self {
+    fn build(cfg: HierarchyConfig, filtered: bool) -> Self {
         let l2_count = cfg.l2_count();
         // Presence masks index CPUs within a group by bit; the directory
         // indexes groups by bit. Either falls back to exhaustive loops
@@ -173,7 +117,6 @@ impl MemorySystem {
                 })
                 .collect(),
             dir,
-            filter: mru.then(|| MruFilter::new(&cfg)).flatten(),
             l2_index_bits: cfg.l2.sets().trailing_zeros(),
             l2_block_bits: cfg.l2.block_bits(),
             stats: SystemStats::new(cfg.cpus),
@@ -204,11 +147,6 @@ impl MemorySystem {
         self.dir.is_some()
     }
 
-    /// Whether the per-CPU MRU line filter is active.
-    pub fn mru_filter_enabled(&self) -> bool {
-        self.filter.is_some()
-    }
-
     /// Access statistics accumulated so far.
     pub fn stats(&self) -> &SystemStats {
         &self.stats
@@ -232,10 +170,10 @@ impl MemorySystem {
         self.linestats.as_ref()
     }
 
-    /// Enables access-latency histogramming: every reference records the
-    /// supplied cost of its hit level into a log2-bucketed histogram.
-    /// Costs one array increment per reference.
-    pub fn enable_latency_hist(&mut self, costs: LatencyCosts) {
+    /// Enables access-latency histogramming: every reference records its
+    /// [`LatencyTable::cost_of`] into a log2-bucketed histogram. Costs one
+    /// array increment per reference.
+    pub fn enable_latency_hist(&mut self, costs: LatencyTable) {
         self.lat_hist = Some((costs, Histogram::new()));
     }
 
@@ -288,9 +226,6 @@ impl MemorySystem {
         if let Some((_, h)) = &mut self.lat_hist {
             *h = Histogram::new();
         }
-        if let Some(f) = &mut self.filter {
-            f.clear();
-        }
         self.backend.reset_stats();
     }
 
@@ -306,60 +241,6 @@ impl MemorySystem {
         (tag << self.l2_index_bits) | set as u64
     }
 
-    /// Starts the long memory fetches a future `access(cpu, kind, addr)`
-    /// will depend on — the referencing L1's set words, the group's L2
-    /// set words, and the line's sharer-directory slot — without
-    /// changing any state.
-    ///
-    /// `access` is latency-bound, not bandwidth-bound: each reference
-    /// chases two or three *dependent* loads into multi-megabyte tables
-    /// (set words, then directory), and nothing inside a single call can
-    /// overlap the first of them. A trace-driven caller, though, knows
-    /// its future references; warming a handful of records ahead of the
-    /// replay cursor lets those fetches proceed concurrently across
-    /// accesses, which is worth more than any single-access tuning. Both
-    /// the `bench_memsys` example and the trace-replay path drive the
-    /// system this way. Purely a hint: skipping it, or warming addresses
-    /// that are never accessed, affects no statistic.
-    ///
-    /// Unlike the access path's own entry prefetches (which *must* run,
-    /// so they use discarded real loads), warming uses non-binding
-    /// prefetch instructions: a hint issued several records early has
-    /// time to complete when it lands, and when it doesn't (the page
-    /// translation missed, or the guess was wasted) it costs nothing —
-    /// binding loads here were measured to give back more in retire
-    /// pressure than their warming won.
-    pub fn warm(&self, cpu: usize, kind: AccessKind, addr: Addr) {
-        // A reference the MRU filter will short-circuit never touches
-        // the hierarchy's metadata — hinting it would only waste
-        // bandwidth. The prediction can go stale (an invalidation may
-        // erase the entry before the reference issues), but a wrong
-        // skip costs one cold metadata fetch and nothing else: warming
-        // is hint-only either way.
-        if let Some(f) = &self.filter {
-            let fast = match kind {
-                AccessKind::Ifetch => f.lookup_load(cpu, true, addr),
-                AccessKind::Load => f.lookup_load(cpu, false, addr),
-                AccessKind::Store => f.lookup_store(cpu, self.cfg.l2_group(cpu), addr).is_some(),
-            };
-            if fast {
-                return;
-            }
-        }
-        let l1 = match kind {
-            AccessKind::Ifetch => &self.l1i[cpu],
-            _ => &self.l1d[cpu],
-        };
-        let (l1_set, _) = l1.locate(addr);
-        l1.hint_set(l1_set);
-        let group = self.cfg.l2_group(cpu);
-        let (set, _) = self.l2[group].locate(addr);
-        self.l2[group].hint_set(set);
-        if let Some(dir) = &self.dir {
-            dir.hint(addr.0 >> self.l2_block_bits);
-        }
-    }
-
     /// Performs one memory reference by processor `cpu` and returns its
     /// outcome. This is the simulator's hot path.
     ///
@@ -368,30 +249,6 @@ impl MemorySystem {
     /// Panics if `cpu` is out of range.
     pub fn access(&mut self, cpu: usize, kind: AccessKind, addr: Addr) -> AccessOutcome {
         assert!(cpu < self.cfg.cpus, "cpu {cpu} out of range");
-        // MRU-filter fast path: a recorded repeated hit resolves here
-        // without walking the hierarchy. The filter's invariants (see
-        // `crate::filter`) guarantee the skipped walk would have been an
-        // architectural no-op, so only the bookkeeping every access pays
-        // — line stats, system stats, the latency histogram — runs.
-        if let Some(f) = &self.filter {
-            let level = match kind {
-                AccessKind::Ifetch if f.lookup_load(cpu, true, addr) => Some(HitLevel::L1),
-                AccessKind::Load if f.lookup_load(cpu, false, addr) => Some(HitLevel::L1),
-                AccessKind::Store => f.lookup_store(cpu, self.cfg.l2_group(cpu), addr),
-                _ => None,
-            };
-            if let Some(level) = level {
-                let outcome = AccessOutcome::hit(level);
-                if let Some(ls) = &mut self.linestats {
-                    ls.record_touch(addr.line());
-                }
-                self.stats.record(cpu, kind, &outcome);
-                if let Some((costs, h)) = &mut self.lat_hist {
-                    h.record(costs.cost(level));
-                }
-                return outcome;
-            }
-        }
         if let Some(ls) = &mut self.linestats {
             ls.record_touch(addr.line());
         }
@@ -402,11 +259,7 @@ impl MemorySystem {
         };
         self.stats.record(cpu, kind, &outcome);
         if let Some((costs, h)) = &mut self.lat_hist {
-            h.record(
-                outcome
-                    .mem_cycles
-                    .unwrap_or_else(|| costs.cost(outcome.level)),
-            );
+            h.record(costs.cost_of(&outcome));
         }
         if outcome.c2c {
             if let Some(ls) = &mut self.linestats {
@@ -414,47 +267,6 @@ impl MemorySystem {
             }
         }
         outcome
-    }
-
-    /// Performs a run of references in order, warming each one a few
-    /// records ahead of its issue point (the lookahead-replay structure
-    /// [`Self::warm`] describes, packaged so every batched caller gets it
-    /// for free instead of hand-rolling a warming ring).
-    ///
-    /// `each(i, outcome)` runs after reference `i` completes, exactly as
-    /// if the caller had invoked [`Self::access`] itself; returning
-    /// `Some(now)` advances the backend clock ([`Self::set_now`]) before
-    /// reference `i + 1` issues, which is how clocked (DRAM) callers
-    /// thread per-reference timestamps through a batch. The clock for
-    /// reference 0 is whatever the caller last set.
-    ///
-    /// Bit-identical to the scalar loop by construction: warming is
-    /// hint-only and the issue order is the slice order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any reference's `cpu` is out of range.
-    pub fn access_batch<F>(&mut self, refs: &[BatchRef], mut each: F)
-    where
-        F: FnMut(usize, &AccessOutcome) -> Option<u64>,
-    {
-        /// Records the warm cursor keeps ahead of the issue cursor —
-        /// enough lead for a metadata fetch to land; hints are free, so
-        /// the exact depth is uncritical.
-        const LOOKAHEAD: usize = 8;
-        for r in refs.iter().take(LOOKAHEAD) {
-            self.warm(r.cpu as usize, r.kind, r.addr);
-        }
-        for i in 0..refs.len() {
-            if let Some(r) = refs.get(i + LOOKAHEAD) {
-                self.warm(r.cpu as usize, r.kind, r.addr);
-            }
-            let r = refs[i];
-            let outcome = self.access(r.cpu as usize, r.kind, r.addr);
-            if let Some(now) = each(i, &outcome) {
-                self.set_now(now);
-            }
-        }
     }
 
     fn access_through(
@@ -482,9 +294,6 @@ impl MemorySystem {
             };
             let (l1_set, l1_tag) = l1.locate(addr);
             if l1.touch_at(l1_set, l1_tag).is_some() {
-                if let Some(f) = &mut self.filter {
-                    f.note_load(cpu, ifetch, addr);
-                }
                 return AccessOutcome::hit(HitLevel::L1);
             }
             let outcome = self.read_l2(group, addr, set, tag);
@@ -499,25 +308,14 @@ impl MemorySystem {
             let _ = l1.insert_at(l1_set, l1_tag, LineState::Shared);
             let bit = 1u64 << (cpu - group * self.cfg.cpus_per_l2);
             self.l2[group].or_presence_mru(set, tag, bit);
-            if let Some(f) = &mut self.filter {
-                f.note_load(cpu, ifetch, addr);
-            }
             return outcome;
         }
 
         // Stores: write-through L1 (update only if present, no allocate),
         // then act on the L2 line's coherence state. A touch hit leaves
         // the line MRU, so the E→M and S/O→M rewrites are O(1).
-        //
-        // Every store branch touches the group's L2 (a promote at least),
-        // so dirty filter entries stamped before this access can no
-        // longer prove their lines MRU: bump the epoch first, then stamp
-        // the new entry with the bumped value once the path completes.
-        if let Some(f) = &mut self.filter {
-            f.bump_epoch(group);
-        }
         let l1_hit = self.l1d[cpu].touch(addr).is_some();
-        let outcome = match self.l2[group].touch_at(set, tag) {
+        match self.l2[group].touch_at(set, tag) {
             Some(LineState::Modified) => {
                 if l1_hit {
                     AccessOutcome::hit(HitLevel::L1)
@@ -548,21 +346,10 @@ impl MemorySystem {
                 AccessOutcome::hit(HitLevel::Upgrade)
             }
             Some(LineState::Invalid) | None => self.write_miss(group, addr, set, tag),
-        };
-        // Whatever branch ran, the line is now Modified and MRU in the
-        // group's L2; record the store entry under the current epoch.
-        if let Some(f) = &mut self.filter {
-            f.note_store(cpu, group, addr, l1_hit);
         }
-        outcome
     }
 
     fn read_l2(&mut self, group: usize, addr: Addr, set: usize, tag: u64) -> AccessOutcome {
-        // Both arms perturb the group's L2 MRU order (promote or fill):
-        // older dirty filter entries lose their claim.
-        if let Some(f) = &mut self.filter {
-            f.bump_epoch(group);
-        }
         if self.l2[group].touch_at(set, tag).is_some() {
             return AccessOutcome::hit(HitLevel::L2);
         }
@@ -663,17 +450,10 @@ impl MemorySystem {
                 if state.supplies_data() {
                     supplied = true;
                 }
-                // The sharer's copy was (possibly) downgraded M→O/E→S:
-                // its CPUs' dirty filter entries must die, but their L1
-                // copies — and load entries — survive a remote read.
-                if let Some(f) = &mut self.filter {
-                    f.downgrade_line(g, key);
-                }
             }
             (supplied, sharers != 0)
         } else {
             self.bus.record_snoops(remote, 0);
-            let line = self.l2_line_key(set, tag);
             let mut any = false;
             for g in 0..self.l2.len() {
                 if g == requester {
@@ -683,9 +463,6 @@ impl MemorySystem {
                     any = true;
                     if state.supplies_data() {
                         supplied = true;
-                    }
-                    if let Some(f) = &mut self.filter {
-                        f.downgrade_line(g, line);
                     }
                 }
             }
@@ -790,14 +567,6 @@ impl MemorySystem {
     /// silent L1 evictions); it never under-approximates, which is what
     /// inclusion needs.
     fn invalidate_l1s_of_group(&mut self, group: usize, addr: Addr, mask: u64) {
-        // The line is leaving the group's L2 (snoop invalidation or
-        // eviction): every filter entry for it dies with it. This must
-        // sweep all of the group's CPUs regardless of the presence mask —
-        // a dirty entry exists without L1 residency, so `mask` (even 0)
-        // does not bound where entries live.
-        if let Some(f) = &mut self.filter {
-            f.clear_line(group, addr.0 >> self.l2_block_bits);
-        }
         if mask == 0 {
             return;
         }
@@ -942,6 +711,10 @@ mod tests {
         assert_eq!(o.level, HitLevel::CacheToCache);
         assert!(o.c2c);
         assert_eq!(m.bus_stats().snoop_copybacks, 1);
+        // The remote read downgraded the owner M -> O, so its next store
+        // needs a bus upgrade even though its L1 still holds the line.
+        let o = m.access(0, AccessKind::Store, Addr(0x1000));
+        assert_eq!(o.level, HitLevel::Upgrade);
     }
 
     #[test]
@@ -1057,12 +830,12 @@ mod tests {
 
     #[test]
     fn latency_hist_records_caller_supplied_costs() {
-        let costs = LatencyCosts {
-            l1: 1,
-            l2: 10,
+        let costs = LatencyTable {
+            l1_hit: 1,
+            l2_hit: 10,
             upgrade: 20,
-            c2c: 105,
             memory: 75,
+            cache_to_cache: 105,
         };
         let mut m = sys(2);
         m.enable_latency_hist(costs);

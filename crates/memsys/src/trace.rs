@@ -23,7 +23,7 @@ use std::io::{self, Read, Write};
 use crate::addr::Addr;
 use crate::sink::MemSink;
 use crate::stats::AccessKind;
-use crate::system::{BatchRef, MemorySystem};
+use crate::system::MemorySystem;
 
 /// Where a memory reference came from.
 ///
@@ -351,51 +351,21 @@ impl SystemTrace {
     /// resetting the system's statistics at each recorded window
     /// boundary.
     ///
-    /// Replay is where a trace-driven caller's one advantage over live
-    /// execution pays off: the future is already known. References are
-    /// handed down in chunks via [`MemorySystem::access_batch`], whose
-    /// internal warm cursor runs a few records ahead of the issue point
-    /// and announces each one to [`MemorySystem::warm`], overlapping the
-    /// simulator's long metadata fetches across accesses. Warming is
-    /// hint-only, so the replayed statistics are identical with or
-    /// without it (the round-trip suite in `tests/trace_roundtrip.rs`
-    /// holds this path to exact equality with live capture).
-    ///
     /// # Panics
     ///
     /// Panics if the trace references a processor the system lacks.
     pub fn replay_into(&self, sys: &mut MemorySystem) {
-        /// References per batch: enough to amortize the per-batch warm
-        /// ramp to nothing, small enough that the staging buffer stays
-        /// host-cache resident.
-        const CHUNK: usize = 4096;
-        let mut batch: Vec<BatchRef> = Vec::with_capacity(CHUNK);
-        fn flush(sys: &mut MemorySystem, batch: &mut Vec<BatchRef>) {
-            sys.access_batch(batch, |_, _| None);
-            batch.clear();
-        }
         for e in &self.events {
             match *e {
                 SystemTraceEvent::Instructions { .. } => {}
                 SystemTraceEvent::Ref {
                     cpu, kind, addr, ..
                 } => {
-                    batch.push(BatchRef {
-                        cpu: cpu as u32,
-                        kind,
-                        addr,
-                    });
-                    if batch.len() == CHUNK {
-                        flush(sys, &mut batch);
-                    }
+                    sys.access(cpu as usize, kind, addr);
                 }
-                SystemTraceEvent::WindowReset => {
-                    flush(sys, &mut batch);
-                    sys.reset_stats();
-                }
+                SystemTraceEvent::WindowReset => sys.reset_stats(),
             }
         }
-        flush(sys, &mut batch);
     }
 
     /// Writes the capture in the compact on-disk format: a

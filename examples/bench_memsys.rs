@@ -7,27 +7,14 @@
 //! like the middleware streams the simulator exists to replay:
 //! instruction fetch walks each code line in four sequential fetches,
 //! a load touches two or three fields of its object, and a store pair
-//! dirties adjacent words. The repeated-touch runs are exactly what the
-//! per-CPU MRU line filter short-circuits, so the benchmark exercises
-//! both the filter's fast path and (on the burst leaders) the full
-//! hierarchy walk. The stream is a pure function of the seed, so
-//! pre/post-optimization numbers are directly comparable.
-//!
-//! Each shape is timed twice on the identical stream: once through
-//! `MemorySystem::new` (MRU filter on) and once through
-//! `MemorySystem::new_unfiltered` — the in-file ablation that separates
-//! the filter's contribution from stream or driver changes. References
-//! are issued in 4096-record batches via [`MemorySystem::access_batch`],
-//! whose lookahead overlaps the simulator's long metadata fetches (L2
-//! set words, sharer-directory slots) *across* accesses; batching and
-//! warming are architecturally invisible, so every statistic matches a
-//! scalar replay bit for bit.
+//! dirties adjacent words. The stream is a pure function of the seed,
+//! so pre/post-optimization numbers are directly comparable.
 //!
 //! Run with: `cargo run --release --example bench_memsys [quick|standard|full]`
 
 use std::time::Instant;
 
-use memsys::{AccessKind, Addr, BatchRef, HierarchyConfig, MemorySystem};
+use memsys::{AccessKind, Addr, HierarchyConfig, MemorySystem};
 use prng::SimRng;
 
 /// Per-CPU private heap: 4 MB (4x the 1 MB L2 -> miss-heavy).
@@ -37,8 +24,11 @@ const CODE_LINES: u64 = (64 << 10) / 64;
 /// Hot shared region: 64 KB of lines every CPU loads and stores.
 const SHARED_LINES: u64 = (64 << 10) / 64;
 
-/// References issued per `access_batch` call.
+/// References generated ahead of each timed run of `access` calls.
 const BATCH: usize = 4096;
+
+/// One generated reference: issuing processor, kind and address.
+type Ref = (usize, AccessKind, Addr);
 
 /// Generates the seeded reference stream: a pure function of the seed,
 /// identical for every memory-system implementation and every driver
@@ -47,8 +37,8 @@ const BATCH: usize = 4096;
 /// Each RNG draw produces a burst leader plus its within-line followers
 /// (queued in `pending`, drained before the next draw): 4 sequential
 /// ifetches through a code line, 2-3 load touches of an object's
-/// fields, or a 2-store pair. Leaders walk the full hierarchy;
-/// followers are the repeated-touch runs the MRU filter memoizes.
+/// fields, or a 2-store pair. Leaders mostly miss; followers mostly
+/// hit the L1.
 struct Stream {
     rng: SimRng,
     cpus: u64,
@@ -115,15 +105,10 @@ impl Stream {
     }
 
     /// Fills `batch` with up to `budget` references.
-    fn fill(&mut self, batch: &mut Vec<BatchRef>, budget: u64) {
+    fn fill(&mut self, batch: &mut Vec<Ref>, budget: u64) {
         batch.clear();
         for _ in 0..(BATCH as u64).min(budget) {
-            let (cpu, kind, addr) = self.next();
-            batch.push(BatchRef {
-                cpu: cpu as u32,
-                kind,
-                addr,
-            });
+            batch.push(self.next());
         }
     }
 }
@@ -133,24 +118,28 @@ struct ShapeResult {
     cpus: usize,
     cpus_per_l2: usize,
     refs_per_sec: f64,
-    unfiltered_refs_per_sec: f64,
-    mru_speedup: f64,
     snoop_filter_rate: f64,
+}
+
+fn issue(sys: &mut MemorySystem, batch: &[Ref]) {
+    for &(cpu, kind, addr) in batch {
+        sys.access(cpu, kind, addr);
+    }
 }
 
 /// Streams `refs` references (after a warming prefix of `refs / 4`)
 /// through `sys` and returns the timed throughput.
 fn run_stream(sys: &mut MemorySystem, cpus: usize, refs: u64, seed: u64) -> f64 {
     let mut stream = Stream::new(seed, cpus);
-    let mut batch: Vec<BatchRef> = Vec::with_capacity(BATCH);
+    let mut batch: Vec<Ref> = Vec::with_capacity(BATCH);
     let mut left = refs / 4;
     while left > 0 {
         stream.fill(&mut batch, left);
-        sys.access_batch(&batch, |_, _| None);
+        issue(sys, &batch);
         left -= batch.len() as u64;
     }
     sys.reset_stats();
-    // Time only the `access_batch` calls: the generator's RNG cost is
+    // Time only the `access` calls: the generator's RNG cost is
     // driver overhead, identical for every implementation, and leaving
     // it inside the window would dilute real simulator differences. At
     // 4096 records per batch the timer calls amortize to well under a
@@ -160,7 +149,7 @@ fn run_stream(sys: &mut MemorySystem, cpus: usize, refs: u64, seed: u64) -> f64 
     while left > 0 {
         stream.fill(&mut batch, left);
         let t0 = Instant::now();
-        sys.access_batch(&batch, |_, _| None);
+        issue(sys, &batch);
         busy += t0.elapsed();
         left -= batch.len() as u64;
     }
@@ -186,37 +175,17 @@ fn bench_shape(cpus: usize, cpus_per_l2: usize, refs: u64, seed: u64) -> ShapeRe
         if pass > 0 {
             sys = MemorySystem::new(cfg);
         }
-        assert!(sys.mru_filter_enabled());
         refs_per_sec = refs_per_sec.max(run_stream(&mut sys, cpus, refs, seed));
     }
     let snoop_filter_rate = sys.bus_stats().snoop_filter_rate();
-    let stats = sys.stats().clone();
-
-    // Ablation: the identical stream through the same system one knob
-    // away (MRU filter off). Statistics must agree exactly — the filter
-    // claims bit-identity, and this doubles as a coarse end-to-end
-    // check of that claim at bench scale.
-    let mut unfiltered_refs_per_sec = 0.0f64;
-    let mut plain = MemorySystem::new_unfiltered(cfg);
-    for pass in 0..PASSES {
-        if pass > 0 {
-            plain = MemorySystem::new_unfiltered(cfg);
-        }
-        unfiltered_refs_per_sec =
-            unfiltered_refs_per_sec.max(run_stream(&mut plain, cpus, refs, seed));
-    }
-    assert_eq!(&stats, plain.stats(), "MRU filter diverged at bench scale");
-
-    let mru_speedup = refs_per_sec / unfiltered_refs_per_sec.max(1e-9);
     let name = if cpus_per_l2 == 1 {
         format!("{cpus}cpu")
     } else {
         format!("{cpus}cpu_shared{cpus_per_l2}")
     };
     println!(
-        "{name:>16}: {refs_per_sec:>12.0} refs/s  (unfiltered {unfiltered_refs_per_sec:.0}, \
-         {mru_speedup:.2}x, {} L2 misses, {:.1}% snoops filtered)",
-        stats.total_l2_misses(),
+        "{name:>16}: {refs_per_sec:>12.0} refs/s  ({} L2 misses, {:.1}% snoops filtered)",
+        sys.stats().total_l2_misses(),
         snoop_filter_rate * 100.0,
     );
     ShapeResult {
@@ -224,8 +193,6 @@ fn bench_shape(cpus: usize, cpus_per_l2: usize, refs: u64, seed: u64) -> ShapeRe
         cpus,
         cpus_per_l2,
         refs_per_sec,
-        unfiltered_refs_per_sec,
-        mru_speedup,
         snoop_filter_rate,
     }
 }
@@ -237,7 +204,7 @@ fn main() {
         "full" => 40_000_000,
         _ => 10_000_000,
     };
-    println!("streaming {refs} seeded references per shape (filtered + unfiltered)...");
+    println!("streaming {refs} seeded references per shape...");
     let shapes = [(1usize, 1usize), (4, 1), (16, 1), (16, 4)];
     let results: Vec<ShapeResult> = shapes
         .iter()
@@ -257,15 +224,12 @@ fn main() {
         json.push_str(&format!(
             concat!(
                 "    {{\"name\": \"{}\", \"cpus\": {}, \"cpus_per_l2\": {}, ",
-                "\"refs_per_sec\": {:.0}, \"unfiltered_refs_per_sec\": {:.0}, ",
-                "\"mru_speedup\": {:.3}, \"snoop_filter_rate\": {:.4}}}{}\n"
+                "\"refs_per_sec\": {:.0}, \"snoop_filter_rate\": {:.4}}}{}\n"
             ),
             r.name,
             r.cpus,
             r.cpus_per_l2,
             r.refs_per_sec,
-            r.unfiltered_refs_per_sec,
-            r.mru_speedup,
             r.snoop_filter_rate,
             if i + 1 < results.len() { "," } else { "" }
         ));

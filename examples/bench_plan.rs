@@ -76,9 +76,19 @@ fn main() {
         .all(|(a, b)| a.to_bits() == b.to_bits());
     assert!(identical, "parallel results diverged from serial");
 
-    let speedup = serial_secs / parallel_secs.max(1e-9);
+    // With one core both passes run on one worker, so their ratio is
+    // noise, not a parallel speedup.
+    let speedup = (workers > 1).then(|| serial_secs / parallel_secs.max(1e-9));
     println!("serial:   {serial_secs:.2} s");
-    println!("parallel: {parallel_secs:.2} s  ({speedup:.2}x, results bit-identical)");
+    match speedup {
+        Some(x) => {
+            println!("parallel: {parallel_secs:.2} s  ({x:.2}x, results bit-identical)")
+        }
+        None => println!(
+            "parallel: {parallel_secs:.2} s  (results bit-identical; one worker, \
+             so no parallel comparison was possible)"
+        ),
+    }
 
     let prov = Provenance::capture()
         .with_workers(workers)
@@ -98,7 +108,7 @@ fn main() {
             "  \"workers\": {},\n",
             "  \"serial_secs\": {:.3},\n",
             "  \"parallel_secs\": {:.3},\n",
-            "  \"speedup\": {:.3},\n",
+            "  \"speedup\": {},\n",
             "  \"bit_identical\": {}\n",
             "}}\n"
         ),
@@ -108,7 +118,7 @@ fn main() {
         workers,
         serial_secs,
         parallel_secs,
-        speedup,
+        speedup.map_or("null".to_string(), |x| format!("{x:.3}")),
         identical
     );
     std::fs::write("BENCH_plan.json", &json).expect("write BENCH_plan.json");

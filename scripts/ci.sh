@@ -21,6 +21,13 @@ cargo test -q --offline
 echo "==> cargo test --workspace -q (all crates, offline)"
 cargo test --workspace -q --offline
 
+# hostbench is its own cargo package (outside the workspace) with path
+# dependencies on crates/*, so the workspace build above never compiles
+# it: build and test it here so a memsys API change cannot silently
+# break the benchmark.
+echo "==> cargo test -q hostbench (the host-time benchmark package, offline)"
+cargo test -q --offline --manifest-path hostbench/Cargo.toml
+
 echo "==> cargo bench smoke: substrate kernels on the in-workspace harness"
 MIDDLESIM_BENCH_SAMPLES=2 MIDDLESIM_BENCH_SAMPLE_MS=5 \
     cargo bench -q --offline -p bench --bench substrates

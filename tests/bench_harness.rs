@@ -4,7 +4,7 @@
 //! the cargo-bench-equivalent path end to end.
 
 use bench::Harness;
-use java_middleware_memsim::memsys::{AccessKind, Addr, BatchRef, MemorySystem};
+use java_middleware_memsim::memsys::{AccessKind, Addr, MemorySystem};
 
 #[test]
 fn harness_times_the_memsys_hot_path() {
@@ -18,15 +18,16 @@ fn harness_times_the_memsys_hot_path() {
         })
     });
     let mut batch = MemorySystem::e6000(4).unwrap();
-    let refs: Vec<BatchRef> = (0..256)
-        .map(|j| BatchRef {
-            cpu: (j % 4) as u32,
-            kind: AccessKind::Load,
-            addr: Addr((j * 64) & 0xf_ffff),
+    h.bench_function("memsys/access_256", |b| {
+        b.iter(|| {
+            for j in 0..256u64 {
+                batch.access(
+                    (j % 4) as usize,
+                    AccessKind::Load,
+                    Addr((j * 64) & 0xf_ffff),
+                );
+            }
         })
-        .collect();
-    h.bench_function("memsys/access_batch_256", |b| {
-        b.iter(|| batch.access_batch(&refs, |_, _| None))
     });
 
     let rows = h.finish();

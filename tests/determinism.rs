@@ -107,7 +107,12 @@ fn dram_backend_runs_are_deterministic_serial_and_parallel() {
 fn counter_digest(snap: &probes::registry::Snapshot) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for (name, _, value) in snap.iter() {
-        for &b in name.as_bytes().iter().chain(&[0]).chain(&value.to_le_bytes()) {
+        for &b in name
+            .as_bytes()
+            .iter()
+            .chain(&[0])
+            .chain(&value.to_le_bytes())
+        {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -135,7 +140,9 @@ fn sampled_dram_window_matches_pinned_counters() {
     let got = (
         counters.get("dram.reads").expect("banked DRAM panel"),
         counters.get("dram.row_hits").expect("banked DRAM panel"),
-        counters.get("dram.queue_stalls").expect("banked DRAM panel"),
+        counters
+            .get("dram.queue_stalls")
+            .expect("banked DRAM panel"),
         run.base_q8,
         run.units.len(),
         run.detailed_units(),
@@ -143,7 +150,10 @@ fn sampled_dram_window_matches_pinned_counters() {
     );
     // Recorded from the run that first pinned this window; re-record only
     // with a change meant to alter simulated results.
-    assert_eq!(got, (25_569, 11_223, 7_668, 281, 20, 11, 0xaac3_501f_cb4b_323a));
+    assert_eq!(
+        got,
+        (25_569, 11_223, 7_668, 281, 20, 11, 0xaac3_501f_cb4b_323a)
+    );
 }
 
 /// Observability must be free: the same batch run bare, with a RunLog

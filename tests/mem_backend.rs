@@ -21,19 +21,19 @@
 //!     request by request.
 
 use java_middleware_memsim::memsys::{
-    AccessKind, Addr, CacheConfig, DramConfig, HierarchyConfig, LatencyCosts, MemoryConfig,
+    AccessKind, Addr, CacheConfig, DramConfig, HierarchyConfig, LatencyTable, MemoryConfig,
     MemorySystem,
 };
 use prng::SimRng;
 
 /// The costs the differential runs histogram with; `memory` matches the
 /// `FlatFixed` backend below so claims can be compared bit-for-bit.
-const COSTS: LatencyCosts = LatencyCosts {
-    l1: 0,
-    l2: 10,
+const COSTS: LatencyTable = LatencyTable {
+    l1_hit: 0,
+    l2_hit: 10,
     upgrade: 60,
-    c2c: 105,
     memory: 75,
+    cache_to_cache: 105,
 };
 
 /// Small hierarchy so the stream below overflows everything and memory
