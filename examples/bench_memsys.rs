@@ -121,6 +121,7 @@ struct ShapeResult {
     snoop_filter_rate: f64,
 }
 
+/// Issues `batch` in order through scalar `MemorySystem::access`.
 fn issue(sys: &mut MemorySystem, batch: &[Ref]) {
     for &(cpu, kind, addr) in batch {
         sys.access(cpu, kind, addr);
