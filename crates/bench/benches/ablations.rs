@@ -1,23 +1,9 @@
-//! Regenerates the ablations backing the paper's textual claims: ISM
-//! pages (Section 6), path length (Section 4.4), the object-cache
-//! mechanism, and cache-to-cache latency sensitivity (Section 4.3).
+//! Benchmarks the TLB lookup behind the ISM-pages ablation (Section 6).
+//! `figures <effort> ablations` regenerates the ablation tables.
 
-use bench::{bench_effort, report};
-use middlesim::figures::ablations;
 use sysos::tlb::{Tlb, TlbConfig};
 
 fn run_ablations(c: &mut bench::Harness) {
-    let effort = bench_effort();
-    eprintln!("running ablations at {effort:?}...");
-    let ism = ablations::run_ism(effort);
-    report("Ablation: ISM", ism.table(), ism.shape_violations());
-    let pl = ablations::run_path_length(effort, &[1, 4, 8]);
-    report("Ablation: path length", pl.table(), pl.shape_violations());
-    let oc = ablations::run_objcache(effort, 8);
-    report("Ablation: object cache", oc.table(), oc.shape_violations());
-    let cl = ablations::run_c2c_latency(effort, 8);
-    report("Ablation: c2c latency", cl.table(), cl.shape_violations());
-
     c.bench_function("sysos/tlb_access", |b| {
         let mut tlb = Tlb::new(TlbConfig::base_pages());
         let mut a = 0u64;

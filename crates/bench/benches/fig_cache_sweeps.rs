@@ -1,20 +1,10 @@
-//! Regenerates Figures 12 and 13 (instruction/data miss rate vs cache
-//! size, full-size uniprocessor workloads), then benchmarks the
-//! multi-size sweep kernel.
+//! Benchmarks the multi-size sweep kernel behind Figures 12 and 13
+//! (miss rate vs cache size). `figures <effort> 12 13` regenerates the
+//! figures.
 
-use bench::{bench_effort, report};
 use memsys::{Addr, CacheSweep};
-use middlesim::figures::{fig12, fig13};
 
 fn figures_12_13(c: &mut bench::Harness) {
-    let effort = bench_effort();
-    eprintln!("running the Figure 12/13 uniprocessor sweeps at {effort:?}...");
-    let data = fig12::run_sweeps(effort);
-    let f12 = fig12::from_data(&data);
-    report("Figure 12", f12.table(), f12.shape_violations());
-    let f13 = fig13::from_data(&data);
-    report("Figure 13", f13.table(), f13.shape_violations());
-
     c.bench_function("memsys/sweep_9_sizes_per_ref", |b| {
         let mut sweep = CacheSweep::paper();
         let mut a = 0u64;

@@ -1,18 +1,10 @@
-//! Regenerates Figures 14 and 15 (communication-footprint CDFs), then
-//! benchmarks the coherence ping-pong path.
+//! Benchmarks the coherence ping-pong path behind Figures 14 and 15
+//! (communication-footprint CDFs). `figures <effort> 14 15` regenerates
+//! the figures.
 
-use bench::{bench_effort, report};
 use memsys::{AccessKind, Addr, MemorySystem};
-use middlesim::figures::{fig14, fig15};
 
 fn figures_14_15(c: &mut bench::Harness) {
-    let effort = bench_effort();
-    eprintln!("running the Figure 14/15 communication study at {effort:?}...");
-    let f14 = fig14::run(effort, 8);
-    report("Figure 14", f14.table(), f14.shape_violations());
-    let f15 = fig15::from_fig14(&f14);
-    report("Figure 15", f15.table(), f15.shape_violations());
-
     c.bench_function("memsys/write_pingpong_2cpus", |b| {
         let mut sys = MemorySystem::e6000(2).expect("2-cpu system");
         let mut turn = 0usize;

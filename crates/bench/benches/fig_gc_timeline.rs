@@ -1,26 +1,13 @@
-//! Regenerates Figure 10 (cache-to-cache transfers over time, with the
-//! collapse during the single-threaded collections), then benchmarks a
-//! minor collection.
+//! Benchmarks a minor collection, the pause behind Figure 10's
+//! cache-to-cache collapse during GC. `figures <effort> 10` regenerates
+//! the figure.
 
-use bench::{bench_effort, report};
 use jvm::alloc::Tlab;
 use jvm::heap::{Heap, HeapConfig, HeapGeometry};
 use jvm::object::Lifetime;
 use memsys::{Addr, AddrRange, CountingSink};
-use middlesim::figures::fig10;
 
 fn figure_10(c: &mut bench::Harness) {
-    let effort = bench_effort();
-    eprintln!("running the Figure 10 trace at {effort:?}...");
-    let fig = fig10::run(effort, 8);
-    println!(
-        "\n## Figure 10 summary: c2c/bucket outside GC = {:.0}, during GC = {:.0} ({} GCs)",
-        fig.rate_outside_gc(),
-        fig.rate_during_gc(),
-        fig.gc_count
-    );
-    report("Figure 10", fig.table(), fig.shape_violations());
-
     c.bench_function("jvm/minor_gc_1MB_live", |b| {
         b.iter_batched(
             || {

@@ -1,24 +1,13 @@
-//! Regenerates Figure 11 (live memory vs scale factor), then benchmarks
-//! heap allocation throughput.
+//! Benchmarks heap allocation throughput, the path behind Figure 11
+//! (live memory vs scale factor). `figures <effort> 11` regenerates the
+//! figure.
 
-use bench::{bench_effort, report};
 use jvm::alloc::Tlab;
 use jvm::heap::{Heap, HeapConfig, HeapGeometry};
 use jvm::object::Lifetime;
 use memsys::{Addr, AddrRange, CountingSink};
-use middlesim::figures::fig11;
-use middlesim::Effort;
 
 fn figure_11(c: &mut bench::Harness) {
-    let effort = bench_effort();
-    let axis = match effort {
-        Effort::Quick => &fig11::QUICK_SCALE_AXIS[..],
-        _ => &fig11::PAPER_SCALE_AXIS[..],
-    };
-    eprintln!("running the Figure 11 scale sweep over {axis:?} at {effort:?}...");
-    let fig = fig11::run(effort, axis);
-    report("Figure 11", fig.table(), fig.shape_violations());
-
     c.bench_function("jvm/tlab_alloc_256B", |b| {
         let mut heap = Heap::new(
             HeapConfig {

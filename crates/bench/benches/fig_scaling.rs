@@ -1,28 +1,10 @@
-//! Regenerates Figures 4–9 (one shared scaling sweep over both
-//! workloads), then benchmarks the engine's window-extension kernel.
+//! Benchmarks the engine's window-extension kernel, the work behind the
+//! Figures 4–9 scaling sweep. `figures <effort> 4` regenerates the
+//! figures.
 
-use bench::{bench_effort, report};
-use middlesim::figures::{self, processor_axis, scaling::run_scaling};
 use middlesim::{jbb_machine, Effort};
 
 fn figures_4_to_9(c: &mut bench::Harness) {
-    let effort = bench_effort();
-    let ps = processor_axis(effort);
-    eprintln!("running the Figure 4-9 scaling sweep over {ps:?} at {effort:?}...");
-    let data = run_scaling(effort, ps);
-    let f4 = figures::fig04::from_data(&data);
-    report("Figure 4", f4.table(), f4.shape_violations());
-    let f5 = figures::fig05::from_data(&data);
-    report("Figure 5", f5.table(), f5.shape_violations());
-    let f6 = figures::fig06::from_data(&data);
-    report("Figure 6", f6.table(), f6.shape_violations());
-    let f7 = figures::fig07::from_data(&data);
-    report("Figure 7", f7.table(), f7.shape_violations());
-    let f8 = figures::fig08::from_data(&data);
-    report("Figure 8", f8.table(), f8.shape_violations());
-    let f9 = figures::fig09::from_data(&data);
-    report("Figure 9", f9.table(), f9.shape_violations());
-
     // Timing kernel: extend a warm 4-processor SPECjbb machine by 2M
     // simulated cycles per iteration.
     let mut machine = jbb_machine(4, 8, 1, Effort::Quick);

@@ -1,16 +1,9 @@
-//! Regenerates Figure 16 (shared-cache CMP topologies), then benchmarks
-//! a shared-L2 access path.
+//! Benchmarks a shared-L2 access path, the topology behind Figure 16
+//! (shared-cache CMPs). `figures <effort> 16` regenerates the figure.
 
-use bench::{bench_effort, report};
 use memsys::{AccessKind, Addr, HierarchyConfig, MemorySystem};
-use middlesim::figures::fig16;
 
 fn figure_16(c: &mut bench::Harness) {
-    let effort = bench_effort();
-    eprintln!("running the Figure 16 topology sweep at {effort:?}...");
-    let fig = fig16::run(effort);
-    report("Figure 16", fig.table(), fig.shape_violations());
-
     c.bench_function("memsys/shared_l2_8way_access", |b| {
         let mut builder = HierarchyConfig::builder(8);
         builder.cpus_per_l2(8);

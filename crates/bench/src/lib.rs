@@ -1,9 +1,9 @@
-//! # bench — the figure-regeneration and timing harness
+//! # bench — the timing harness
 //!
-//! Each bench target regenerates one (group of) paper figure(s): it
-//! prints the same rows the figure plots together with the shape
-//! verdict, then measures a representative simulation kernel so
-//! `cargo bench` also tracks the simulator's own performance.
+//! Each bench target times a representative simulation kernel so
+//! `cargo bench` tracks the simulator's own performance. The figures
+//! themselves are regenerated by the `figures` binary
+//! (`figures <effort> <N>`), not by the bench targets.
 //!
 //! The timing harness ([`Harness`]) is dependency-free — plain
 //! `std::time::Instant` sampling with a criterion-shaped API
@@ -14,38 +14,12 @@
 //!
 //! Knobs (environment):
 //!
-//! - `MIDDLESIM_BENCH_EFFORT`: `quick` (default), `standard`, or `full`
-//!   — sizes the figure sweeps;
 //! - `MIDDLESIM_BENCH_SAMPLES`: timing samples per benchmark
 //!   (default 10);
 //! - `MIDDLESIM_BENCH_SAMPLE_MS`: target wall milliseconds per sample
 //!   (default 100; the iteration count is calibrated to hit it).
 
 use std::time::{Duration, Instant};
-
-use middlesim::Effort;
-
-/// Reads the bench effort from `MIDDLESIM_BENCH_EFFORT`.
-pub fn bench_effort() -> Effort {
-    match std::env::var("MIDDLESIM_BENCH_EFFORT").as_deref() {
-        Ok("standard") => Effort::Standard,
-        Ok("full") => Effort::Full,
-        _ => Effort::Quick,
-    }
-}
-
-/// Prints a figure table plus its shape verdict.
-pub fn report(name: &str, table: impl std::fmt::Display, violations: Vec<String>) {
-    println!("\n{table}");
-    if violations.is_empty() {
-        println!("[shape OK] {name}");
-    } else {
-        println!("[shape VIOLATIONS] {name}:");
-        for v in violations {
-            println!("  - {v}");
-        }
-    }
-}
 
 /// One benchmark's timing summary (nanoseconds per iteration).
 #[derive(Debug, Clone, PartialEq)]
@@ -244,14 +218,5 @@ mod tests {
         let rows = h.results();
         // A ~100ns kernel needs many iterations to fill 5ms.
         assert!(rows[0].iters > 100, "iters = {}", rows[0].iters);
-    }
-
-    #[test]
-    fn effort_env_defaults_to_quick() {
-        // No env manipulation (tests run in parallel): just check the
-        // default branch.
-        if std::env::var("MIDDLESIM_BENCH_EFFORT").is_err() {
-            assert_eq!(bench_effort(), Effort::Quick);
-        }
     }
 }

@@ -24,7 +24,7 @@ use workloads::ecperf::database::{Database, DatabaseConfig};
 use workloads::ecperf::{DbQuery, Ecperf, EcperfConfig};
 
 use crate::engine::{Machine, WindowReport};
-use crate::experiment::{ecperf_machine_with, measure, ExperimentPlan};
+use crate::experiment::{ecperf_machine_with, measure, ExperimentPlan, JobTelemetry};
 use crate::Effort;
 
 /// Address base of the database machine's memory (its own machine: the
@@ -105,7 +105,7 @@ pub fn run_cluster_with(plan: &ExperimentPlan, pset: usize) -> ClusterReport {
     // Stage 1: the application-server tier, one job per seed. All seeds
     // cost the same here; the hint matters when callers mix psets.
     let seeds: Vec<u64> = (1..=effort.seeds()).collect();
-    let apps: Vec<AppTierRun> = plan.run_hinted(
+    let apps: Vec<AppTierRun> = plan.run_telemetry(
         &seeds,
         |_| effort.cost_hint(pset),
         |&seed| {
@@ -118,20 +118,24 @@ pub fn run_cluster_with(plan: &ExperimentPlan, pset: usize) -> ClusterReport {
             let miss_per_kilo = app.memory().stats().data().l2_misses as f64 * 1000.0
                 / report.cpi.instructions.max(1) as f64;
             let queries = app.workload_mut().take_query_log();
-            AppTierRun {
+            let run = AppTierRun {
                 report,
                 miss_per_kilo,
                 queries,
-            }
+            };
+            (run, JobTelemetry::default())
         },
     );
 
     // Stage 2: each log replays into its own database tier. Log length
     // is the natural cost hint — busier app seeds make longer replays.
-    let db: Vec<(f64, f64, u64)> = plan.run_hinted(
+    let db: Vec<(f64, f64, u64)> = plan.run_telemetry(
         &apps,
         |a| a.queries.len() as u64 + 1,
-        |a| replay_into_database(&a.queries, effort),
+        |a| {
+            let out = replay_into_database(&a.queries, effort);
+            (out, JobTelemetry::default())
+        },
     );
 
     // Merge in seed order; all floating-point reductions happen here,

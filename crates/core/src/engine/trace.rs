@@ -20,7 +20,7 @@
 use memsys::{BusStats, HierarchyConfig, MemorySystem, SystemStats, SystemTrace};
 
 use super::observer::{AccessEvent, AccessSource, SimObserver};
-use crate::experiment::ExperimentPlan;
+use crate::experiment::{ExperimentPlan, JobTelemetry};
 
 /// Records everything the machine's memory system consumes, in coherence
 /// order, as a [`SystemTrace`].
@@ -131,7 +131,11 @@ pub fn replay_traces(
     traces: &[SystemTrace],
     hierarchy: &HierarchyConfig,
 ) -> Vec<ReplayReport> {
-    plan.run_hinted(traces, |t| t.len() as u64, |t| replay_trace(t, hierarchy))
+    plan.run_telemetry(
+        traces,
+        |t| t.len() as u64,
+        |t| (replay_trace(t, hierarchy), JobTelemetry::default()),
+    )
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Experiment orchestration: workload factories, warm-up/measurement
-//! windows, the multi-seed variability methodology, and the parallel
-//! [`ExperimentPlan`] runner all figure experiments fan out through.
+//! windows, and the parallel [`ExperimentPlan`] runner all figure
+//! experiments fan out through. The multi-seed variability methodology
+//! is [`ExperimentPlan::seeds`] fanned over [`ExperimentPlan::run`].
 //!
 //! Every figure experiment follows the paper's protocol: build the
 //! workload, warm it up (caches, JIT, bean cache, steady-state heap),
@@ -13,6 +14,7 @@
 //! outputs are merged in input order, and every floating-point reduction
 //! happens after the merge.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -23,7 +25,6 @@ use probes::runlog::{
     SampleUnitRecord,
 };
 use probes::Histogram;
-use simstats::Summary;
 use workloads::ecperf::{Ecperf, EcperfConfig};
 use workloads::model::Workload;
 use workloads::specjbb::{SpecJbb, SpecJbbConfig};
@@ -90,7 +91,7 @@ impl Effort {
     /// processor machine at this effort: simulated work scales with the
     /// run length (warm-up + window) times the processors stepped.
     /// Units are arbitrary — hints only need to *order* jobs (see
-    /// [`ExperimentPlan::run_hinted`]).
+    /// [`ExperimentPlan::run_telemetry`]).
     pub fn cost_hint(self, system_size: usize) -> u64 {
         (self.warmup() + self.window()) * system_size.max(1) as u64
     }
@@ -143,8 +144,7 @@ pub struct JobTelemetry {
 }
 
 impl JobTelemetry {
-    /// Telemetry carrying only a counter snapshot (the `run_probed`
-    /// shape).
+    /// Telemetry carrying only a counter snapshot.
     pub fn counters(snapshot: Option<Snapshot>) -> Self {
         JobTelemetry {
             counters: snapshot,
@@ -197,7 +197,7 @@ pub fn largest_first_order(costs: &[u64]) -> Vec<usize> {
 /// is: the seed fully determines the run).
 ///
 /// A plan may carry a [`RunLog`] (see [`ExperimentPlan::with_run_log`]):
-/// every `run_*` call then emits one `run` event plus a [`JobSpan`] per
+/// every batch run then emits one `run` event plus a [`JobSpan`] per
 /// job. Spans are recorded on the worker threads as jobs finish and
 /// never touch the output slots, so logged runs stay bit-identical to
 /// unlogged ones.
@@ -243,7 +243,7 @@ impl ExperimentPlan {
         self
     }
 
-    /// Attaches a run log: every subsequent `run_*` call on this plan
+    /// Attaches a run log: every subsequent batch run on this plan
     /// records its spans there under `tag`. Logging observes the runner
     /// from outside the merge path; outputs are unchanged.
     pub fn with_run_log(mut self, log: Arc<RunLog>, tag: &str) -> Self {
@@ -298,93 +298,19 @@ impl ExperimentPlan {
         O: Send,
     {
         let order: Vec<usize> = (0..inputs.len()).collect();
-        self.run_ordered(
-            inputs,
-            &order,
-            None,
-            |i| (job(i), JobTelemetry::default()),
-            |_| {},
-        )
+        self.run_ordered(inputs, &order, None, |i| (job(i), JobTelemetry::default()))
     }
 
-    /// Like [`ExperimentPlan::run`], but jobs carry a relative cost hint
-    /// and workers claim the *largest remaining* job first. On mixed
+    /// Like [`ExperimentPlan::run`], but each job carries a relative cost
+    /// hint and workers claim the *largest remaining* job first. On mixed
     /// batches (a Full-effort 16-processor point next to uniprocessor
     /// sweeps) this keeps the big jobs from being claimed last and
-    /// dragging the tail; outputs still merge in input order, so results
-    /// are bit-identical to [`ExperimentPlan::run`]'s.
-    pub fn run_hinted<I, O>(
-        &self,
-        inputs: &[I],
-        cost: impl Fn(&I) -> u64,
-        job: impl Fn(&I) -> O + Sync,
-    ) -> Vec<O>
-    where
-        I: Sync,
-        O: Send,
-    {
-        self.run_hinted_observed(inputs, cost, job, |_| {})
-    }
-
-    /// [`ExperimentPlan::run_hinted`] with a claim probe: `on_claim(i)`
-    /// fires under the claim lock, in claim order, as each input index
-    /// is taken by a worker. This is the observation seam the scheduling
-    /// tests use; `|_| {}` makes it free.
-    pub fn run_hinted_observed<I, O>(
-        &self,
-        inputs: &[I],
-        cost: impl Fn(&I) -> u64,
-        job: impl Fn(&I) -> O + Sync,
-        on_claim: impl Fn(usize) + Sync,
-    ) -> Vec<O>
-    where
-        I: Sync,
-        O: Send,
-    {
-        let costs: Vec<u64> = inputs.iter().map(cost).collect();
-        self.run_ordered(
-            inputs,
-            &largest_first_order(&costs),
-            Some(&costs),
-            |i| (job(i), JobTelemetry::default()),
-            on_claim,
-        )
-    }
-
-    /// [`ExperimentPlan::run_hinted`] for jobs that also sample their
-    /// counters: the job returns `(output, Option<Snapshot>)`, and the
-    /// snapshot rides on the job's [`JobSpan`] when a run log is
-    /// attached (it is dropped otherwise). Outputs are merged exactly
-    /// as in the other runners.
-    pub fn run_probed<I, O>(
-        &self,
-        inputs: &[I],
-        cost: impl Fn(&I) -> u64,
-        job: impl Fn(&I) -> (O, Option<Snapshot>) + Sync,
-    ) -> Vec<O>
-    where
-        I: Sync,
-        O: Send,
-    {
-        let costs: Vec<u64> = inputs.iter().map(cost).collect();
-        self.run_ordered(
-            inputs,
-            &largest_first_order(&costs),
-            Some(&costs),
-            |i| {
-                let (out, counters) = job(i);
-                (out, JobTelemetry::counters(counters))
-            },
-            |_| {},
-        )
-    }
-
-    /// [`ExperimentPlan::run_probed`] for jobs that also capture interval
-    /// series and latency histograms: the job returns
-    /// `(output, JobTelemetry)`, and everything in the telemetry lands
-    /// in the run log under the job's `(run, id)` — spans, `interval`
-    /// records and `hist` records — while outputs merge exactly as in
-    /// the other runners (telemetry is dropped when no log is attached).
+    /// dragging the tail. Jobs return `(output, JobTelemetry)`:
+    /// everything in the telemetry lands in the run log under the job's
+    /// `(run, id)` — the span's counter snapshot, `interval`, `hist`,
+    /// `sample_unit`, `event` and `attrib` records — and is dropped when
+    /// no log is attached. Outputs merge in input order, so results are
+    /// bit-identical to [`ExperimentPlan::run`]'s.
     pub fn run_telemetry<I, O>(
         &self,
         inputs: &[I],
@@ -396,13 +322,7 @@ impl ExperimentPlan {
         O: Send,
     {
         let costs: Vec<u64> = inputs.iter().map(cost).collect();
-        self.run_ordered(
-            inputs,
-            &largest_first_order(&costs),
-            Some(&costs),
-            job,
-            |_| {},
-        )
+        self.run_ordered(inputs, &largest_first_order(&costs), Some(&costs), job)
     }
 
     /// The shared engine: claims inputs in `order`, writes outputs into
@@ -414,7 +334,6 @@ impl ExperimentPlan {
         order: &[usize],
         costs: Option<&[u64]>,
         job: impl Fn(&I) -> (O, JobTelemetry) + Sync,
-        on_claim: impl Fn(usize) + Sync,
     ) -> Vec<O>
     where
         I: Sync,
@@ -490,7 +409,6 @@ impl ExperimentPlan {
         if self.threads <= 1 || inputs.len() <= 1 {
             let mut slots: Vec<Option<O>> = inputs.iter().map(|_| None).collect();
             for (claim, &i) in order.iter().enumerate() {
-                on_claim(i);
                 let started = Instant::now();
                 let (out, tele) = job(&inputs[i]);
                 emit(i, 0, claim, started.elapsed().as_secs_f64(), tele);
@@ -501,34 +419,18 @@ impl ExperimentPlan {
                 .map(|s| s.expect("order visits every input"))
                 .collect();
         }
-        // The claim counter is a mutex, not an atomic, so that claiming
-        // and observing are one step: the probe sees exactly the order
-        // jobs were handed out in. Claims are vastly rarer than the
-        // simulated work inside each job, so contention is irrelevant.
-        let next = Mutex::new(0usize);
+        let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<O>>> = inputs.iter().map(|_| Mutex::new(None)).collect();
         let workers = self.threads.min(inputs.len());
         std::thread::scope(|s| {
             for worker in 0..workers {
                 let emit = &emit;
                 let job = &job;
-                let on_claim = &on_claim;
                 let next = &next;
                 let slots = &slots;
                 s.spawn(move || loop {
-                    let claimed = {
-                        let mut n = next.lock().expect("claim counter poisoned");
-                        if *n >= order.len() {
-                            None
-                        } else {
-                            let claim = *n;
-                            let i = order[claim];
-                            *n += 1;
-                            on_claim(i);
-                            Some((i, claim))
-                        }
-                    };
-                    let Some((i, claim)) = claimed else { break };
+                    let claim = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&i) = order.get(claim) else { break };
                     let started = Instant::now();
                     let (out, tele) = job(&inputs[i]);
                     emit(i, worker, claim, started.elapsed().as_secs_f64(), tele);
@@ -557,53 +459,6 @@ impl ExperimentPlan {
         } else {
             self.effort.seeds()
         }
-    }
-
-    /// Runs `metric` once per seed (`0..self.seeds()`) in parallel and
-    /// summarizes in seed order (mean ± σ, the per-point recipe for every
-    /// figure with error bars).
-    pub fn run_seeds(&self, metric: impl Fn(u64) -> f64 + Sync) -> Summary {
-        let seeds: Vec<u64> = (0..self.seeds()).collect();
-        let values = self.run(&seeds, |&s| metric(s));
-        let mut summary = Summary::new();
-        for v in values {
-            summary.push(v);
-        }
-        summary
-    }
-
-    /// Builds a machine per seed, measures one window each (in parallel,
-    /// honoring the plan's [`SimMode`]), and summarizes `metric` of the
-    /// reports in seed order.
-    pub fn measure_seeds<W, B, M>(&self, build: B, metric: M) -> Summary
-    where
-        W: Workload,
-        B: Fn(u64) -> Machine<W> + Sync,
-        M: Fn(&WindowReport, &Machine<W>) -> f64 + Sync,
-    {
-        let effort = self.effort;
-        let mode = self.mode.clone();
-        self.run_seeds(|seed| {
-            let mut m = build(seed);
-            let (report, _) = measure_in(&mut m, effort, &mode);
-            metric(&report, &m)
-        })
-    }
-
-    /// Builds a machine per seed and returns each seed's window report,
-    /// in seed order (honoring the plan's [`SimMode`]).
-    pub fn measure_reports<W, B>(&self, build: B) -> Vec<WindowReport>
-    where
-        W: Workload,
-        B: Fn(u64) -> Machine<W> + Sync,
-    {
-        let effort = self.effort;
-        let mode = self.mode.clone();
-        let seeds: Vec<u64> = (0..self.seeds()).collect();
-        self.run(&seeds, |&seed| {
-            let mut m = build(seed);
-            measure_in(&mut m, effort, &mode).0
-        })
     }
 }
 
@@ -669,18 +524,6 @@ pub fn measure_in<W: Workload>(
     }
 }
 
-/// Runs `build` once per seed, measuring `metric` of the window report,
-/// and summarizes (mean ± σ). Convenience wrapper over
-/// [`ExperimentPlan::measure_seeds`] with a core-per-worker plan.
-pub fn measure_seeds<W, B, M>(effort: Effort, build: B, metric: M) -> Summary
-where
-    W: Workload,
-    B: Fn(u64) -> Machine<W> + Sync,
-    M: Fn(&WindowReport, &Machine<W>) -> f64 + Sync,
-{
-    ExperimentPlan::new(effort).measure_seeds(build, metric)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,17 +534,6 @@ mod tests {
         assert!(Effort::Quick.window() < Effort::Standard.window());
         assert!(Effort::Standard.window() < Effort::Full.window());
         assert!(Effort::Quick.seeds() <= Effort::Full.seeds());
-    }
-
-    #[test]
-    fn measure_seeds_aggregates() {
-        let s = measure_seeds(
-            Effort::Quick,
-            |seed| jbb_machine(1, 2, seed, Effort::Quick),
-            |r, _| r.transactions as f64,
-        );
-        assert_eq!(s.n(), 1);
-        assert!(s.mean() > 0.0);
     }
 
     #[test]
@@ -738,6 +570,18 @@ mod tests {
         assert_eq!(largest_first_order(&[]), Vec::<usize>::new());
     }
 
+    fn test_provenance() -> probes::Provenance {
+        probes::Provenance {
+            git_rev: "test".into(),
+            hostname: "test".into(),
+            cpu_count: 1,
+            timestamp: 0,
+            workers: None,
+            effort: None,
+            sim_mode: None,
+        }
+    }
+
     #[test]
     fn hinted_run_matches_plain_run_bit_for_bit() {
         let inputs: Vec<u64> = (0..32).collect();
@@ -745,7 +589,11 @@ mod tests {
         for threads in [1, 3, 5] {
             let hinted = ExperimentPlan::serial(Effort::Quick)
                 .with_threads(threads)
-                .run_hinted(&inputs, |&x| x, |&x| (x as f64).sqrt());
+                .run_telemetry(
+                    &inputs,
+                    |&x| x,
+                    |&x| ((x as f64).sqrt(), JobTelemetry::default()),
+                );
             let same = plain
                 .iter()
                 .zip(&hinted)
@@ -758,23 +606,21 @@ mod tests {
     fn hinted_claims_go_largest_first_at_any_worker_count() {
         let jobs: Vec<(usize, u64)> = [3u64, 50, 1, 40, 2].iter().copied().enumerate().collect();
         for threads in [1, 2, 4] {
-            let claims = Mutex::new(Vec::new());
+            let log = Arc::new(RunLog::new());
             let out = ExperimentPlan::serial(Effort::Quick)
                 .with_threads(threads)
-                .run_hinted_observed(
-                    &jobs,
-                    |&(_, c)| c,
-                    |&(i, _)| i,
-                    |i| claims.lock().unwrap().push(i),
-                );
+                .with_run_log(Arc::clone(&log), "test")
+                .run_telemetry(&jobs, |&(_, c)| c, |&(i, _)| (i, JobTelemetry::default()));
             // Outputs merge in input order regardless of claim order.
             assert_eq!(out, vec![0, 1, 2, 3, 4], "threads={threads}");
-            // Claims went out largest-cost first.
-            assert_eq!(
-                claims.into_inner().unwrap(),
-                vec![1, 3, 0, 4, 2],
-                "threads={threads}"
-            );
+            // Claims went out largest-cost first: the runner stamps each
+            // span's claim index at claim time.
+            let mut spans = probes::report::check(&log.to_jsonl(&test_provenance()))
+                .expect("runner emits schema-valid JSONL")
+                .jobs;
+            spans.sort_by_key(|j| j.claim);
+            let claimed: Vec<u64> = spans.iter().map(|j| j.id).collect();
+            assert_eq!(claimed, vec![1, 3, 0, 4, 2], "threads={threads}");
         }
     }
 
@@ -783,36 +629,31 @@ mod tests {
         let inputs: Vec<u64> = (0..12).collect();
         let bare = ExperimentPlan::serial(Effort::Quick)
             .with_threads(3)
-            .run_hinted(&inputs, |&x| x, |&x| x * 3);
+            .run(&inputs, |&x| x * 3);
 
         let log = Arc::new(RunLog::new());
         let plan = ExperimentPlan::serial(Effort::Quick)
             .with_threads(3)
             .with_run_log(Arc::clone(&log), "test")
             .with_job_labels(inputs.iter().map(|x| format!("job-{x}")).collect());
-        let logged = plan.run_hinted(&inputs, |&x| x, |&x| x * 3);
+        let logged = plan.run_telemetry(&inputs, |&x| x, |&x| (x * 3, JobTelemetry::default()));
         assert_eq!(bare, logged);
         assert_eq!(log.run_count(), 1);
         assert_eq!(log.span_count(), inputs.len());
 
-        // Probed runs attach snapshots; outputs still merge identically.
-        let probed = plan.run_probed(&inputs, |&x| x, |&x| (x * 3, None));
-        assert_eq!(bare, probed);
+        // Plain runs log spans too, without cost hints.
+        let plain = plan.run(&inputs, |&x| x * 3);
+        assert_eq!(bare, plain);
         assert_eq!(log.run_count(), 2);
         assert_eq!(log.span_count(), 2 * inputs.len());
 
-        let jsonl = log.to_jsonl(&probes::Provenance {
-            git_rev: "test".into(),
-            hostname: "test".into(),
-            cpu_count: 1,
-            timestamp: 0,
-            workers: None,
-            effort: None,
-            sim_mode: None,
-        });
-        let parsed = probes::report::check(&jsonl).expect("runner emits schema-valid JSONL");
+        let parsed = probes::report::check(&log.to_jsonl(&test_provenance()))
+            .expect("runner emits schema-valid JSONL");
         assert_eq!(parsed.jobs.len(), 2 * inputs.len());
-        assert!(parsed.jobs.iter().all(|j| j.cost_hint.is_some()));
+        assert!(parsed
+            .jobs
+            .iter()
+            .all(|j| j.cost_hint.is_some() == (j.run == 0)));
         assert_eq!(parsed.jobs[0].label.as_deref(), Some("job-11"));
     }
 
@@ -896,16 +737,8 @@ mod tests {
             assert_eq!(log.interval_count(), 2 * inputs.len());
             assert_eq!(log.hist_count(), inputs.len());
 
-            let jsonl = log.to_jsonl(&probes::Provenance {
-                git_rev: "test".into(),
-                hostname: "test".into(),
-                cpu_count: 1,
-                timestamp: 0,
-                workers: None,
-                effort: None,
-                sim_mode: None,
-            });
-            let parsed = probes::report::check(&jsonl).expect("telemetry JSONL passes --check");
+            let parsed = probes::report::check(&log.to_jsonl(&test_provenance()))
+                .expect("telemetry JSONL passes --check");
             assert_eq!(parsed.intervals.len(), 2 * inputs.len());
             assert_eq!(parsed.hists.len(), inputs.len());
             // Event records were stamped with the real run/id.
@@ -921,19 +754,5 @@ mod tests {
                 .iter()
                 .all(|a| a.stack.starts_with("mutator;") && a.id < inputs.len() as u64));
         }
-    }
-
-    #[test]
-    fn run_seeds_matches_serial_summary() {
-        let plan = ExperimentPlan::serial(Effort::Quick).with_threads(3);
-        // Effort::Quick has 1 seed; use run directly for a multi-value check.
-        let vals = plan.run(&[0u64, 1, 2, 3, 4], |&s| (s as f64).sqrt());
-        let mut expect = Summary::new();
-        let mut got = Summary::new();
-        for (i, v) in vals.iter().enumerate() {
-            got.push(*v);
-            expect.push((i as f64).sqrt());
-        }
-        assert_eq!(expect.mean().to_bits(), got.mean().to_bits());
     }
 }

@@ -8,10 +8,11 @@
 //!   kernel, the scheduler, GC orchestration, mode accounting, and the
 //!   [`engine::SimObserver`] seam through which interval samplers, cache
 //!   sweeps and per-line statistics watch a run;
-//! - [`experiment`] — warm-up / measurement-window orchestration, the
-//!   multi-seed variability methodology, and the [`ExperimentPlan`]
-//!   worker pool that fans seeds × configurations over cores with
-//!   bit-identical serial/parallel results;
+//! - [`experiment`] — warm-up / measurement-window orchestration and
+//!   the [`ExperimentPlan`] worker pool that fans seeds × configurations
+//!   over cores with bit-identical serial/parallel results (the
+//!   multi-seed variability methodology is `plan.seeds()` over
+//!   `plan.run`);
 //! - [`figures`] — one experiment per paper figure, each returning typed
 //!   series and rendering the same rows the figure plots.
 
@@ -30,6 +31,6 @@ pub use engine::{
 };
 pub use experiment::{
     ecperf_machine, ecperf_machine_with, jbb_machine, jbb_machine_with, largest_first_order,
-    measure, measure_in, measure_seeds, Effort, ExperimentPlan, JobTelemetry,
+    measure, measure_in, Effort, ExperimentPlan, JobTelemetry,
 };
 pub use score::{official_run, official_run_with, JbbScore, RampPoint, RAMP_TOLERANCE};

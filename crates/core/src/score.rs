@@ -24,7 +24,7 @@
 
 use simstats::{fnum, Table};
 
-use crate::experiment::{jbb_machine, measure, ExperimentPlan};
+use crate::experiment::{jbb_machine, measure, ExperimentPlan, JobTelemetry};
 use crate::Effort;
 
 /// Relative drop below the running maximum that counts as a real
@@ -126,7 +126,11 @@ pub(crate) fn run_protocol(
         let from = tputs.len() + 1;
         let to = (from + batch - 1).min(max_warehouses);
         let ws: Vec<usize> = (from..=to).collect();
-        tputs.extend(plan.run_hinted(&ws, |&w| w as u64, |&w| tput(w)));
+        tputs.extend(plan.run_telemetry(
+            &ws,
+            |&w| w as u64,
+            |&w| (tput(w), JobTelemetry::default()),
+        ));
         stop = ramp_stop(&tputs);
     }
     // The serial ramp: everything up to and including the stopping
@@ -143,7 +147,11 @@ pub(crate) fn run_protocol(
     let n = peak_of(&tputs[..ramp_len]);
     // The scored region n..=2n, reusing ramp and speculative points.
     let missing: Vec<usize> = (n..=2 * n).filter(|&w| w > tputs.len()).collect();
-    let extra = plan.run_hinted(&missing, |&w| w as u64, |&w| tput(w));
+    let extra = plan.run_telemetry(
+        &missing,
+        |&w| w as u64,
+        |&w| (tput(w), JobTelemetry::default()),
+    );
     let scored: Vec<RampPoint> = (n..=2 * n)
         .map(|w| RampPoint {
             warehouses: w,

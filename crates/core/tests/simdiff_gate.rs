@@ -11,7 +11,7 @@ use std::process::Command;
 use std::sync::Arc;
 
 use memsys::{Addr, AddrRange};
-use middlesim::{ExperimentPlan, Machine, MachineConfig};
+use middlesim::{ExperimentPlan, JobTelemetry, Machine, MachineConfig};
 use probes::RunLog;
 use workloads::specjbb::{SpecJbb, SpecJbbConfig};
 
@@ -23,7 +23,7 @@ fn mini_runlog(sim_mode: &str) -> String {
     let log = Arc::new(RunLog::new());
     let plan =
         ExperimentPlan::serial(middlesim::Effort::Quick).with_run_log(Arc::clone(&log), "gate");
-    let _ = plan.run_probed(
+    let _ = plan.run_telemetry(
         &jobs,
         |_| 1,
         |&s| {
@@ -36,7 +36,10 @@ fn mini_runlog(sim_mode: &str) -> String {
             m.begin_measurement();
             let start = m.time();
             m.run_until(start + 10 * MCYCLES);
-            (m.window_report(), Some(m.counters()))
+            (
+                m.window_report(),
+                JobTelemetry::counters(Some(m.counters())),
+            )
         },
     );
     log.to_jsonl(&probes::Provenance {

@@ -193,6 +193,7 @@ const ATTRIB_FRAMES: usize = 4;
 /// is the whole of `simreport --check`.
 pub fn check(src: &str) -> Result<ParsedLog, String> {
     let mut log = ParsedLog::default();
+    let mut job_ids = std::collections::HashSet::new();
     for (idx, line) in src.lines().enumerate() {
         let lineno = idx + 1;
         if line.trim().is_empty() {
@@ -265,6 +266,12 @@ pub fn check(src: &str) -> Result<ParsedLog, String> {
                         meta.jobs
                     ));
                 }
+                if !job_ids.insert((entry.run, entry.id)) {
+                    return Err(format!(
+                        "line {lineno}: duplicate span for run {} job {}",
+                        entry.run, entry.id
+                    ));
+                }
                 log.jobs.push(entry);
             }
             "interval" => {
@@ -332,6 +339,13 @@ pub fn check(src: &str) -> Result<ParsedLog, String> {
                     return Err(format!(
                         "line {lineno}: hist references run {} before its run event",
                         entry.run
+                    ));
+                }
+                let meta = &log.runs[entry.run as usize];
+                if entry.id >= meta.jobs {
+                    return Err(format!(
+                        "line {lineno}: hist job id out of range for a {}-job run",
+                        meta.jobs
                     ));
                 }
                 log.hists.push(entry);
@@ -1252,6 +1266,41 @@ mod tests {
         assert!(check("not json").unwrap_err().contains("line 1"));
         // No provenance.
         assert!(check("").unwrap_err().contains("no provenance"));
+    }
+
+    #[test]
+    fn check_rejects_duplicate_job_spans() {
+        let prov = "{\"ev\":\"provenance\",\"git_rev\":\"a\",\"hostname\":\"h\",\"cpu_count\":1,\"timestamp\":0}";
+        let run = "{\"ev\":\"run\",\"run\":0,\"tag\":\"t\",\"effort\":\"quick\",\"threads\":1,\"jobs\":2}";
+        let span = |claim: u64| {
+            format!(
+                "{{\"ev\":\"job\",\"run\":0,\"id\":0,\"worker\":0,\"claim\":{claim},\"wall_secs\":0.1}}"
+            )
+        };
+        // Two spans for job 0 and none for job 1: the span count matches
+        // the declared job count, but the run is still missing a job.
+        let dup = format!("{prov}\n{run}\n{}\n{}", span(0), span(1));
+        assert!(check(&dup)
+            .unwrap_err()
+            .contains("duplicate span for run 0 job 0"));
+    }
+
+    #[test]
+    fn check_rejects_out_of_range_hist_ids() {
+        let prov = "{\"ev\":\"provenance\",\"git_rev\":\"a\",\"hostname\":\"h\",\"cpu_count\":1,\"timestamp\":0}";
+        let run = "{\"ev\":\"run\",\"run\":0,\"tag\":\"t\",\"effort\":\"quick\",\"threads\":1,\"jobs\":1}";
+        let job = "{\"ev\":\"job\",\"run\":0,\"id\":0,\"worker\":0,\"claim\":0,\"wall_secs\":0.1}";
+        let hist = |id: u64| {
+            format!(
+                "{{\"ev\":\"hist\",\"run\":0,\"id\":{id},\"name\":\"mem.latency\",\"count\":0,\"sum\":0,\"buckets\":[{}]}}",
+                vec!["0"; Histogram::BUCKETS].join(",")
+            )
+        };
+        assert!(check(&format!("{prov}\n{run}\n{job}\n{}", hist(0))).is_ok());
+        let bad = format!("{prov}\n{run}\n{job}\n{}", hist(99));
+        assert!(check(&bad)
+            .unwrap_err()
+            .contains("hist job id out of range for a 1-job run"));
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //!
 //! - [`summary::Summary`] — streaming mean / standard deviation (the
 //!   error bars on every figure);
-//! - [`variability`] — the Alameldeen–Wood multi-run methodology the
-//!   paper adopts for multithreaded-workload variability (Section 3.3);
 //! - [`cdf::Cdf`] — cumulative distributions (Figures 14/15);
 //! - [`table`] — plain-text series rendering for figure regeneration;
 //! - [`extrapolate`] — stratified estimates with confidence intervals
@@ -15,10 +13,8 @@ pub mod cdf;
 pub mod extrapolate;
 pub mod summary;
 pub mod table;
-pub mod variability;
 
 pub use cdf::Cdf;
 pub use extrapolate::{stratified, weighted_mean, Estimate, Stratum};
 pub use summary::Summary;
 pub use table::{fbytes, fnum, Table};
-pub use variability::{run_seeds, run_seeds_vec};

@@ -8,7 +8,7 @@
 //! number can never come from divergent work.
 //!
 //! Both passes run with a `RunLog` attached and counter snapshots taken
-//! at job end (`run_probed`), so the bench also produces
+//! at job end (`run_telemetry`), so the bench also produces
 //! `RUNLOG_plan.jsonl` — the input `simreport` renders and CI
 //! schema-checks. `BENCH_plan.json` carries host/commit provenance.
 //!
@@ -17,7 +17,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use middlesim::{jbb_machine, measure, Effort, ExperimentPlan};
+use middlesim::{jbb_machine, measure, Effort, ExperimentPlan, JobTelemetry};
 use probes::{Provenance, RunLog};
 
 fn main() {
@@ -37,13 +37,16 @@ fn main() {
         .collect();
     let log = Arc::new(RunLog::new());
     let run = |plan: &ExperimentPlan| {
-        plan.run_probed(
+        plan.run_telemetry(
             &jobs,
             |&(p, _)| effort.cost_hint(p),
             |&(p, s)| {
                 let mut m = jbb_machine(p, 2 * p, s, effort);
                 let report = measure(&mut m, effort);
-                (report.throughput(), Some(m.counters()))
+                (
+                    report.throughput(),
+                    JobTelemetry::counters(Some(m.counters())),
+                )
             },
         )
     };

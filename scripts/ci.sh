@@ -5,7 +5,8 @@
 #
 # crates/bench sits inside the workspace on a dependency-free timing
 # harness, so its cargo-bench targets build and run offline like
-# everything else; the gate exercises one at smoke size below.
+# everything else; the gate compiles every target and exercises one at
+# smoke size below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +28,9 @@ cargo test --workspace -q --offline
 # break the benchmark.
 echo "==> cargo test -q hostbench (the host-time benchmark package, offline)"
 cargo test -q --offline --manifest-path hostbench/Cargo.toml
+
+echo "==> cargo bench --no-run: every bench target compiles"
+cargo bench --no-run -q --offline -p bench
 
 echo "==> cargo bench smoke: substrate kernels on the in-workspace harness"
 MIDDLESIM_BENCH_SAMPLES=2 MIDDLESIM_BENCH_SAMPLE_MS=5 \

@@ -16,8 +16,8 @@
 //! - [`sysos`] — processor sets, mode accounting, the kernel network
 //!   path, the TLB/ISM model;
 //! - [`workloads`] — the SPECjbb and ECperf models;
-//! - [`simstats`] — summaries, the multi-seed variability methodology,
-//!   CDFs, table rendering;
+//! - [`simstats`] — summaries, CDFs, stratified estimates, table
+//!   rendering;
 //! - [`middlesim`] — the machine engine and the figure experiments.
 //!
 //! ## Quickstart

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use memsys::{Addr, AddrRange, DramConfig, MemoryConfig};
-use middlesim::{ExperimentPlan, Machine, MachineConfig, WindowReport};
+use middlesim::{ExperimentPlan, JobTelemetry, Machine, MachineConfig, WindowReport};
 use probes::RunLog;
 use workloads::specjbb::{SpecJbb, SpecJbbConfig};
 
@@ -35,6 +35,19 @@ fn measure_on(pset: usize, seed: u64, memory: MemoryConfig) -> WindowReport {
     let start = m.time();
     m.run_until(start + 20 * MCYCLES);
     m.window_report()
+}
+
+/// Fixed provenance for serializing test logs.
+fn provenance() -> probes::Provenance {
+    probes::Provenance {
+        git_rev: "test".into(),
+        hostname: "test".into(),
+        cpu_count: 4,
+        timestamp: 0,
+        workers: None,
+        effort: None,
+        sim_mode: None,
+    }
 }
 
 fn measure(pset: usize, seed: u64) -> WindowReport {
@@ -157,8 +170,8 @@ fn sampled_dram_window_matches_pinned_counters() {
 }
 
 /// Observability must be free: the same batch run bare, with a RunLog
-/// attached (`run_with`-style plain runs and `run_hinted` cost-hinted
-/// runs), and with per-job counter snapshots (`run_probed`) produces
+/// attached (cost-hinted `run_telemetry` runs with empty telemetry), and
+/// with per-job counter snapshots (`JobTelemetry::counters`) produces
 /// bit-identical outputs at every worker count — span emission lives
 /// outside the input-order merge.
 #[test]
@@ -172,8 +185,9 @@ fn run_log_attachment_leaves_outputs_bit_identical() {
     let bare_plain =
         ExperimentPlan::serial(middlesim::Effort::Quick).run(&jobs, |&(p, s)| measure(p, s));
     let bare_hinted =
-        ExperimentPlan::serial(middlesim::Effort::Quick)
-            .run_hinted(&jobs, cost, |&(p, s)| measure(p, s));
+        ExperimentPlan::serial(middlesim::Effort::Quick).run_telemetry(&jobs, cost, |&(p, s)| {
+            (measure(p, s), JobTelemetry::default())
+        });
     assert_eq!(bare_plain, bare_hinted);
 
     let log = Arc::new(RunLog::new());
@@ -182,18 +196,23 @@ fn run_log_attachment_leaves_outputs_bit_identical() {
             .with_threads(threads)
             .with_run_log(Arc::clone(&log), "determinism")
             .with_job_labels(jobs.iter().map(|&(p, s)| format!("p{p}-s{s}")).collect());
-        let logged = plan.run_hinted(&jobs, cost, |&(p, s)| measure(p, s));
+        let logged = plan.run_telemetry(&jobs, cost, |&(p, s)| {
+            (measure(p, s), JobTelemetry::default())
+        });
         assert_eq!(
             bare_plain, logged,
             "{threads}-thread logged run diverged from the bare run"
         );
-        let probed = plan.run_probed(&jobs, cost, |&(p, s)| {
+        let probed = plan.run_telemetry(&jobs, cost, |&(p, s)| {
             let mut m = jbb(p, s);
             m.run_until(10 * MCYCLES);
             m.begin_measurement();
             let start = m.time();
             m.run_until(start + 20 * MCYCLES);
-            (m.window_report(), Some(m.counters()))
+            (
+                m.window_report(),
+                JobTelemetry::counters(Some(m.counters())),
+            )
         });
         assert_eq!(
             bare_plain, probed,
@@ -205,21 +224,13 @@ fn run_log_attachment_leaves_outputs_bit_identical() {
     // serialized log passes the simreport schema check.
     assert_eq!(log.run_count(), 6);
     assert_eq!(log.span_count(), 6 * jobs.len());
-    let jsonl = log.to_jsonl(&probes::Provenance {
-        git_rev: "test".into(),
-        hostname: "test".into(),
-        cpu_count: 4,
-        timestamp: 0,
-        workers: None,
-        effort: None,
-        sim_mode: None,
-    });
+    let jsonl = log.to_jsonl(&provenance());
     let parsed = probes::report::check(&jsonl).expect("runner emits schema-valid JSONL");
     assert!(parsed
         .jobs
         .iter()
         .all(|j| j.label.is_some() && j.cost_hint.is_some()));
-    // run_probed spans carry the counter snapshots; the plain hinted
+    // Probed spans carry the counter snapshots; the empty-telemetry
     // runs carry none.
     let probed_spans = parsed
         .jobs
@@ -258,7 +269,7 @@ fn interval_sampler_attachment_leaves_outputs_bit_identical() {
             m.begin_measurement();
             let start = m.time();
             m.run_until(start + 20 * MCYCLES);
-            let mut tele = middlesim::JobTelemetry::counters(Some(m.counters()));
+            let mut tele = JobTelemetry::counters(Some(m.counters()));
             if let Some(h) = m.latency_hist() {
                 tele.hists.push(("mem.latency".into(), h.clone()));
             }
@@ -282,15 +293,7 @@ fn interval_sampler_attachment_leaves_outputs_bit_identical() {
     assert_eq!(log.span_count(), 3 * jobs.len());
     assert_eq!(log.hist_count(), 3 * jobs.len() * 2);
     assert!(log.interval_count() >= 3 * jobs.len() * 4);
-    let jsonl = log.to_jsonl(&probes::Provenance {
-        git_rev: "test".into(),
-        hostname: "test".into(),
-        cpu_count: 4,
-        timestamp: 0,
-        workers: None,
-        effort: None,
-        sim_mode: None,
-    });
+    let jsonl = log.to_jsonl(&provenance());
     let parsed = probes::report::check(&jsonl).expect("telemetry log passes the schema check");
     assert!(parsed.intervals.iter().all(|iv| iv.end > iv.start));
     assert!(parsed.hists.iter().all(|h| h.hist.count() > 0));
@@ -366,15 +369,7 @@ fn event_records_are_bit_identical_across_worker_counts() {
         mc.hierarchy.memory = memory;
         Machine::new(mc, SpecJbb::new(cfg, region))
     };
-    let prov = probes::Provenance {
-        git_rev: "test".into(),
-        hostname: "test".into(),
-        cpu_count: 4,
-        timestamp: 0,
-        workers: None,
-        effort: None,
-        sim_mode: None,
-    };
+    let prov = provenance();
     let event_lines = |log: &RunLog| -> Vec<String> {
         log.to_jsonl(&prov)
             .lines()
@@ -404,7 +399,7 @@ fn event_records_are_bit_identical_across_worker_counts() {
                     end,
                 }),
         );
-        let tele = middlesim::JobTelemetry::counters(Some(m.counters())).with_events(events);
+        let tele = JobTelemetry::counters(Some(m.counters())).with_events(events);
         (m.window_report(), tele)
     };
 
@@ -421,7 +416,7 @@ fn event_records_are_bit_identical_across_worker_counts() {
         );
         let mut events = m.observer(timeline).to_records(0, 0);
         events.extend(run.event_records(0, 0));
-        let tele = middlesim::JobTelemetry::default().with_events(events);
+        let tele = JobTelemetry::default().with_events(events);
         (run.to_window_report(), tele)
     };
 
@@ -488,15 +483,7 @@ fn attrib_records_are_bit_identical_across_worker_counts() {
         Machine::new(mc, SpecJbb::new(cfg, region))
     };
     let base_cpi = MachineConfig::e6000(1).pipeline.base_cpi;
-    let prov = probes::Provenance {
-        git_rev: "test".into(),
-        hostname: "test".into(),
-        cpu_count: 4,
-        timestamp: 0,
-        workers: None,
-        effort: None,
-        sim_mode: None,
-    };
+    let prov = provenance();
     let attrib_lines = |log: &RunLog| -> Vec<String> {
         log.to_jsonl(&prov)
             .lines()
@@ -520,8 +507,7 @@ fn attrib_records_are_bit_identical_across_worker_counts() {
         let prof = m.observer(handle);
         let mut counters = m.counters();
         counters.record(prof);
-        let tele =
-            middlesim::JobTelemetry::counters(Some(counters)).with_attribs(prof.to_records(0, 0));
+        let tele = JobTelemetry::counters(Some(counters)).with_attribs(prof.to_records(0, 0));
         (m.window_report(), tele)
     };
 
@@ -540,7 +526,7 @@ fn attrib_records_are_bit_identical_across_worker_counts() {
             &SamplingConfig::for_window(20 * MCYCLES),
         );
         let prof = m.observer(handle);
-        let tele = middlesim::JobTelemetry::default().with_attribs(prof.to_records(0, 0));
+        let tele = JobTelemetry::default().with_attribs(prof.to_records(0, 0));
         (run.to_window_report(), tele)
     };
 
@@ -667,25 +653,30 @@ fn cluster_run_is_identical_serial_and_parallel() {
 }
 
 /// On a mixed-size batch the size-aware runner claims the biggest jobs
-/// first — observed through the claim probe — while outputs still land
-/// in input order.
+/// first — read back from the RunLog's per-span `claim` index, which the
+/// runner stamps at claim time — while outputs still land in input order.
 #[test]
 fn mixed_size_batch_claims_largest_first() {
     // Simulated "system sizes" as cost hints: 1, 16, 2, 8, 4.
     let jobs: Vec<(usize, u64)> = [(0, 1u64), (1, 16), (2, 2), (3, 8), (4, 4)].to_vec();
     for threads in [1, 2, 4] {
-        let claims = Mutex::new(Vec::new());
+        let log = Arc::new(RunLog::new());
         let out = ExperimentPlan::serial(middlesim::Effort::Quick)
             .with_threads(threads)
-            .run_hinted_observed(
+            .with_run_log(Arc::clone(&log), "claims")
+            .run_telemetry(
                 &jobs,
                 |&(_, size)| middlesim::Effort::Quick.cost_hint(size as usize),
-                |&(i, _)| i,
-                |i| claims.lock().unwrap().push(i),
+                |&(i, _)| (i, JobTelemetry::default()),
             );
         assert_eq!(out, vec![0, 1, 2, 3, 4], "outputs merge in input order");
+        let mut spans = probes::report::check(&log.to_jsonl(&provenance()))
+            .expect("runner emits schema-valid JSONL")
+            .jobs;
+        spans.sort_by_key(|j| j.claim);
+        let claimed: Vec<u64> = spans.iter().map(|j| j.id).collect();
         assert_eq!(
-            claims.into_inner().unwrap(),
+            claimed,
             vec![1, 3, 4, 2, 0],
             "{threads}-thread pool must claim largest jobs first"
         );
