@@ -54,11 +54,12 @@ fn read(path: &str) -> Result<String, ExitCode> {
 
 fn load_log(path: &str) -> Result<Baseline, ExitCode> {
     let src = read(path)?;
-    let log = report::check(&src).map_err(|e| {
-        eprintln!("simdiff: {path}: {e}");
-        ExitCode::FAILURE
-    })?;
-    let base = Baseline::from_log(&log);
+    let base = report::check(&src)
+        .and_then(|log| Baseline::from_log(&log))
+        .map_err(|e| {
+            eprintln!("simdiff: {path}: {e}");
+            ExitCode::FAILURE
+        })?;
     if base.counters.is_empty() {
         eprintln!("simdiff: {path}: no counters to compare (empty RunLog?)");
         return Err(ExitCode::FAILURE);

@@ -746,13 +746,13 @@ mod tests {
             assert!(parsed
                 .events
                 .iter()
-                .all(|e| e.name == "gc.pause" && e.id < inputs.len() as u64));
+                .all(|e| e.name == "gc.pause" && e.id < inputs.len()));
             // Attribution records were stamped the same way.
             assert_eq!(parsed.attribs.len(), inputs.len());
             assert!(parsed
                 .attribs
                 .iter()
-                .all(|a| a.stack.starts_with("mutator;") && a.id < inputs.len() as u64));
+                .all(|a| a.stack.starts_with("mutator;") && a.id < inputs.len()));
         }
     }
 }

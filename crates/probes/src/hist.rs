@@ -17,6 +17,8 @@
 
 use std::fmt;
 
+use crate::runlog::{Codec, Fields};
+
 /// A fixed-shape log2 histogram of `u64` samples (latencies in cycles).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
@@ -155,20 +157,10 @@ impl Histogram {
 
     /// Serializes as a flat JSON object:
     /// `{"count":N,"sum":S,"buckets":[...]}` (always
-    /// [`Histogram::BUCKETS`] bucket entries).
+    /// [`Histogram::BUCKETS`] bucket entries) — the same members a
+    /// RunLog `hist` line carries inline.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"count\":{},\"sum\":{},\"buckets\":[",
-            self.count, self.sum
-        );
-        for (i, b) in self.buckets.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&b.to_string());
-        }
-        s.push_str("]}");
-        s
+        crate::runlog::write_object(&mut self.clone(), None)
     }
 
     /// Rebuilds a histogram from parsed bucket counts (the report
@@ -182,8 +174,9 @@ impl Histogram {
                 Histogram::BUCKETS
             ));
         }
-        let total: u64 = buckets.iter().sum();
-        if total != count {
+        let total = buckets.iter().try_fold(0u64, |t, &b| t.checked_add(b));
+        if total != Some(count) {
+            let total = total.map_or("more than u64::MAX".into(), |t| t.to_string());
             return Err(format!(
                 "histogram declares count {count} but buckets sum to {total}"
             ));
@@ -193,6 +186,17 @@ impl Histogram {
         h.count = count;
         h.sum = sum;
         Ok(h)
+    }
+}
+
+impl Fields for Histogram {
+    fn fields<C: Codec>(&mut self, c: &mut C) {
+        c.field("count", &mut self.count);
+        c.field("sum", &mut self.sum);
+        c.field("buckets", &mut self.buckets);
+    }
+    fn validate(&self) -> Result<(), String> {
+        Histogram::from_parts(self.count, self.sum, &self.buckets).map(drop)
     }
 }
 

@@ -7,8 +7,10 @@
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::runlog::{Codec, Fields};
+
 /// Where and when a result was produced.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Provenance {
     /// Short git revision of the working tree, or `"unknown"`.
     pub git_rev: String,
@@ -72,44 +74,23 @@ impl Provenance {
         self
     }
 
-    /// The optional fields as a `,"k":v` JSON suffix (empty when unset).
-    fn json_suffix(&self) -> String {
-        let mut s = String::new();
-        if let Some(w) = self.workers {
-            s.push_str(&format!(",\"workers\":{w}"));
-        }
-        if let Some(e) = &self.effort {
-            s.push_str(&format!(",\"effort\":{}", crate::json::quote(e)));
-        }
-        if let Some(m) = &self.sim_mode {
-            s.push_str(&format!(",\"sim_mode\":{}", crate::json::quote(m)));
-        }
-        s
-    }
-
     /// The provenance as a bare JSON object (for embedding in a
-    /// `BENCH_*.json` document).
+    /// `BENCH_*.json` document); the RunLog writes the same members
+    /// as its `provenance` line.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"git_rev\":{},\"hostname\":{},\"cpu_count\":{},\"timestamp\":{}{}}}",
-            crate::json::quote(&self.git_rev),
-            crate::json::quote(&self.hostname),
-            self.cpu_count,
-            self.timestamp,
-            self.json_suffix(),
-        )
+        crate::runlog::write_object(&mut self.clone(), None)
     }
+}
 
-    /// The provenance as a RunLog JSONL event line.
-    pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"ev\":\"provenance\",\"git_rev\":{},\"hostname\":{},\"cpu_count\":{},\"timestamp\":{}{}}}",
-            crate::json::quote(&self.git_rev),
-            crate::json::quote(&self.hostname),
-            self.cpu_count,
-            self.timestamp,
-            self.json_suffix(),
-        )
+impl Fields for Provenance {
+    fn fields<C: Codec>(&mut self, c: &mut C) {
+        c.field("git_rev", &mut self.git_rev);
+        c.field("hostname", &mut self.hostname);
+        c.field("cpu_count", &mut self.cpu_count);
+        c.field("timestamp", &mut self.timestamp);
+        c.field("workers", &mut self.workers);
+        c.field("effort", &mut self.effort);
+        c.field("sim_mode", &mut self.sim_mode);
     }
 }
 
@@ -167,7 +148,8 @@ mod tests {
             Some(p.cpu_count as u64)
         );
 
-        let line = parse(&p.to_json_line()).unwrap();
+        let jsonl = crate::runlog::RunLog::new().to_jsonl(&p);
+        let line = parse(jsonl.trim_end()).unwrap();
         assert_eq!(line.get("ev").and_then(Json::as_str), Some("provenance"));
         assert_eq!(
             line.get("timestamp").and_then(Json::as_u64),
@@ -185,7 +167,8 @@ mod tests {
             .with_workers(3)
             .with_effort("quick")
             .with_sim_mode("full");
-        for doc in [p.to_json(), p.to_json_line()] {
+        let jsonl = crate::runlog::RunLog::new().to_jsonl(&p);
+        for doc in [p.to_json(), jsonl.trim_end().to_string()] {
             let obj = parse(&doc).unwrap();
             assert_eq!(obj.get("workers").and_then(Json::as_u64), Some(3));
             assert_eq!(obj.get("effort").and_then(Json::as_str), Some("quick"));

@@ -2,7 +2,7 @@
 //!
 //! The paper's methodology lives on *time-correlated* views — GC
 //! pauses, miss phases and bus traffic lined up on one axis — so the
-//! RunLog's sim-time [`EventEntry`] records, interval counter series
+//! RunLog's sim-time [`EventRecord`]s, interval counter series
 //! and wall-clock job spans render into the Chrome trace-event JSON
 //! format that Perfetto and `chrome://tracing` load directly
 //! (`simreport --trace TRACE.json`).
@@ -26,10 +26,10 @@
 //! balance.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 
 use crate::json::{self, Json};
-use crate::report::{EventEntry, ParsedLog, SIMSTAT_COLS};
+use crate::report::{ParsedLog, SIMSTAT_COLS};
+use crate::runlog::EventRecord;
 
 /// Sim-time lanes per job inside a run's process. Lane indices are
 /// stable so thread ids (`tid = job * LANES + lane`) stay comparable
@@ -76,8 +76,8 @@ pub fn render_chrome_trace(log: &ParsedLog) -> String {
     // Sim-time event lanes, one thread per (job, lane) that has events.
     let mut named_lanes: Vec<(u64, u64)> = Vec::new();
     for e in &log.events {
-        let pid = e.run + 1;
-        let tid = e.id * LANES + lane_of(&e.name);
+        let pid = e.run as u64 + 1;
+        let tid = e.id as u64 * LANES + lane_of(&e.name);
         if !named_lanes.contains(&(pid, tid)) {
             named_lanes.push((pid, tid));
             events.push(meta_thread(
@@ -94,8 +94,8 @@ pub fn render_chrome_trace(log: &ParsedLog) -> String {
     // lane. Chrome keys counter tracks on (pid, name), so the job id
     // is also folded into the name.
     for iv in &log.intervals {
-        let pid = iv.run + 1;
-        let tid = iv.id * LANES + LANE_COUNTERS;
+        let pid = iv.run as u64 + 1;
+        let tid = iv.id as u64 * LANES + LANE_COUNTERS;
         if !named_lanes.contains(&(pid, tid)) {
             named_lanes.push((pid, tid));
             events.push(meta_thread(pid, tid, &format!("job {} counters", iv.id)));
@@ -132,7 +132,7 @@ pub fn render_chrome_trace(log: &ParsedLog) -> String {
             j.worker,
             json::quote(&label),
         ));
-        cursor_us.insert(j.worker, start + dur);
+        cursor_us.insert(j.worker, start.saturating_add(dur));
     }
 
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
@@ -146,7 +146,7 @@ pub fn render_chrome_trace(log: &ParsedLog) -> String {
     out
 }
 
-fn sim_event(e: &EventEntry, pid: u64, tid: u64) -> String {
+fn sim_event(e: &EventRecord, pid: u64, tid: u64) -> String {
     if e.end == e.start {
         // Instant, thread-scoped.
         format!(
@@ -288,13 +288,11 @@ pub fn validate_chrome_trace(src: &str) -> Result<TraceSummary, String> {
 
 impl std::fmt::Display for TraceSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = String::new();
-        let _ = write!(
-            s,
+        write!(
+            f,
             "{} trace events ({} spans, {} counter samples, {} instants)",
             self.events, self.spans, self.counters, self.instants
-        );
-        f.write_str(&s)
+        )
     }
 }
 

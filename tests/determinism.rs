@@ -235,7 +235,7 @@ fn run_log_attachment_leaves_outputs_bit_identical() {
     let probed_spans = parsed
         .jobs
         .iter()
-        .filter(|j| !j.counters.is_empty())
+        .filter(|j| j.counters.as_ref().is_some_and(|c| !c.is_empty()))
         .count();
     assert_eq!(probed_spans, 3 * jobs.len());
 }
