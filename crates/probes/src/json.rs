@@ -5,7 +5,8 @@
 //! `simreport` renderer share this ~200-line subset instead of serde:
 //! the full JSON value grammar, parsed into an order-preserving tree.
 //! Numbers are kept as `f64`, which is exact for every counter the
-//! simulator can realistically produce in one run (< 2^53).
+//! simulator can realistically produce in one run (< 2^53);
+//! [`Json::as_u64`] refuses anything larger rather than round it.
 
 use std::fmt;
 
@@ -51,10 +52,14 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is one.
+    /// The value as a non-negative integer, if it is one below 2^53.
+    /// From 2^53 up an `f64` no longer holds every integer, so a larger
+    /// number may not be the one the text spelled: it reads as `None`
+    /// rather than as a rounded or saturated integer.
     pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && *n < EXACT && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
@@ -366,6 +371,16 @@ mod tests {
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
         assert_eq!(parse("42").unwrap().as_u64(), Some(42));
+        // Exact up to 2^53 - 1; from 2^53 up a number may already have
+        // been rounded, and 1e300 must not saturate to u64::MAX.
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_u64(),
+            Some((1 << 53) - 1)
+        );
+        assert_eq!(parse("9007199254740992").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740993").unwrap().as_u64(), None);
+        assert_eq!(parse("10000000000000000000").unwrap().as_u64(), None);
+        assert_eq!(parse("1e300").unwrap().as_u64(), None);
     }
 
     #[test]

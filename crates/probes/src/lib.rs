@@ -12,12 +12,17 @@
 //!   with deltas between snapshots. Registries *read* the existing
 //!   fields; hot loops keep bumping plain integers, so attaching the
 //!   registry changes nothing on the access path.
-//! - [`runlog`] — the run event log: the experiment-plan runner emits
-//!   one structured span per job (id, label, worker, claim order, cost
-//!   hint, wall time, end-of-job counter snapshot) to a [`RunLog`] sink,
-//!   serialized as JSONL. Emission happens on the worker threads,
-//!   outside the input-order merge, so logged runs stay bit-identical
-//!   to unlogged ones.
+//! - [`runlog`] — the run event log and its one schema: the
+//!   experiment-plan runner emits one structured span per job (id,
+//!   label, worker, claim order, cost hint, wall time, end-of-job
+//!   counter snapshot) plus the jobs' telemetry records to a [`RunLog`]
+//!   sink, serialized as JSONL. Each of the eight record kinds is one
+//!   struct declared once through [`runlog::Fields`] (its JSON keys and
+//!   value types) and [`runlog::Record`] (its `ev` tag, sort key, job,
+//!   sequence and window rules); the writer and [`report::check`] are
+//!   generic over those declarations. Emission happens on the worker
+//!   threads, outside the input-order merge, so logged runs stay
+//!   bit-identical to unlogged ones.
 //! - [`hist`] — a dependency-free log2-bucketed [`Histogram`] with
 //!   elementwise merge and deterministic integer quantiles, for the
 //!   latency distributions (memory access, store-buffer drain,
@@ -26,7 +31,9 @@
 //!   `cpustat`-style counter dump rendered from a RunLog, in human text
 //!   and machine CSV, plus `simstat` interval tables/sparklines,
 //!   cycle-attribution CPI-stack tables with folded-stack flamegraph
-//!   export, and the JSONL schema check behind `simreport --check`.
+//!   export, and the strict JSONL schema check behind
+//!   `simreport --check`, which rejects malformed input with an error,
+//!   never a panic.
 //! - [`provenance`] — host/commit/config metadata (`git_rev`,
 //!   `hostname`, `cpu_count`, `timestamp`, worker count, effort,
 //!   simulation mode) stamped into every RunLog and `BENCH_*.json` so

@@ -36,6 +36,13 @@ echo "==> cargo bench smoke: substrate kernels on the in-workspace harness"
 MIDDLESIM_BENCH_SAMPLES=2 MIDDLESIM_BENCH_SAMPLE_MS=5 \
     cargo bench -q --offline -p bench --bench substrates
 
+# The committed RunLogs must pass the schema check as they sit on disk,
+# before bench_smoke.sh and the figures runs below regenerate them.
+echo "==> simreport --check over the committed RunLogs"
+for log in RUNLOG_plan.jsonl RUNLOG_figures.jsonl RUNLOG_gc_timeline.jsonl; do
+    ./target/release/simreport --check "$log"
+done
+
 echo "==> bench smoke (quick) + simreport over its RunLog"
 scripts/bench_smoke.sh quick
 
