@@ -172,17 +172,27 @@ fn unique<R: Record>(records: &[R]) -> Result<(), String> {
 }
 
 /// Span accounting: a run's spans carry each job id and each claim
-/// position in `0..jobs` exactly once.
+/// position in `0..jobs` exactly once, and each ran on one of the
+/// run's `min(threads, jobs)` workers (the pool `ExperimentPlan`
+/// spawns).
 fn check_spans(log: &ParsedLog) -> Result<(), String> {
     let mut ids = HashSet::new();
     let mut claims = HashSet::new();
     for j in &log.jobs {
         // `accept` already checked that the run exists.
-        let jobs = log.runs[j.run as usize].jobs;
+        let meta = &log.runs[j.run as usize];
+        let jobs = meta.jobs;
         if j.claim >= jobs as u64 {
             return Err(format!(
                 "run {} job {}: claim {} out of range for a {jobs}-job run",
                 j.run, j.id, j.claim
+            ));
+        }
+        let pool = workers(meta);
+        if j.worker >= pool {
+            return Err(format!(
+                "run {} job {}: worker {} out of range for {pool} workers",
+                j.run, j.id, j.worker
             ));
         }
         if !ids.insert((j.run, j.id)) {
@@ -305,12 +315,16 @@ pub fn render_text(log: &ParsedLog) -> String {
     out
 }
 
+/// The workers a run could use: one per thread, at most one per job.
+fn workers(meta: &RunMeta) -> u64 {
+    meta.threads.min(meta.jobs) as u64
+}
+
 /// The `mpstat` analogue: one row per worker with occupancy.
 fn render_worker_table(out: &mut String, meta: &RunMeta, jobs: &[&JobEntry]) {
-    let workers = (meta.threads as u64).max(jobs.iter().map(|j| j.worker + 1).max().unwrap_or(1));
     let total_busy: f64 = jobs.iter().map(|j| j.wall_secs).sum();
     let _ = writeln!(out, "  worker   jobs    busy_s   share%  avg_job_s");
-    for w in 0..workers {
+    for w in 0..workers(meta) {
         let mine: Vec<&&JobEntry> = jobs.iter().filter(|j| j.worker == w).collect();
         let busy: f64 = mine.iter().map(|j| j.wall_secs).sum();
         let share = if total_busy > 0.0 {
@@ -984,6 +998,24 @@ mod tests {
         assert!(check(&dup)
             .unwrap_err()
             .contains("duplicate claim 0 in run 0"));
+        // A worker outside the run's min(threads, jobs) pool.
+        let job1 = |worker: u64| {
+            format!(
+                "{{\"ev\":\"job\",\"run\":0,\"id\":1,\"worker\":{worker},\"claim\":1,\"wall_secs\":0.1}}"
+            )
+        };
+        for worker in [1, 1 << 52] {
+            let bad = format!("{prov}\n{run}\n{}\n{}", span(0), job1(worker));
+            assert!(check(&bad)
+                .unwrap_err()
+                .contains("out of range for 1 workers"));
+        }
+        // A huge thread count is legal; the worker table stops at the
+        // job count instead of looping over every thread.
+        let wide = run.replace("\"threads\":1", "\"threads\":4503599627370496");
+        let text =
+            render_text(&check(&format!("{prov}\n{wide}\n{}\n{}", span(0), job1(0))).unwrap());
+        assert!(text.contains("\n       1      0  ") && !text.contains("\n       2  "));
     }
 
     #[test]

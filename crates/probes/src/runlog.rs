@@ -387,7 +387,8 @@ pub struct Job<N, C> {
     pub id: N,
     /// Human label for the job, when the caller supplied one.
     pub label: Option<String>,
-    /// Worker thread that executed the job (0 for the serial path).
+    /// Worker thread that executed the job (0 for the serial path),
+    /// below `min(threads, jobs)` of its run.
     pub worker: N,
     /// Position in the claim order: 0 was claimed first.
     pub claim: N,

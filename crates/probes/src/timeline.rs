@@ -328,7 +328,7 @@ mod tests {
             run,
             id: 0,
             label: Some("fig10".into()),
-            worker: 1,
+            worker: 0,
             claim: 0,
             cost_hint: None,
             wall_secs: 0.25,
@@ -404,7 +404,7 @@ mod tests {
         assert!(trace.contains("\"job 0 gc\""));
         assert!(trace.contains("\"job 0 sample units\""));
         assert!(trace.contains("\"job 0 dram stalls\""));
-        assert!(trace.contains("\"worker 1\""));
+        assert!(trace.contains("\"worker 0\""));
         assert!(trace.contains("bus.snoop_cb (job 0)"));
     }
 

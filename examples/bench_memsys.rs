@@ -1,117 +1,26 @@
-//! Offline raw-throughput benchmark for `MemorySystem::access`: streams a
-//! seeded reference mix through 1/4/16-CPU systems (plus the shared-L2
-//! Figure 16 shape) and writes refs/sec to `BENCH_memsys.json`.
+//! Offline raw-throughput benchmark for `MemorySystem::access` on real
+//! reference streams: for each of four shapes (1/4/16 CPUs with private
+//! L2s, plus the shared-L2 Figure 16 shape) it captures a seeded SPECjbb
+//! run's interleaved stream in process, replays it through scalar
+//! `access` and writes refs/sec to `BENCH_memsys.json`.
 //!
-//! The mix is miss-heavy at line granularity (per-CPU working sets 4x
-//! the L2, plus a small hot shared region) but bursty *within* lines,
-//! like the middleware streams the simulator exists to replay:
-//! instruction fetch walks each code line in four sequential fetches,
-//! a load touches two or three fields of its object, and a store pair
-//! dirties adjacent words. The stream is a pure function of the seed,
-//! so pre/post-optimization numbers are directly comparable.
+//! The capture is a pure function of the shape and effort, so two runs
+//! replay identical streams and pre/post-optimization numbers are
+//! directly comparable.
 //!
 //! Run with: `cargo run --release --example bench_memsys [quick|standard|full]`
 
 use std::time::Instant;
 
-use memsys::{AccessKind, Addr, HierarchyConfig, MemorySystem};
-use prng::SimRng;
+use memsys::{Addr, AddrRange, HierarchyConfig, MemorySystem, SystemTrace, SystemTraceEvent};
+use middlesim::engine::{Machine, MachineConfig, TraceObserver};
+use middlesim::experiment::WORKLOAD_BASE;
+use middlesim::Effort;
+use workloads::specjbb::{SpecJbb, SpecJbbConfig};
 
-/// Per-CPU private heap: 4 MB (4x the 1 MB L2 -> miss-heavy).
-const PRIVATE_LINES: u64 = (4 << 20) / 64;
-/// Per-CPU code region: 64 KB (4x the 16 KB L1I).
-const CODE_LINES: u64 = (64 << 10) / 64;
-/// Hot shared region: 64 KB of lines every CPU loads and stores.
-const SHARED_LINES: u64 = (64 << 10) / 64;
-
-/// References generated ahead of each timed run of `access` calls.
-const BATCH: usize = 4096;
-
-/// One generated reference: issuing processor, kind and address.
-type Ref = (usize, AccessKind, Addr);
-
-/// Generates the seeded reference stream: a pure function of the seed,
-/// identical for every memory-system implementation and every driver
-/// structure fed the same seed.
-///
-/// Each RNG draw produces a burst leader plus its within-line followers
-/// (queued in `pending`, drained before the next draw): 4 sequential
-/// ifetches through a code line, 2-3 load touches of an object's
-/// fields, or a 2-store pair. Leaders mostly miss; followers mostly
-/// hit the L1.
-struct Stream {
-    rng: SimRng,
-    cpus: u64,
-    pending: [(usize, AccessKind, u64); 3],
-    npending: usize,
-}
-
-impl Stream {
-    fn new(seed: u64, cpus: usize) -> Self {
-        // All bench shapes have power-of-two CPU counts, so masking
-        // picks the same CPU `r % cpus` would — without a hardware
-        // divide per record.
-        assert!(cpus.is_power_of_two());
-        Stream {
-            rng: SimRng::seed_from_u64(seed),
-            cpus: cpus as u64,
-            pending: [(0, AccessKind::Load, 0); 3],
-            npending: 0,
-        }
-    }
-
-    #[inline]
-    fn next(&mut self) -> (usize, AccessKind, Addr) {
-        if self.npending > 0 {
-            self.npending -= 1;
-            let (cpu, kind, addr) = self.pending[self.npending];
-            return (cpu, kind, Addr(addr));
-        }
-        let r = self.rng.next_u64();
-        let a = self.rng.next_u64();
-        let cpu = (r & (self.cpus - 1)) as usize;
-        let roll = (r >> 8) % 100;
-        if roll < 40 {
-            // Ifetch burst: fall through a code line in 16-byte steps.
-            let base = 0x0800_0000 + (cpu as u64) * 0x1_0000 + (a % CODE_LINES) * 64;
-            self.pending = [
-                (cpu, AccessKind::Ifetch, base + 48),
-                (cpu, AccessKind::Ifetch, base + 32),
-                (cpu, AccessKind::Ifetch, base + 16),
-            ];
-            self.npending = 3;
-            (cpu, AccessKind::Ifetch, Addr(base))
-        } else {
-            let shared = (r >> 40) % 100 < 10;
-            let base = if shared {
-                0x0000_2000 + (a % SHARED_LINES) * 64
-            } else {
-                0x1000_0000 + (cpu as u64) * 0x40_0000 + (a % PRIVATE_LINES) * 64
-            };
-            if roll < 80 {
-                // Load burst: two or three fields of the same object.
-                let touches = if r >> 60 & 1 == 0 { 2 } else { 1 };
-                self.pending[0] = (cpu, AccessKind::Load, base + 16);
-                self.pending[1] = (cpu, AccessKind::Load, base + 8);
-                self.npending = touches;
-                (cpu, AccessKind::Load, Addr(base))
-            } else {
-                // Store pair: adjacent words of a dirtied line.
-                self.pending[0] = (cpu, AccessKind::Store, base + 8);
-                self.npending = 1;
-                (cpu, AccessKind::Store, Addr(base))
-            }
-        }
-    }
-
-    /// Fills `batch` with up to `budget` references.
-    fn fill(&mut self, batch: &mut Vec<Ref>, budget: u64) {
-        batch.clear();
-        for _ in 0..(BATCH as u64).min(budget) {
-            batch.push(self.next());
-        }
-    }
-}
+/// Simulated cycles per capture slice: the capture stops at the first
+/// slice boundary past the references it needs.
+const SLICE_CYCLES: u64 = 1_000_000;
 
 struct ShapeResult {
     name: String,
@@ -121,40 +30,66 @@ struct ShapeResult {
     snoop_filter_rate: f64,
 }
 
-/// Issues `batch` in order through scalar `MemorySystem::access`.
-fn issue(sys: &mut MemorySystem, batch: &[Ref]) {
-    for &(cpu, kind, addr) in batch {
-        sys.access(cpu, kind, addr);
+/// Captures at least `needed` references of a seeded SPECjbb run (two
+/// warehouses per CPU at `effort`'s scale) on `hierarchy`, after the
+/// effort's warm-up.
+fn capture(hierarchy: HierarchyConfig, effort: Effort, needed: u64) -> SystemTrace {
+    let cfg = SpecJbbConfig::scaled(2 * hierarchy.cpus, effort.scale_divisor());
+    let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
+    let mut m = Machine::new(
+        MachineConfig::dedicated(hierarchy),
+        SpecJbb::new(cfg, region),
+    );
+    m.run_until(effort.warmup());
+    let observer = m.attach_observer(TraceObserver::new());
+    // Count only the events each slice appended: `SystemTrace::refs`
+    // rescans the whole capture.
+    let (mut refs, mut scanned) = (0u64, 0usize);
+    while refs < needed {
+        let horizon = m.time() + SLICE_CYCLES;
+        m.run_until(horizon);
+        let events = &m.observer(observer).trace().events()[scanned..];
+        refs += events
+            .iter()
+            .filter(|e| matches!(e, SystemTraceEvent::Ref { .. }))
+            .count() as u64;
+        scanned += events.len();
     }
+    std::mem::take(m.observer_mut(observer)).into_trace()
 }
 
-/// Streams `refs` references (after a warming prefix of `refs / 4`)
-/// through `sys` and returns the timed throughput.
-fn run_stream(sys: &mut MemorySystem, cpus: usize, refs: u64, seed: u64) -> f64 {
-    let mut stream = Stream::new(seed, cpus);
-    let mut batch: Vec<Ref> = Vec::with_capacity(BATCH);
-    let mut left = refs / 4;
-    while left > 0 {
-        stream.fill(&mut batch, left);
-        issue(sys, &batch);
-        left -= batch.len() as u64;
+/// Issues the first `n` references of `events` through scalar `access`
+/// and returns the events after them.
+fn issue<'a>(
+    sys: &mut MemorySystem,
+    events: &'a [SystemTraceEvent],
+    n: u64,
+) -> &'a [SystemTraceEvent] {
+    let mut left = n;
+    for (i, e) in events.iter().enumerate() {
+        if left == 0 {
+            return &events[i..];
+        }
+        if let SystemTraceEvent::Ref {
+            cpu, kind, addr, ..
+        } = *e
+        {
+            sys.access(cpu as usize, kind, addr);
+            left -= 1;
+        }
     }
+    assert_eq!(left, 0, "capture holds fewer than {n} references");
+    &[]
+}
+
+/// Replays `refs` references (after a warming prefix of `refs / 4`)
+/// from `trace` through `sys` and returns the timed throughput.
+fn run_stream(sys: &mut MemorySystem, trace: &SystemTrace, refs: u64) -> f64 {
+    let timed = issue(sys, trace.events(), refs / 4);
     sys.reset_stats();
-    // Time only the `access` calls: the generator's RNG cost is
-    // driver overhead, identical for every implementation, and leaving
-    // it inside the window would dilute real simulator differences. At
-    // 4096 records per batch the timer calls amortize to well under a
-    // nanosecond per reference.
-    let mut busy = std::time::Duration::ZERO;
-    let mut left = refs;
-    while left > 0 {
-        stream.fill(&mut batch, left);
-        let t0 = Instant::now();
-        issue(sys, &batch);
-        busy += t0.elapsed();
-        left -= batch.len() as u64;
-    }
-    let secs = busy.as_secs_f64();
+    let t0 = Instant::now();
+    issue(sys, timed, refs);
+    let secs = t0.elapsed().as_secs_f64();
     assert_eq!(sys.stats().total_accesses(), refs);
     refs as f64 / secs.max(1e-9)
 }
@@ -162,21 +97,24 @@ fn run_stream(sys: &mut MemorySystem, cpus: usize, refs: u64, seed: u64) -> f64 
 /// Timing passes per shape; the best pass is reported. The benchmark
 /// often shares a core with the rest of the host, and a preemption can
 /// only make a pass *slower*, so max-of-N is the noise-robust estimate
-/// of what the simulator sustains. The stream is deterministic, so
-/// every pass does identical work.
+/// of what the simulator sustains. The capture is replayed from the
+/// start each pass, so every pass does identical work.
 const PASSES: usize = 3;
 
-fn bench_shape(cpus: usize, cpus_per_l2: usize, refs: u64, seed: u64) -> ShapeResult {
+fn bench_shape(cpus: usize, cpus_per_l2: usize, effort: Effort, refs: u64) -> ShapeResult {
     let mut b = HierarchyConfig::builder(cpus);
     b.cpus_per_l2(cpus_per_l2);
     let cfg = b.build().expect("bench shape");
+    let t = Instant::now();
+    let trace = capture(cfg, effort, refs + refs / 4);
+    let capture_secs = t.elapsed().as_secs_f64();
     let mut refs_per_sec = 0.0f64;
     let mut sys = MemorySystem::new(cfg);
     for pass in 0..PASSES {
         if pass > 0 {
             sys = MemorySystem::new(cfg);
         }
-        refs_per_sec = refs_per_sec.max(run_stream(&mut sys, cpus, refs, seed));
+        refs_per_sec = refs_per_sec.max(run_stream(&mut sys, &trace, refs));
     }
     let snoop_filter_rate = sys.bus_stats().snoop_filter_rate();
     let name = if cpus_per_l2 == 1 {
@@ -185,7 +123,7 @@ fn bench_shape(cpus: usize, cpus_per_l2: usize, refs: u64, seed: u64) -> ShapeRe
         format!("{cpus}cpu_shared{cpus_per_l2}")
     };
     println!(
-        "{name:>16}: {refs_per_sec:>12.0} refs/s  ({} L2 misses, {:.1}% snoops filtered)",
+        "{name:>16}: {refs_per_sec:>12.0} refs/s  ({} L2 misses, {:.1}% snoops filtered; capture {capture_secs:.1}s)",
         sys.stats().total_l2_misses(),
         snoop_filter_rate * 100.0,
     );
@@ -199,17 +137,22 @@ fn bench_shape(cpus: usize, cpus_per_l2: usize, refs: u64, seed: u64) -> ShapeRe
 }
 
 fn main() {
-    let effort = std::env::args().nth(1).unwrap_or_else(|| "standard".into());
-    let refs: u64 = match effort.as_str() {
-        "quick" => 2_000_000,
-        "full" => 40_000_000,
-        _ => 10_000_000,
+    let effort = match std::env::args().nth(1).as_deref() {
+        Some("quick") => Effort::Quick,
+        Some("full") => Effort::Full,
+        _ => Effort::Standard,
     };
-    println!("streaming {refs} seeded references per shape...");
+    let refs: u64 = match effort {
+        Effort::Quick => 2_000_000,
+        Effort::Standard => 10_000_000,
+        Effort::Full => 40_000_000,
+    };
+    println!("replaying {refs} captured SPECjbb references per shape...");
+    // One shape at a time: each capture holds only one stream alive.
     let shapes = [(1usize, 1usize), (4, 1), (16, 1), (16, 4)];
     let results: Vec<ShapeResult> = shapes
         .iter()
-        .map(|&(cpus, per)| bench_shape(cpus, per, refs, 0xB5EED))
+        .map(|&(cpus, per)| bench_shape(cpus, per, effort, refs))
         .collect();
 
     let mut json = String::from("{\n  \"bench\": \"memsys_access\",\n");
@@ -217,7 +160,7 @@ fn main() {
         "  \"provenance\": {},\n",
         probes::Provenance::capture()
             .with_workers(1)
-            .with_effort(effort)
+            .with_effort(effort.name())
             .to_json()
     ));
     json.push_str(&format!("  \"refs_per_shape\": {refs},\n  \"shapes\": [\n"));

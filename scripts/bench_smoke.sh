@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline bench smoke: time one Standard-effort experiment-plan batch at
 # 1 worker vs all cores (BENCH_plan.json + RUNLOG_plan.jsonl), then the
-# raw MemorySystem::access throughput bench across CPU-count shapes
-# (BENCH_memsys.json). Both BENCH jsons carry host/commit provenance;
+# MemorySystem::access throughput bench on captured SPECjbb streams
+# across CPU-count shapes (BENCH_memsys.json). Both BENCH jsons carry host/commit provenance;
 # the RunLog is schema-checked and rendered with simreport.
 #
 # Usage: scripts/bench_smoke.sh [quick|standard|full] [--gate]

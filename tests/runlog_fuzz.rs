@@ -1,14 +1,20 @@
-//! Seeded mutation fuzz over the committed RunLogs and `BASELINES.json`.
+//! Seeded mutation fuzz over the committed RunLogs, `BASELINES.json`
+//! and an in-process MTRC trace capture.
 //!
 //! Each case truncates, bit-flips or digit-substitutes one committed
 //! file and feeds the result to every reader: `report::check`, every
 //! `render_*`, the Chrome-trace export and its validator,
-//! `Baseline::from_log` and `Baseline::parse`. Each must return `Ok` or
-//! `Err` — malformed bytes must never panic (overflow checks are on in
-//! the test profile, so a wrapping sum fails here too).
+//! `Baseline::from_log` and `Baseline::parse`. The binary trace gets
+//! truncations and bit flips through `SystemTrace::read_from`. Each
+//! must return `Ok` or `Err` — malformed bytes must never panic
+//! (overflow checks are on in the test profile, so a wrapping sum
+//! fails here too).
 
 use std::panic::{self, AssertUnwindSafe};
 
+use memsys::SystemTrace;
+use middlesim::engine::TraceObserver;
+use middlesim::{jbb_machine, Effort};
 use probes::drift::Baseline;
 use probes::{report, timeline};
 
@@ -32,10 +38,11 @@ impl Cases {
     }
 }
 
-/// One mutation of `src` and a description of it.
-fn mutate(src: &[u8], cases: &mut Cases) -> (Vec<u8>, String) {
+/// One mutation of `src`, drawn from the first `kinds` of truncate,
+/// bit flip and digit substitution, and a description of it.
+fn mutate(src: &[u8], kinds: usize, cases: &mut Cases) -> (Vec<u8>, String) {
     let mut out = src.to_vec();
-    match cases.below(3) {
+    match cases.below(kinds) {
         0 => {
             let at = cases.below(src.len());
             out.truncate(at);
@@ -81,16 +88,31 @@ fn read_baseline(text: &str) {
     }
 }
 
+/// Every reader an MTRC trace reaches. A trace that reads back must
+/// survive a write/read round trip unchanged.
+fn read_trace(bytes: &[u8]) {
+    let Ok(trace) = SystemTrace::read_from(bytes) else {
+        return;
+    };
+    let mut again = Vec::new();
+    trace.write_to(&mut again).expect("write to memory");
+    assert_eq!(SystemTrace::read_from(&again[..]).expect("re-read"), trace);
+}
+
+/// Feeds `CASES` seeded mutations of `src` to `read`.
+fn fuzz_bytes(name: &str, src: &[u8], seed: u64, kinds: usize, read: impl Fn(&[u8])) {
+    let mut cases = Cases(seed);
+    for case in 0..CASES {
+        let (bytes, what) = mutate(src, kinds, &mut cases);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| read(&bytes)));
+        assert!(outcome.is_ok(), "{name} case {case} ({what}) panicked");
+    }
+}
+
 fn fuzz(file: &str, seed: u64, read: fn(&str)) {
     let path = format!("{}/{file}", env!("CARGO_MANIFEST_DIR"));
     let src = std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let mut cases = Cases(seed);
-    for case in 0..CASES {
-        let (bytes, what) = mutate(&src, &mut cases);
-        let text = String::from_utf8_lossy(&bytes);
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| read(&text)));
-        assert!(outcome.is_ok(), "{file} case {case} ({what}) panicked");
-    }
+    fuzz_bytes(file, &src, seed, 3, |b| read(&String::from_utf8_lossy(b)));
 }
 
 #[test]
@@ -99,4 +121,12 @@ fn mutated_runlogs_and_baselines_error_without_panicking() {
     fuzz("RUNLOG_figures.jsonl", 2, read_runlog);
     fuzz("RUNLOG_gc_timeline.jsonl", 3, read_runlog);
     fuzz("BASELINES.json", 4, read_baseline);
+
+    // A small SPECjbb capture in the on-disk MTRC format.
+    let mut m = jbb_machine(2, 4, 1, Effort::Quick);
+    let observer = m.attach_observer(TraceObserver::new());
+    m.run_until(200_000);
+    let mut src = Vec::new();
+    m.observer(observer).trace().write_to(&mut src).unwrap();
+    fuzz_bytes("MTRC capture", &src, 5, 2, read_trace);
 }
