@@ -23,8 +23,10 @@ use simstats::{fbytes, fnum, Table};
 use workloads::ecperf::database::{Database, DatabaseConfig};
 use workloads::ecperf::{DbQuery, Ecperf, EcperfConfig};
 
-use crate::engine::{Machine, WindowReport};
-use crate::experiment::{ecperf_machine_with, measure, ExperimentPlan, JobTelemetry};
+use crate::engine::{Machine, MachineConfig, WindowReport};
+use crate::experiment::{
+    ecperf_config, ecperf_machine_with, measure, ExperimentPlan, JobTelemetry,
+};
 use crate::Effort;
 
 /// Address base of the database machine's memory (its own machine: the
@@ -87,20 +89,15 @@ struct AppTierRun {
     queries: Vec<DbQuery>,
 }
 
-/// Runs the two-tier cluster at `pset` app-server processors with a
-/// core-per-worker plan.
-pub fn run_cluster(pset: usize, effort: Effort) -> ClusterReport {
-    run_cluster_with(&ExperimentPlan::new(effort), pset)
-}
-
-/// Runs the two-tier cluster over `plan`'s worker pool.
+/// Runs the two-tier cluster at `pset` app-server processors over
+/// `plan`'s worker pool.
 ///
 /// Stage 1 fans the app-server seeds across the pool (each seed builds
 /// its own machine with query logging on); stage 2 replays each seed's
 /// query log into its own database machine. Logs flow between the
 /// stages in seed order and every reduction happens after the merge, so
 /// the report is bit-identical at any worker count.
-pub fn run_cluster_with(plan: &ExperimentPlan, pset: usize) -> ClusterReport {
+pub fn run_cluster(plan: &ExperimentPlan, pset: usize) -> ClusterReport {
     let effort = plan.effort();
     // Stage 1: the application-server tier, one job per seed. All seeds
     // cost the same here; the hint matters when callers mix psets.
@@ -109,11 +106,15 @@ pub fn run_cluster_with(plan: &ExperimentPlan, pset: usize) -> ClusterReport {
         &seeds,
         |_| effort.cost_hint(pset),
         |&seed| {
-            let mut cfg = EcperfConfig::scaled(10, effort.scale_divisor());
-            cfg.threads = (pset * 6).clamp(12, 96);
-            cfg.db_connections = (cfg.threads as u32 / 2).max(2);
-            cfg.log_queries = true;
-            let mut app: Machine<Ecperf> = ecperf_machine_with(pset, cfg, seed);
+            let cfg = EcperfConfig {
+                log_queries: true,
+                ..ecperf_config(pset, effort.scale_divisor())
+            };
+            let mc = MachineConfig {
+                seed,
+                ..MachineConfig::e6000(pset)
+            };
+            let mut app: Machine<Ecperf> = ecperf_machine_with(mc, cfg);
             let report = measure(&mut app, effort);
             let miss_per_kilo = app.memory().stats().data().l2_misses as f64 * 1000.0
                 / report.cpi.instructions.max(1) as f64;
@@ -212,7 +213,7 @@ mod tests {
 
     #[test]
     fn cluster_runs_both_tiers() {
-        let r = run_cluster(2, Effort::Quick);
+        let r = run_cluster(&ExperimentPlan::new(Effort::Quick), 2);
         assert!(
             r.app.transactions > 50,
             "app tier ran: {}",

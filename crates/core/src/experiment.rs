@@ -105,6 +105,14 @@ impl Effort {
         }
     }
 
+    /// The preset named `name` — the inverse of [`Effort::name`], so
+    /// command lines spell efforts exactly as the RunLog does.
+    pub fn parse(name: &str) -> Option<Effort> {
+        [Effort::Quick, Effort::Standard, Effort::Full]
+            .into_iter()
+            .find(|e| e.name() == name)
+    }
+
     /// The sampled-mode configuration scaled to this preset's window.
     pub fn sampling(self) -> SamplingConfig {
         SamplingConfig::for_window(self.window())
@@ -234,7 +242,7 @@ impl ExperimentPlan {
 
     /// A strictly serial plan (no worker pool).
     pub fn serial(effort: Effort) -> Self {
-        ExperimentPlan::new(effort).with_threads(1)
+        Self::new(effort).with_threads(1)
     }
 
     /// The same plan with an explicit worker count (min 1).
@@ -466,34 +474,50 @@ impl ExperimentPlan {
 /// processors of a 16-way E6000.
 pub fn jbb_machine(pset: usize, warehouses: usize, seed: u64, effort: Effort) -> Machine<SpecJbb> {
     let cfg = SpecJbbConfig::scaled(warehouses, effort.scale_divisor());
-    jbb_machine_with(pset, cfg, seed)
+    jbb_machine_with(
+        MachineConfig {
+            seed,
+            ..MachineConfig::e6000(pset)
+        },
+        cfg,
+    )
 }
 
-/// Builds a SPECjbb machine from an explicit workload configuration.
-pub fn jbb_machine_with(pset: usize, cfg: SpecJbbConfig, seed: u64) -> Machine<SpecJbb> {
+/// Builds a SPECjbb machine from explicit machine and workload
+/// configurations, placing the workload at [`WORKLOAD_BASE`].
+pub fn jbb_machine_with(mc: MachineConfig, cfg: SpecJbbConfig) -> Machine<SpecJbb> {
     let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-    let wl = SpecJbb::new(cfg, region);
-    let mut mc = MachineConfig::e6000(pset);
-    mc.seed = seed;
-    Machine::new(mc, wl)
+    Machine::new(mc, SpecJbb::new(cfg, region))
 }
 
-/// Builds an ECperf application-server machine: the thread pool is tuned
-/// to the processor count (as the paper tunes per configuration).
-pub fn ecperf_machine(pset: usize, seed: u64, effort: Effort) -> Machine<Ecperf> {
-    let mut cfg = EcperfConfig::scaled(10, effort.scale_divisor());
+/// The scaled ECperf application server for `pset` processors: the
+/// thread pool is tuned to the processor count (as the paper tunes per
+/// configuration) and the database connections to the pool.
+pub fn ecperf_config(pset: usize, scale_divisor: u64) -> EcperfConfig {
+    let mut cfg = EcperfConfig::scaled(10, scale_divisor);
     cfg.threads = (pset * 6).clamp(12, 96);
     cfg.db_connections = (cfg.threads as u32 / 2).max(2);
-    ecperf_machine_with(pset, cfg, seed)
+    cfg
 }
 
-/// Builds an ECperf machine from an explicit workload configuration.
-pub fn ecperf_machine_with(pset: usize, cfg: EcperfConfig, seed: u64) -> Machine<Ecperf> {
+/// Builds an ECperf application-server machine from
+/// [`ecperf_config`] on `pset` processors of a 16-way E6000.
+pub fn ecperf_machine(pset: usize, seed: u64, effort: Effort) -> Machine<Ecperf> {
+    let cfg = ecperf_config(pset, effort.scale_divisor());
+    ecperf_machine_with(
+        MachineConfig {
+            seed,
+            ..MachineConfig::e6000(pset)
+        },
+        cfg,
+    )
+}
+
+/// Builds an ECperf machine from explicit machine and workload
+/// configurations, placing the workload at [`WORKLOAD_BASE`].
+pub fn ecperf_machine_with(mc: MachineConfig, cfg: EcperfConfig) -> Machine<Ecperf> {
     let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-    let wl = Ecperf::new(cfg, region);
-    let mut mc = MachineConfig::e6000(pset);
-    mc.seed = seed;
-    Machine::new(mc, wl)
+    Machine::new(mc, Ecperf::new(cfg, region))
 }
 
 /// Warm up, measure one window, and return the report.
@@ -528,6 +552,15 @@ pub fn measure_in<W: Workload>(
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn effort_parse_inverts_name() {
+        for e in [Effort::Quick, Effort::Standard, Effort::Full] {
+            assert_eq!(Effort::parse(e.name()), Some(e));
+        }
+        assert_eq!(Effort::parse("Quick"), None);
+        assert_eq!(Effort::parse("10"), None);
+    }
 
     #[test]
     fn effort_levels_are_ordered() {

@@ -17,14 +17,17 @@
 //!   memory latency load-dependent, which taxes exactly the misses the
 //!   Figure 4/5 scaling stories are built on.
 
-use memsys::{Addr, AddrRange, DramConfig, MemoryConfig};
+use memsys::{DramConfig, MemoryConfig};
 use simcpu::LatencyTable;
 use simstats::{fnum, Table};
 use sysos::tlb::TlbConfig;
-use workloads::ecperf::{Ecperf, EcperfConfig};
+use workloads::ecperf::EcperfConfig;
+use workloads::specjbb::SpecJbbConfig;
 
-use crate::engine::{Machine, MachineConfig};
-use crate::experiment::{ecperf_machine, measure, ExperimentPlan, WORKLOAD_BASE};
+use crate::engine::MachineConfig;
+use crate::experiment::{
+    ecperf_config, ecperf_machine, ecperf_machine_with, jbb_machine_with, measure, ExperimentPlan,
+};
 use crate::Effort;
 
 /// ISM ablation result.
@@ -80,16 +83,15 @@ impl IsmAblation {
 /// reach only matters against the real heap (the paper's point is that
 /// 64 x 8 KB of reach is nothing next to a 1.4 GB-heap application
 /// server).
-pub fn run_ism(effort: Effort) -> IsmAblation {
-    let plan = ExperimentPlan::new(effort);
+pub fn run_ism(plan: &ExperimentPlan) -> IsmAblation {
+    let effort = plan.effort();
     let tlbs = [TlbConfig::base_pages(), TlbConfig::ism_pages()];
     let tputs = plan.run(&tlbs, |&tlb| {
-        let cfg = EcperfConfig::full(10);
-        let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-        let mut mc = MachineConfig::e6000(1);
-        mc.tlb = Some(tlb);
-        mc.seed = 1;
-        let mut m = Machine::new(mc, Ecperf::new(cfg, region));
+        let mc = MachineConfig {
+            tlb: Some(tlb),
+            ..MachineConfig::e6000(1)
+        };
+        let mut m = ecperf_machine_with(mc, EcperfConfig::full(10));
         m.run_until(4 * effort.window());
         m.begin_measurement();
         let start = m.time();
@@ -111,8 +113,8 @@ pub struct PathLength {
 }
 
 /// Runs the path-length experiment over `ps`.
-pub fn run_path_length(effort: Effort, ps: &[usize]) -> PathLength {
-    let plan = ExperimentPlan::new(effort);
+pub fn run_path_length(plan: &ExperimentPlan, ps: &[usize]) -> PathLength {
+    let effort = plan.effort();
     let points = plan.run(ps, |&p| {
         let mut m = ecperf_machine(p, 1, effort);
         let r = measure(&mut m, effort);
@@ -181,19 +183,16 @@ pub struct ObjCacheAblation {
 }
 
 /// Runs the object-cache ablation.
-pub fn run_objcache(effort: Effort, p: usize) -> ObjCacheAblation {
-    let plan = ExperimentPlan::new(effort);
+pub fn run_objcache(plan: &ExperimentPlan, p: usize) -> ObjCacheAblation {
+    let effort = plan.effort();
     let ttl = EcperfConfig::full(10).cache_ttl;
     let jobs = [(ttl, p), (ttl, 1), (0, p), (0, 1)];
     let tputs = plan.run(&jobs, |&(ttl, pset)| {
-        let mut cfg = EcperfConfig::scaled(10, effort.scale_divisor());
-        cfg.threads = (pset * 6).clamp(12, 96);
-        cfg.db_connections = (cfg.threads as u32 / 2).max(2);
-        cfg.cache_ttl = ttl;
-        let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-        let mut mc = MachineConfig::e6000(pset);
-        mc.seed = 1;
-        let mut m = Machine::new(mc, Ecperf::new(cfg, region));
+        let cfg = EcperfConfig {
+            cache_ttl: ttl,
+            ..ecperf_config(pset, effort.scale_divisor())
+        };
+        let mut m = ecperf_machine_with(MachineConfig::e6000(pset), cfg);
         measure(&mut m, effort).throughput()
     });
     ObjCacheAblation {
@@ -242,34 +241,19 @@ pub struct C2cLatency {
 }
 
 /// Runs the latency-sensitivity sweep.
-pub fn run_c2c_latency(effort: Effort, p: usize) -> C2cLatency {
-    let plan = ExperimentPlan::new(effort);
+pub fn run_c2c_latency(plan: &ExperimentPlan, p: usize) -> C2cLatency {
+    let effort = plan.effort();
     let factors = [1.0, 1.4, 2.5];
     let jobs: Vec<(f64, bool)> = factors
         .iter()
         .flat_map(|&f| [(f, true), (f, false)])
         .collect();
     let tputs = plan.run(&jobs, |&(f, is_jbb)| {
-        let lat = LatencyTable::e6000().with_c2c_factor(f);
-        if is_jbb {
-            let cfg = workloads::specjbb::SpecJbbConfig::scaled(2 * p, effort.scale_divisor());
-            let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-            let mut mc = MachineConfig::e6000(p);
-            mc.latency = lat;
-            mc.seed = 1;
-            let mut m = Machine::new(mc, workloads::specjbb::SpecJbb::new(cfg, region));
-            measure(&mut m, effort).throughput()
-        } else {
-            let mut cfg = EcperfConfig::scaled(10, effort.scale_divisor());
-            cfg.threads = (p * 6).clamp(12, 96);
-            cfg.db_connections = (cfg.threads as u32 / 2).max(2);
-            let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-            let mut mc = MachineConfig::e6000(p);
-            mc.latency = lat;
-            mc.seed = 1;
-            let mut m = Machine::new(mc, Ecperf::new(cfg, region));
-            measure(&mut m, effort).throughput()
-        }
+        let mc = MachineConfig {
+            latency: LatencyTable::e6000().with_c2c_factor(f),
+            ..MachineConfig::e6000(p)
+        };
+        throughput(mc, is_jbb, effort)
     });
     let points = factors
         .iter()
@@ -322,21 +306,35 @@ pub struct MemBackendAblation {
     pub workload: &'static str,
 }
 
+/// Measured throughput of the scaled workload on `mc`: SPECjbb at two
+/// warehouses per processor, or the [`ecperf_config`] application
+/// server.
+fn throughput(mc: MachineConfig, is_jbb: bool, effort: Effort) -> f64 {
+    let (pset, divisor) = (mc.pset, effort.scale_divisor());
+    if is_jbb {
+        let mut m = jbb_machine_with(mc, SpecJbbConfig::scaled(2 * pset, divisor));
+        measure(&mut m, effort).throughput()
+    } else {
+        let mut m = ecperf_machine_with(mc, ecperf_config(pset, divisor));
+        measure(&mut m, effort).throughput()
+    }
+}
+
 /// Runs the flat-vs-DRAM ablation on SPECjbb.
-pub fn run_mem_backend(effort: Effort, p: usize) -> MemBackendAblation {
-    run_mem_backend_in(effort, p, true)
+pub fn run_mem_backend(plan: &ExperimentPlan, p: usize) -> MemBackendAblation {
+    run_mem_backend_in(plan, p, true)
 }
 
 /// Runs the flat-vs-DRAM ablation on ECperf. The paper's two workloads
 /// stress memory differently — ECperf's smaller footprint and its DB
 /// round-trip waits hide part of the DRAM queueing penalty that SPECjbb
 /// eats directly — so the ablation is reported for both.
-pub fn run_mem_backend_ecperf(effort: Effort, p: usize) -> MemBackendAblation {
-    run_mem_backend_in(effort, p, false)
+pub fn run_mem_backend_ecperf(plan: &ExperimentPlan, p: usize) -> MemBackendAblation {
+    run_mem_backend_in(plan, p, false)
 }
 
-fn run_mem_backend_in(effort: Effort, p: usize, jbb: bool) -> MemBackendAblation {
-    let plan = ExperimentPlan::new(effort);
+fn run_mem_backend_in(plan: &ExperimentPlan, p: usize, jbb: bool) -> MemBackendAblation {
+    let effort = plan.effort();
     let dram = MemoryConfig::BankedDram(DramConfig::default());
     let jobs = [
         (MemoryConfig::Flat, 1),
@@ -345,25 +343,9 @@ fn run_mem_backend_in(effort: Effort, p: usize, jbb: bool) -> MemBackendAblation
         (dram, p),
     ];
     let tputs = plan.run(&jobs, |&(memory, pset)| {
-        if jbb {
-            let cfg = workloads::specjbb::SpecJbbConfig::scaled(2 * pset, effort.scale_divisor());
-            let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-            let mut mc = MachineConfig::e6000(pset);
-            mc.hierarchy.memory = memory;
-            mc.seed = 1;
-            let mut m = Machine::new(mc, workloads::specjbb::SpecJbb::new(cfg, region));
-            measure(&mut m, effort).throughput()
-        } else {
-            let mut cfg = EcperfConfig::scaled(10, effort.scale_divisor());
-            cfg.threads = (pset * 6).clamp(12, 96);
-            cfg.db_connections = (cfg.threads as u32 / 2).max(2);
-            let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-            let mut mc = MachineConfig::e6000(pset);
-            mc.hierarchy.memory = memory;
-            mc.seed = 1;
-            let mut m = Machine::new(mc, Ecperf::new(cfg, region));
-            measure(&mut m, effort).throughput()
-        }
+        let mut mc = MachineConfig::e6000(pset);
+        mc.hierarchy.memory = memory;
+        throughput(mc, jbb, effort)
     });
     MemBackendAblation {
         points: vec![(1, tputs[0], tputs[2]), (p, tputs[1], tputs[3])],
@@ -433,7 +415,7 @@ mod tests {
 
     #[test]
     fn ism_ablation_shows_gain() {
-        let a = run_ism(Effort::Quick);
+        let a = run_ism(&ExperimentPlan::new(Effort::Quick));
         assert!(
             a.gain() > 0.0,
             "ISM should help: {} -> {}",

@@ -122,7 +122,7 @@ impl Arm {
 /// plan's run log. Live arms honor the plan's
 /// [`SimMode`](crate::SimMode) — a sampled run attributes the detailed
 /// sample units only.
-pub fn run_with(plan: &ExperimentPlan, p: usize) -> AttribFig {
+pub fn run(plan: &ExperimentPlan, p: usize) -> AttribFig {
     let effort = plan.effort();
     let mode = plan.mode().clone();
     let arms = [Arm::Jbb, Arm::Ecperf, Arm::Replay];

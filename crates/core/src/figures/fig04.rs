@@ -7,8 +7,7 @@
 
 use simstats::{fnum, Table};
 
-use crate::figures::scaling::{run_scaling, ScalingData};
-use crate::Effort;
+use crate::figures::scaling::ScalingData;
 
 /// The Figure 4 result: speedup curves for both workloads.
 #[derive(Debug, Clone)]
@@ -17,11 +16,6 @@ pub struct Fig04 {
     pub jbb: Vec<(usize, f64)>,
     /// `(processors, speedup)` for ECperf.
     pub ecperf: Vec<(usize, f64)>,
-}
-
-/// Runs the experiment.
-pub fn run(effort: Effort, ps: &[usize]) -> Fig04 {
-    from_data(&run_scaling(effort, ps))
 }
 
 /// Derives the figure from an existing scaling sweep.
@@ -87,10 +81,12 @@ impl Fig04 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::scaling::run_scaling;
+    use crate::{Effort, ExperimentPlan};
 
     #[test]
     fn quick_two_point_run_produces_monotone_speedup() {
-        let f = run(Effort::Quick, &[1, 4]);
+        let f = from_data(&run_scaling(&ExperimentPlan::new(Effort::Quick), &[1, 4]));
         assert_eq!(f.jbb.len(), 2);
         assert!((f.jbb[0].1 - 1.0).abs() < 1e-9);
         assert!(f.jbb[1].1 > 1.5, "4p must beat 1p: {:?}", f.jbb);

@@ -9,8 +9,7 @@
 use simstats::Table;
 use sysos::modes::ModeBreakdown;
 
-use crate::figures::scaling::{run_scaling, ScalingData, ScalingPoint};
-use crate::Effort;
+use crate::figures::scaling::{ScalingData, ScalingPoint};
 
 /// Mode breakdowns per processor count for one workload.
 #[derive(Debug, Clone)]
@@ -44,11 +43,6 @@ fn mean_modes(points: &[ScalingPoint]) -> ModeSeries {
             })
             .collect(),
     }
-}
-
-/// Runs the experiment.
-pub fn run(effort: Effort, ps: &[usize]) -> Fig05 {
-    from_data(&run_scaling(effort, ps))
 }
 
 /// Derives the figure from an existing scaling sweep.
@@ -133,10 +127,12 @@ impl Fig05 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::scaling::run_scaling;
+    use crate::{Effort, ExperimentPlan};
 
     #[test]
     fn quick_run_modes_sum_to_one() {
-        let f = run(Effort::Quick, &[2]);
+        let f = from_data(&run_scaling(&ExperimentPlan::new(Effort::Quick), &[2]));
         for (_, b) in f.jbb.points.iter().chain(&f.ecperf.points) {
             assert!((b.sum() - 1.0).abs() < 0.02, "mode sum: {}", b.sum());
         }

@@ -7,8 +7,7 @@
 
 use simstats::{fnum, Table};
 
-use crate::figures::scaling::{run_scaling, ScalingData, ScalingPoint};
-use crate::Effort;
+use crate::figures::scaling::{ScalingData, ScalingPoint};
 
 /// One workload's CPI components per processor count.
 #[derive(Debug, Clone)]
@@ -50,11 +49,6 @@ fn series(points: &[ScalingPoint]) -> CpiSeries {
             })
             .collect(),
     }
-}
-
-/// Runs the experiment.
-pub fn run(effort: Effort, ps: &[usize]) -> Fig06 {
-    from_data(&run_scaling(effort, ps))
 }
 
 /// Derives the figure from an existing scaling sweep.
@@ -135,10 +129,12 @@ impl Fig06 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::scaling::run_scaling;
+    use crate::{Effort, ExperimentPlan};
 
     #[test]
     fn quick_run_cpi_in_plausible_band() {
-        let f = run(Effort::Quick, &[1, 4]);
+        let f = from_data(&run_scaling(&ExperimentPlan::new(Effort::Quick), &[1, 4]));
         for (_, total) in f.jbb.totals() {
             assert!((1.3..4.0).contains(&total), "jbb CPI {total}");
         }

@@ -7,8 +7,7 @@
 
 use simstats::Table;
 
-use crate::figures::scaling::{run_scaling, ScalingData, ScalingPoint};
-use crate::Effort;
+use crate::figures::scaling::{ScalingData, ScalingPoint};
 
 /// Data-stall fractions at one processor count.
 #[derive(Debug, Clone, Copy, Default)]
@@ -65,11 +64,6 @@ fn series(points: &[ScalingPoint]) -> StallSeries {
             })
             .collect(),
     }
-}
-
-/// Runs the experiment.
-pub fn run(effort: Effort, ps: &[usize]) -> Fig07 {
-    from_data(&run_scaling(effort, ps))
 }
 
 /// Derives the figure from an existing scaling sweep.
@@ -154,10 +148,12 @@ impl Fig07 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::scaling::run_scaling;
+    use crate::{Effort, ExperimentPlan};
 
     #[test]
     fn quick_run_slices_are_fractions() {
-        let f = run(Effort::Quick, &[2]);
+        let f = from_data(&run_scaling(&ExperimentPlan::new(Effort::Quick), &[2]));
         for (_, x, frac) in f.jbb.points.iter().chain(&f.ecperf.points) {
             let sum = x.store_buffer + x.raw + x.l2_hit + x.c2c + x.memory;
             assert!((sum - 1.0).abs() < 0.05, "slices sum: {sum}");

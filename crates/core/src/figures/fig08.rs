@@ -8,8 +8,7 @@
 
 use simstats::Table;
 
-use crate::figures::scaling::{run_scaling, ScalingData, ScalingPoint};
-use crate::Effort;
+use crate::figures::scaling::{ScalingData, ScalingPoint};
 
 /// The Figure 8 result: `(processors, c2c ratio)` per workload.
 #[derive(Debug, Clone)]
@@ -25,11 +24,6 @@ fn series(points: &[ScalingPoint]) -> Vec<(usize, f64)> {
         .iter()
         .map(|p| (p.p, p.mean(|r| r.c2c_ratio)))
         .collect()
-}
-
-/// Runs the experiment.
-pub fn run(effort: Effort, ps: &[usize]) -> Fig08 {
-    from_data(&run_scaling(effort, ps))
 }
 
 /// Derives the figure from an existing scaling sweep.
@@ -88,10 +82,12 @@ impl Fig08 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::scaling::run_scaling;
+    use crate::{Effort, ExperimentPlan};
 
     #[test]
     fn quick_run_ratio_grows() {
-        let f = run(Effort::Quick, &[1, 4]);
+        let f = from_data(&run_scaling(&ExperimentPlan::new(Effort::Quick), &[1, 4]));
         assert!(f.jbb[1].1 > f.jbb[0].1, "{:?}", f.jbb);
         assert!(f.ecperf[1].1 > f.ecperf[0].1, "{:?}", f.ecperf);
         assert!(f.table().to_string().contains("Figure 8"));

@@ -7,8 +7,7 @@
 
 use simstats::{fnum, Table};
 
-use crate::figures::scaling::{run_scaling, ScalingData, ScalingPoint};
-use crate::Effort;
+use crate::figures::scaling::{ScalingData, ScalingPoint};
 
 /// One workload's measured and GC-factored-out speedups.
 #[derive(Debug, Clone)]
@@ -49,11 +48,6 @@ fn series(points: &[ScalingPoint]) -> GcSpeedups {
             })
             .collect(),
     }
-}
-
-/// Runs the experiment.
-pub fn run(effort: Effort, ps: &[usize]) -> Fig09 {
-    from_data(&run_scaling(effort, ps))
 }
 
 /// Derives the figure from an existing scaling sweep.
@@ -104,10 +98,12 @@ impl Fig09 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::scaling::run_scaling;
+    use crate::{Effort, ExperimentPlan};
 
     #[test]
     fn quick_run_gap_is_small() {
-        let f = run(Effort::Quick, &[1, 4]);
+        let f = from_data(&run_scaling(&ExperimentPlan::new(Effort::Quick), &[1, 4]));
         for (_, with, without) in f.jbb.points.iter().chain(&f.ecperf.points) {
             assert!(*without >= with * 0.8, "no-GC {without} vs {with}");
         }

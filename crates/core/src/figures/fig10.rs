@@ -13,7 +13,7 @@
 //! figure's y-axis, normalized per million cycles since a GC pause can
 //! stretch an interval past its nominal width.
 
-use memsys::{Addr, AddrRange, DramConfig, MemoryConfig};
+use memsys::MemoryConfig;
 use probes::runlog::{EventRecord, IntervalRecord};
 use simstats::Table;
 use workloads::specjbb::{SpecJbb, SpecJbbConfig};
@@ -22,7 +22,7 @@ use crate::engine::{
     measure_sampled, IntervalSample, IntervalSampler, Machine, MachineConfig, SamplingConfig,
     TimelineCollector,
 };
-use crate::experiment::WORKLOAD_BASE;
+use crate::experiment::{jbb_machine_with, ExperimentPlan, JobTelemetry};
 use crate::Effort;
 
 /// The counter whose interval deltas form the series.
@@ -63,41 +63,51 @@ pub struct Fig10 {
     pub events: Vec<EventRecord>,
 }
 
-/// Runs the experiment: one SPECjbb run, sampled until at least three
-/// collections (or a generous horizon) have happened.
-pub fn run(effort: Effort, pset: usize) -> Fig10 {
-    run_in(effort, pset, MemoryConfig::Flat, false)
-}
-
-/// [`run`] against the banked-DRAM backend: the same trace, but each
-/// interval's counter tree now carries `dram.queue_occupancy` and
+/// Runs the experiment as one job on `plan`: one SPECjbb run on `pset`
+/// processors, sampled until at least three collections (or a generous
+/// horizon) have happened.
+///
+/// `memory` picks the backend. Against the banked-DRAM backend each
+/// interval's counter tree also carries `dram.queue_occupancy` and
 /// `dram.queue_stalls`, so `simreport --simstat` renders DRAM pressure
-/// over time next to the c2c series (GC's single-threaded sweep shows
-/// up as a queue-occupancy trough).
-pub fn run_dram(effort: Effort, pset: usize) -> Fig10 {
-    run_in(
-        effort,
-        pset,
-        MemoryConfig::BankedDram(DramConfig::default()),
-        false,
-    )
+/// over time next to the c2c series. A sampled plan routes the trace
+/// through the sampled-execution spine: it fast-forwards between
+/// signature-picked units and the series is reconstructed by scaling
+/// fast-span intervals by the warming subsample factor.
+///
+/// The job's span is labelled `fig10` (`fig10dram` off the flat
+/// backend) and carries the interval series and the timeline events.
+pub fn run(plan: &ExperimentPlan, pset: usize, memory: MemoryConfig) -> Fig10 {
+    let effort = plan.effort();
+    let sampled = plan.mode().is_sampled();
+    let label = match memory {
+        MemoryConfig::Flat => "fig10",
+        _ => "fig10dram",
+    };
+    plan.clone()
+        .with_job_labels(vec![label.to_string()])
+        .run_telemetry(
+            &[memory],
+            |_| effort.cost_hint(pset),
+            |&memory| {
+                let f = trace(effort, pset, memory, sampled);
+                let tele = JobTelemetry {
+                    intervals: f.intervals.clone(),
+                    events: f.events.clone(),
+                    ..JobTelemetry::default()
+                };
+                (f, tele)
+            },
+        )
+        .pop()
+        .expect("one job, one trace")
 }
 
-/// [`run`] through the sampled-execution spine: the trace fast-forwards
-/// between signature-picked units and the series is reconstructed by
-/// scaling fast-span intervals by the warming subsample factor.
-pub fn run_sampled(effort: Effort, pset: usize) -> Fig10 {
-    run_in(effort, pset, MemoryConfig::Flat, true)
-}
-
-fn run_in(effort: Effort, pset: usize, memory: MemoryConfig, sampled: bool) -> Fig10 {
-    let cfg = SpecJbbConfig::scaled(2 * pset, SCALE_DIVISOR);
-    let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
+fn trace(effort: Effort, pset: usize, memory: MemoryConfig, sampled: bool) -> Fig10 {
     let mut mc = MachineConfig::e6000(pset);
-    mc.seed = 1;
     mc.sample_interval = BUCKET_CYCLES;
     mc.hierarchy.memory = memory;
-    let mut m = Machine::new(mc, SpecJbb::new(cfg, region));
+    let mut m = jbb_machine_with(mc, SpecJbbConfig::scaled(2 * pset, SCALE_DIVISOR));
     let sampler = m.attach_observer(IntervalSampler::new(BUCKET_CYCLES));
     let timeline = m.attach_observer(TimelineCollector::new());
     if sampled {
@@ -284,13 +294,18 @@ impl Fig10 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use probes::runlog::write_object;
+    use probes::{Provenance, RunLog};
+    use std::sync::Arc;
 
     #[test]
     fn quick_trace_shows_gc_collapse() {
         // 8 processors, as in the figure run: with fewer processors the
         // mutators' dirty share of the scaled eden is proportionally
         // larger and the collapse is muted.
-        let f = run(Effort::Quick, 8);
+        let log = Arc::new(RunLog::new());
+        let plan = ExperimentPlan::serial(Effort::Quick).with_run_log(Arc::clone(&log), "test");
+        let f = run(&plan, 8, MemoryConfig::Flat);
         assert!(f.gc_count > 0, "trace must include a collection");
         assert!(
             f.rate_during_gc() < f.rate_outside_gc(),
@@ -315,5 +330,27 @@ mod tests {
             1,
             "one measurement window"
         );
+
+        // The plan's RunLog holds one run with one counter-free `fig10`
+        // span, and its interval and event records are the figure's own.
+        let parsed = probes::report::check(&log.to_jsonl(&Provenance::default()))
+            .expect("fig10 RunLog passes the schema check");
+        assert_eq!(parsed.runs.len(), 1);
+        assert_eq!(parsed.jobs.len(), 1);
+        assert_eq!(parsed.jobs[0].label.as_deref(), Some("fig10"));
+        assert!(parsed.jobs[0].counters.is_none());
+        let want: Vec<String> = recs
+            .into_iter()
+            .map(|mut r| write_object(&mut r, None))
+            .collect();
+        let got: Vec<String> = parsed
+            .intervals
+            .into_iter()
+            .map(|mut r| write_object(&mut r, None))
+            .collect();
+        assert_eq!(got, want);
+        let mut want_events = f.event_records(0, 0);
+        want_events.sort_by(|a, b| (a.start, a.end, &a.name).cmp(&(b.start, b.end, &b.name)));
+        assert_eq!(parsed.events, want_events);
     }
 }

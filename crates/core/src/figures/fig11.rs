@@ -12,13 +12,11 @@
 //! back to the paper's real geometry (both the heap spaces and the data
 //! were divided by the same factor, so the ratio is preserved).
 
-use memsys::{Addr, AddrRange};
 use simstats::Table;
-use workloads::ecperf::{Ecperf, EcperfConfig};
-use workloads::specjbb::{SpecJbb, SpecJbbConfig};
+use workloads::ecperf::EcperfConfig;
 
 use crate::engine::{Machine, MachineConfig};
-use crate::experiment::{ExperimentPlan, WORKLOAD_BASE};
+use crate::experiment::{ecperf_machine_with, jbb_machine, ExperimentPlan};
 use crate::Effort;
 
 /// The Figure 11 result: `(scale factor, live MB after GC)` per workload.
@@ -55,15 +53,10 @@ fn run_until_gcs<W: workloads::model::Workload>(
     }
 }
 
-/// Runs the experiment over `axis` (default [`PAPER_SCALE_AXIS`]) with a
-/// core-per-worker [`ExperimentPlan`].
-pub fn run(effort: Effort, axis: &[u32]) -> Fig11 {
-    run_with(&ExperimentPlan::new(effort), axis)
-}
-
-/// Runs the experiment over `axis`: each scale factor of each workload is
-/// one independent job on the plan's worker pool.
-pub fn run_with(plan: &ExperimentPlan, axis: &[u32]) -> Fig11 {
+/// Runs the experiment over `axis` (default [`PAPER_SCALE_AXIS`]): each
+/// scale factor of each workload is one independent job on the plan's
+/// worker pool.
+pub fn run(plan: &ExperimentPlan, axis: &[u32]) -> Fig11 {
     let effort = plan.effort();
     let divisor = effort.scale_divisor();
     let pset = 4;
@@ -74,20 +67,14 @@ pub fn run_with(plan: &ExperimentPlan, axis: &[u32]) -> Fig11 {
     let mut results = plan
         .run(&jobs, |&(is_jbb, scale)| {
             let after = if is_jbb {
-                let cfg = SpecJbbConfig::scaled(scale as usize, divisor);
-                let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-                let mut mc = MachineConfig::e6000(pset);
-                mc.seed = 1;
-                let mut m = Machine::new(mc, SpecJbb::new(cfg, region));
-                run_until_gcs(&mut m, effort, 2).unwrap_or(0)
+                let mut m = jbb_machine(pset, scale as usize, 1, effort);
+                run_until_gcs(&mut m, effort, 2)
             } else {
                 let cfg = EcperfConfig::scaled(scale, divisor);
-                let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-                let mut mc = MachineConfig::e6000(pset);
-                mc.seed = 1;
-                let mut m = Machine::new(mc, Ecperf::new(cfg, region));
-                run_until_gcs(&mut m, effort, 2).unwrap_or(0)
-            };
+                let mut m = ecperf_machine_with(MachineConfig::e6000(pset), cfg);
+                run_until_gcs(&mut m, effort, 2)
+            }
+            .unwrap_or(0);
             (scale, (after * divisor) as f64 / (1 << 20) as f64)
         })
         .into_iter();
@@ -170,7 +157,7 @@ mod tests {
 
     #[test]
     fn quick_three_point_run_shows_divergence() {
-        let f = run(Effort::Quick, &[2, 16]);
+        let f = run(&ExperimentPlan::new(Effort::Quick), &[2, 16]);
         assert_eq!(f.jbb.len(), 2);
         let jbb_growth = f.jbb[1].1 / f.jbb[0].1.max(1.0);
         let ec_growth = f.ecperf[1].1 / f.ecperf[0].1.max(1.0);

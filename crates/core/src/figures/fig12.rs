@@ -12,13 +12,13 @@
 //! geometry, full database), since the cache curves are exactly what
 //! scaling would distort.
 
-use memsys::{Addr, AddrRange, CacheSweep};
+use memsys::CacheSweep;
 use simstats::Table;
-use workloads::ecperf::{Ecperf, EcperfConfig};
-use workloads::specjbb::{SpecJbb, SpecJbbConfig};
+use workloads::ecperf::EcperfConfig;
+use workloads::specjbb::SpecJbbConfig;
 
 use crate::engine::{Machine, MachineConfig, SweepObserver};
-use crate::experiment::{ExperimentPlan, WORKLOAD_BASE};
+use crate::experiment::{ecperf_machine_with, jbb_machine_with, ExperimentPlan};
 use crate::Effort;
 
 /// One workload's miss-rate curve: `(capacity bytes, misses per 1000
@@ -66,38 +66,25 @@ fn measure_sweeps<W: workloads::model::Workload>(
     (curve(obs.isweep()), curve(obs.dsweep()))
 }
 
-/// Runs the uniprocessor sweeps for all four configurations with a
-/// core-per-worker [`ExperimentPlan`].
-pub fn run_sweeps(effort: Effort) -> SweepData {
-    run_sweeps_with(&ExperimentPlan::new(effort))
-}
-
 /// Runs the uniprocessor sweeps for all four configurations — ECperf
 /// plus SPECjbb at each warehouse count — as independent jobs on the
 /// plan's worker pool.
-pub fn run_sweeps_with(plan: &ExperimentPlan) -> SweepData {
+pub fn run_sweeps(plan: &ExperimentPlan) -> SweepData {
     let effort = plan.effort();
-    let mc = || {
-        let mut m = MachineConfig::e6000(1);
-        m.seed = 1;
-        m
-    };
     // Job 0 is ECperf; jobs 1.. are the SPECjbb warehouse counts.
     let jobs: Vec<Option<usize>> = std::iter::once(None)
         .chain(JBB_WAREHOUSES.iter().map(|&w| Some(w)))
         .collect();
     let mut curves = plan
         .run(&jobs, |job| match job {
-            None => {
-                let cfg = EcperfConfig::full(10);
-                let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-                measure_sweeps(Machine::new(mc(), Ecperf::new(cfg, region)), effort)
-            }
-            Some(w) => {
-                let cfg = SpecJbbConfig::full(*w);
-                let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-                measure_sweeps(Machine::new(mc(), SpecJbb::new(cfg, region)), effort)
-            }
+            None => measure_sweeps(
+                ecperf_machine_with(MachineConfig::e6000(1), EcperfConfig::full(10)),
+                effort,
+            ),
+            Some(w) => measure_sweeps(
+                jbb_machine_with(MachineConfig::e6000(1), SpecJbbConfig::full(*w)),
+                effort,
+            ),
         })
         .into_iter();
     let (ecperf_i, ecperf_d) = curves.next().expect("ecperf curves");
@@ -126,11 +113,6 @@ pub struct Fig12 {
     pub ecperf: Curve,
     /// SPECjbb's curves at 1/10/25 warehouses.
     pub jbb: [Curve; 3],
-}
-
-/// Runs the experiment.
-pub fn run(effort: Effort) -> Fig12 {
-    from_data(&run_sweeps(effort))
 }
 
 /// Derives the figure from existing sweep data.

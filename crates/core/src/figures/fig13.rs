@@ -9,8 +9,7 @@
 
 use simstats::Table;
 
-use crate::figures::fig12::{at_size, render_curves, run_sweeps, Curve, SweepData, JBB_WAREHOUSES};
-use crate::Effort;
+use crate::figures::fig12::{at_size, render_curves, Curve, SweepData, JBB_WAREHOUSES};
 
 /// The Figure 13 result.
 #[derive(Debug, Clone)]
@@ -19,11 +18,6 @@ pub struct Fig13 {
     pub ecperf: Curve,
     /// SPECjbb's curves at 1/10/25 warehouses.
     pub jbb: [Curve; 3],
-}
-
-/// Runs the experiment.
-pub fn run(effort: Effort) -> Fig13 {
-    from_data(&run_sweeps(effort))
 }
 
 /// Derives the figure from existing sweep data.

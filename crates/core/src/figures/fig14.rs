@@ -8,13 +8,14 @@
 //! and transfers spread over roughly half of the touched lines — its
 //! shared entity beans are touched by every thread.
 
-use memsys::{Addr, AddrRange, LineStats};
+use memsys::LineStats;
 use simstats::Table;
-use workloads::ecperf::{Ecperf, EcperfConfig};
-use workloads::specjbb::{SpecJbb, SpecJbbConfig};
+use workloads::specjbb::SpecJbbConfig;
 
 use crate::engine::{LineStatsObserver, Machine, MachineConfig};
-use crate::experiment::{ExperimentPlan, WORKLOAD_BASE};
+use crate::experiment::{
+    ecperf_config, ecperf_machine_with, jbb_machine_with, measure, ExperimentPlan,
+};
 use crate::Effort;
 
 /// Heap scale for the communication study. Like Figure 10, this must
@@ -66,42 +67,25 @@ pub struct Fig14 {
     pub jbb: CommFootprint,
 }
 
-/// Runs the experiment at `pset` processors with a core-per-worker
-/// [`ExperimentPlan`].
-pub fn run(effort: Effort, pset: usize) -> Fig14 {
-    run_with(&ExperimentPlan::new(effort), pset)
-}
-
 fn footprint_of<W: workloads::model::Workload>(mut m: Machine<W>, effort: Effort) -> CommFootprint {
     let lines = m.attach_observer(LineStatsObserver::new());
-    m.run_until(effort.warmup());
-    m.begin_measurement();
-    let start = m.time();
-    m.run_until(start + effort.window());
+    measure(&mut m, effort);
     CommFootprint::from_stats(m.observer(lines).stats())
 }
 
 /// Runs the experiment at `pset` processors (the paper uses its larger
 /// multiprocessor configurations); the two workloads run as independent
 /// jobs on the plan's worker pool.
-pub fn run_with(plan: &ExperimentPlan, pset: usize) -> Fig14 {
+pub fn run(plan: &ExperimentPlan, pset: usize) -> Fig14 {
     let effort = plan.effort();
     let mut results = plan
         .run(&[true, false], |&is_jbb| {
             if is_jbb {
                 let cfg = SpecJbbConfig::scaled(2 * pset, SCALE_DIVISOR);
-                let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-                let mut mc = MachineConfig::e6000(pset);
-                mc.seed = 1;
-                footprint_of(Machine::new(mc, SpecJbb::new(cfg, region)), effort)
+                footprint_of(jbb_machine_with(MachineConfig::e6000(pset), cfg), effort)
             } else {
-                let mut cfg = EcperfConfig::scaled(10, SCALE_DIVISOR);
-                cfg.threads = (pset * 6).clamp(12, 96);
-                cfg.db_connections = (cfg.threads as u32 / 2).max(2);
-                let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-                let mut mc = MachineConfig::e6000(pset);
-                mc.seed = 1;
-                footprint_of(Machine::new(mc, Ecperf::new(cfg, region)), effort)
+                let cfg = ecperf_config(pset, SCALE_DIVISOR);
+                footprint_of(ecperf_machine_with(MachineConfig::e6000(pset), cfg), effort)
             }
         })
         .into_iter();
@@ -192,7 +176,7 @@ mod tests {
 
     #[test]
     fn quick_run_records_concentrated_communication() {
-        let f = run(Effort::Quick, 4);
+        let f = run(&ExperimentPlan::new(Effort::Quick), 4);
         assert!(f.jbb.total_c2c > 0);
         assert!(f.ecperf.total_c2c > 0);
         assert!(f.jbb.hottest_share > 0.01, "{:?}", f.jbb.hottest_share);

@@ -8,8 +8,7 @@
 
 use simstats::{Cdf, Table};
 
-use crate::figures::fig14::{run as run_fig14, CommFootprint, Fig14};
-use crate::Effort;
+use crate::figures::fig14::{CommFootprint, Fig14};
 
 /// The Figure 15 result: log-spaced CDF points per workload.
 #[derive(Debug, Clone)]
@@ -22,11 +21,6 @@ pub struct Fig15 {
     pub ecperf_lines: u64,
     /// SPECjbb's communicating-line count.
     pub jbb_lines: u64,
-}
-
-/// Runs the experiment (shares Figure 14's measurement).
-pub fn run(effort: Effort, pset: usize) -> Fig15 {
-    from_fig14(&run_fig14(effort, pset))
 }
 
 /// Derives the figure from Figure 14's measurement.
@@ -83,10 +77,12 @@ impl Fig15 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::fig14;
+    use crate::{Effort, ExperimentPlan};
 
     #[test]
     fn quick_run_produces_complete_cdfs() {
-        let f = run(Effort::Quick, 4);
+        let f = from_fig14(&fig14::run(&ExperimentPlan::new(Effort::Quick), 4));
         assert!(!f.jbb.is_empty() && !f.ecperf.is_empty());
         assert!((f.jbb.last().unwrap().1 - 1.0).abs() < 1e-9);
         assert!(f.table().to_string().contains("Figure 15"));

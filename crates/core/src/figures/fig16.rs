@@ -9,13 +9,13 @@
 //! shared capacity. The two benchmarks lead a memory-system designer to
 //! opposite conclusions.
 
-use memsys::{Addr, AddrRange, HierarchyConfig};
+use memsys::HierarchyConfig;
 use simstats::Table;
-use workloads::ecperf::{Ecperf, EcperfConfig};
-use workloads::specjbb::{SpecJbb, SpecJbbConfig};
+use workloads::ecperf::EcperfConfig;
+use workloads::specjbb::SpecJbbConfig;
 
 use crate::engine::{Machine, MachineConfig};
-use crate::experiment::{ExperimentPlan, WORKLOAD_BASE};
+use crate::experiment::{ecperf_machine_with, jbb_machine_with, measure, ExperimentPlan};
 use crate::Effort;
 
 /// Processors sharing each L2 in the paper's four topologies.
@@ -37,35 +37,19 @@ fn hierarchy(per_cache: usize) -> HierarchyConfig {
     b.build().expect("8 divisible by 1/2/4/8")
 }
 
-fn measure_topology<W: workloads::model::Workload>(
-    workload: W,
-    per_cache: usize,
-    effort: Effort,
-) -> f64 {
-    let mut mc = MachineConfig::dedicated(hierarchy(per_cache));
-    mc.seed = 1;
-    let mut m = Machine::new(mc, workload);
-    m.run_until(effort.warmup());
-    m.begin_measurement();
-    let start = m.time();
-    m.run_until(start + effort.window());
-    let r = m.window_report();
+fn measure_topology<W: workloads::model::Workload>(mut m: Machine<W>, effort: Effort) -> f64 {
+    let r = measure(&mut m, effort);
     let data = m.memory().stats().data();
     // Demand misses plus coherence upgrades, per 1000 instructions — the
     // events a shared cache can eliminate.
     (data.l2_misses + data.upgrades) as f64 * 1000.0 / r.cpi.instructions.max(1) as f64
 }
 
-/// Runs the experiment with a core-per-worker [`ExperimentPlan`].
-pub fn run(effort: Effort) -> Fig16 {
-    run_with(&ExperimentPlan::new(effort))
-}
-
 /// Runs the experiment. SPECjbb uses its largest (25-warehouse)
 /// configuration; the heap/database are scaled mildly so the data set
 /// still dwarfs the caches. Each topology × workload is one independent
 /// job on the plan's worker pool.
-pub fn run_with(plan: &ExperimentPlan) -> Fig16 {
+pub fn run(plan: &ExperimentPlan) -> Fig16 {
     let effort = plan.effort();
     let divisor = effort.scale_divisor();
     let jobs: Vec<(bool, usize)> = [false, true]
@@ -74,6 +58,7 @@ pub fn run_with(plan: &ExperimentPlan) -> Fig16 {
         .collect();
     let mut results = plan
         .run(&jobs, |&(is_jbb, k)| {
+            let mc = MachineConfig::dedicated(hierarchy(k));
             if is_jbb {
                 // One warehouse per processor, scaled so the aggregate hot
                 // warehouse data sits between 1 MB and 8 MB: it fits the
@@ -82,14 +67,12 @@ pub fn run_with(plan: &ExperimentPlan) -> Fig16 {
                 // loss to (the full 25-warehouse set is ~350 MB; preserving
                 // its ratio to the caches is what matters, see DESIGN.md).
                 let cfg = SpecJbbConfig::scaled(8, 20);
-                let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-                (k, measure_topology(SpecJbb::new(cfg, region), k, effort))
+                (k, measure_topology(jbb_machine_with(mc, cfg), effort))
             } else {
                 let mut cfg = EcperfConfig::scaled(10, divisor);
                 cfg.threads = 24;
                 cfg.db_connections = 12;
-                let region = AddrRange::new(Addr(WORKLOAD_BASE), cfg.required_bytes());
-                (k, measure_topology(Ecperf::new(cfg, region), k, effort))
+                (k, measure_topology(ecperf_machine_with(mc, cfg), effort))
             }
         })
         .into_iter();

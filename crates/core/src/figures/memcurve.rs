@@ -133,17 +133,12 @@ fn drive(
     (point, s, hist)
 }
 
-/// Runs the characterization with a fresh plan at `effort`.
-pub fn run(effort: Effort) -> MemCurve {
-    run_with(&ExperimentPlan::new(effort))
-}
-
-/// Runs the characterization as jobs of an existing plan (one job per
-/// curve point). Each job's DRAM counters ride on its span and its
+/// Runs the characterization as jobs of `plan` (one job per curve
+/// point). Each job's DRAM counters ride on its span and its
 /// read-latency histogram streams into the run log as
 /// `dram.queue_latency`, so `simreport --simstat` can render the curve
 /// straight from `RUNLOG_figures.jsonl`.
-pub fn run_with(plan: &ExperimentPlan) -> MemCurve {
+pub fn run(plan: &ExperimentPlan) -> MemCurve {
     let dram = DramConfig::default();
     // The backend is driven open-loop (no machine to fast-forward), so
     // sampled mode shortens the deterministic request stream instead —
@@ -285,7 +280,7 @@ mod tests {
 
     #[test]
     fn quick_curves_are_monotone_and_bend() {
-        let c = run(Effort::Quick);
+        let c = run(&ExperimentPlan::new(Effort::Quick));
         assert_eq!(c.points.len(), WRITE_MIXES.len() * LOAD_PERMILLE.len());
         assert_eq!(c.shape_violations(), Vec::<String>::new());
         assert!(c.csv().lines().count() == c.points.len() + 1);
@@ -296,8 +291,8 @@ mod tests {
     fn serial_and_parallel_runs_agree() {
         let serial = ExperimentPlan::serial(Effort::Quick);
         let parallel = ExperimentPlan::new(Effort::Quick).with_threads(4);
-        let a = run_with(&serial);
-        let b = run_with(&parallel);
+        let a = run(&serial);
+        let b = run(&parallel);
         for (x, y) in a.points.iter().zip(&b.points) {
             assert_eq!(x.mean_latency.to_bits(), y.mean_latency.to_bits());
             assert_eq!(x.queue_stalls, y.queue_stalls);
@@ -306,7 +301,7 @@ mod tests {
 
     #[test]
     fn writes_steal_read_bandwidth() {
-        let c = run(Effort::Quick);
+        let c = run(&ExperimentPlan::new(Effort::Quick));
         // At the loaded end, the write-heavy mix's reads wait behind
         // write transfers they share channels with.
         let ro = c.mix(0)[LOAD_PERMILLE.len() - 1].mean_latency;

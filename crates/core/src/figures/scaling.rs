@@ -65,12 +65,6 @@ impl ScalingData {
     }
 }
 
-/// Runs both workloads over `ps`, `effort.seeds()` times each, with a
-/// core-per-worker [`ExperimentPlan`].
-pub fn run_scaling(effort: Effort, ps: &[usize]) -> ScalingData {
-    run_scaling_with(&ExperimentPlan::new(effort), ps)
-}
-
 /// Runs both workloads over `ps`, [`ExperimentPlan::seeds`] times each.
 /// SPECjbb runs with 2P warehouses ("optimal warehouses at each system
 /// size", Section 2.1); ECperf's thread pool is tuned per processor count
@@ -83,7 +77,7 @@ pub fn run_scaling(effort: Effort, ps: &[usize]) -> ScalingData {
 /// points before the uniprocessor ones. Each job honors the plan's
 /// [`SimMode`](crate::SimMode): a sampled sweep runs one seed per point
 /// and its jobs stream their unit schedules into the run log.
-pub fn run_scaling_with(plan: &ExperimentPlan, ps: &[usize]) -> ScalingData {
+pub fn run_scaling(plan: &ExperimentPlan, ps: &[usize]) -> ScalingData {
     let effort = plan.effort();
     let seeds = plan.seeds();
     let mode = plan.mode().clone();

@@ -158,15 +158,10 @@ fn hist_quantiles(h: Option<&Histogram>) -> (f64, f64) {
         .unwrap_or((0.0, 0.0))
 }
 
-/// Runs the matrix with a fresh core-per-worker plan.
-pub fn run(effort: Effort) -> Validation {
-    run_with(&ExperimentPlan::new(effort))
-}
-
 /// Runs every `(config, mode)` pair as an independent job on `plan`
 /// (the plan's own mode is irrelevant here — the comparison runs both)
 /// and joins the sides into rows.
-pub fn run_with(plan: &ExperimentPlan) -> Validation {
+pub fn run(plan: &ExperimentPlan) -> Validation {
     let effort = plan.effort();
     let jobs: Vec<(usize, bool)> = (0..CONFIGS.len())
         .flat_map(|c| [(c, false), (c, true)])
@@ -298,7 +293,7 @@ mod tests {
 
     #[test]
     fn quick_matrix_stays_within_bound() {
-        let v = run(Effort::Quick);
+        let v = run(&ExperimentPlan::new(Effort::Quick));
         assert_eq!(
             v.rows.len(),
             CONFIGS.len() * (METRICS.len() + 1),

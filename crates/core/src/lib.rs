@@ -22,7 +22,7 @@ pub mod experiment;
 pub mod figures;
 pub mod score;
 
-pub use cluster::{replay_into_database, run_cluster, run_cluster_with, ClusterReport};
+pub use cluster::{replay_into_database, run_cluster, ClusterReport};
 pub use engine::{
     measure_sampled, replay_trace, replay_traces, AccessSource, AttribProfiler, IntervalSample,
     IntervalSampler, LineStatsObserver, Machine, MachineConfig, ObserverHandle, ReplayReport,
@@ -33,4 +33,4 @@ pub use experiment::{
     ecperf_machine, ecperf_machine_with, jbb_machine, jbb_machine_with, largest_first_order,
     measure, measure_in, Effort, ExperimentPlan, JobTelemetry,
 };
-pub use score::{official_run, official_run_with, JbbScore, RampPoint, RAMP_TOLERANCE};
+pub use score::{official_run, JbbScore, RampPoint, RAMP_TOLERANCE};

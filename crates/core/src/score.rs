@@ -25,7 +25,6 @@
 use simstats::{fnum, Table};
 
 use crate::experiment::{jbb_machine, measure, ExperimentPlan, JobTelemetry};
-use crate::Effort;
 
 /// Relative drop below the running maximum that counts as a real
 /// decline. A plateau or single noisy non-increase within this tolerance
@@ -84,23 +83,17 @@ fn peak_of(tputs: &[f64]) -> usize {
     n
 }
 
-/// Runs the official protocol on `pset` processors with a
-/// core-per-worker plan at `effort`.
+/// Runs the official protocol on `pset` processors over `plan`'s worker
+/// pool.
 ///
 /// The ramp ascends one warehouse at a time until throughput drops more
 /// than [`RAMP_TOLERANCE`] below its running maximum (bounded by
-/// `max_warehouses` as a safety net).
-pub fn official_run(pset: usize, max_warehouses: usize, effort: Effort) -> JbbScore {
-    official_run_with(&ExperimentPlan::new(effort), pset, max_warehouses)
-}
-
-/// Runs the official protocol on `pset` processors over `plan`'s worker
-/// pool. The result is bit-identical to a serial ramp at any worker
-/// count: speculative rounds only ever *add* points past the serial
-/// stopping rule, and those are trimmed from the ramp (reused, when
-/// they land in the scored region — every point is a pure function of
-/// its warehouse count).
-pub fn official_run_with(plan: &ExperimentPlan, pset: usize, max_warehouses: usize) -> JbbScore {
+/// `max_warehouses` as a safety net). The result is bit-identical to a
+/// serial ramp at any worker count: speculative rounds only ever *add*
+/// points past the serial stopping rule, and those are trimmed from the
+/// ramp (reused, when they land in the scored region — every point is a
+/// pure function of its warehouse count).
+pub fn official_run(plan: &ExperimentPlan, pset: usize, max_warehouses: usize) -> JbbScore {
     let effort = plan.effort();
     run_protocol(plan, max_warehouses, |w| {
         let mut m = jbb_machine(pset, w, 1, effort);
@@ -201,6 +194,7 @@ impl JbbScore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Effort;
 
     /// A synthetic curve with a noisy dip before the real peak and a
     /// plateau at the top — the case the old single-non-increase rule
@@ -219,7 +213,7 @@ mod tests {
 
     #[test]
     fn official_run_finds_a_peak_and_scores_n_to_2n() {
-        let s = official_run(2, 6, Effort::Quick);
+        let s = official_run(&ExperimentPlan::new(Effort::Quick), 2, 6);
         assert!(s.peak_warehouses >= 1);
         assert_eq!(s.scored.len(), s.peak_warehouses + 1);
         assert!(s.score > 0.0);

@@ -58,10 +58,8 @@ pub use latency::LatencyTable;
 pub use linestats::LineStats;
 pub use protocol::{BusOp, LineState};
 pub use region::{RegionMap, OTHER_REGION};
-pub use sink::{CountingSink, MemSink, RecordingSink, TeeSink};
+pub use sink::{CountingSink, MemSink, RecordingSink};
 pub use stats::{AccessKind, AccessOutcome, HitLevel, KindCounters, SystemStats};
 pub use sweep::{CacheSweep, SweepPoint, PAPER_SIZES};
 pub use system::MemorySystem;
-pub use trace::{
-    AccessSource, SystemSink, SystemTrace, SystemTraceEvent, Trace, TraceEvent, TraceSink,
-};
+pub use trace::{AccessSource, SystemSink, SystemTrace, SystemTraceEvent};

@@ -58,35 +58,6 @@ impl<S: MemSink + ?Sized> MemSink for &mut S {
     }
 }
 
-/// A sink that forwards every event to two sinks — capture a stream
-/// (e.g. into a [`crate::TraceSink`]) while still driving its consumer.
-#[derive(Debug, Default)]
-pub struct TeeSink<A, B> {
-    /// The first receiver.
-    pub a: A,
-    /// The second receiver.
-    pub b: B,
-}
-
-impl<A: MemSink, B: MemSink> TeeSink<A, B> {
-    /// Tees one stream into both sinks.
-    pub fn new(a: A, b: B) -> Self {
-        TeeSink { a, b }
-    }
-}
-
-impl<A: MemSink, B: MemSink> MemSink for TeeSink<A, B> {
-    fn instructions(&mut self, n: u64) {
-        self.a.instructions(n);
-        self.b.instructions(n);
-    }
-
-    fn access(&mut self, kind: AccessKind, addr: Addr) {
-        self.a.access(kind, addr);
-        self.b.access(kind, addr);
-    }
-}
-
 /// A sink that only counts, for tests and dry runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CountingSink {
@@ -185,17 +156,6 @@ mod tests {
         let mut s = CountingSink::new();
         s.sweep(AccessKind::Load, AddrRange::new(Addr(0), 0));
         assert_eq!(s.refs(), 0);
-    }
-
-    #[test]
-    fn tee_sink_feeds_both_receivers() {
-        let mut t = TeeSink::new(CountingSink::new(), RecordingSink::new());
-        t.instructions(7);
-        t.load(Addr(0x40));
-        assert_eq!(t.a.instructions, 7);
-        assert_eq!(t.a.loads, 1);
-        assert_eq!(t.b.instructions, 7);
-        assert_eq!(t.b.refs, vec![(AccessKind::Load, Addr(0x40))]);
     }
 
     #[test]

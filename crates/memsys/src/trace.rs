@@ -4,14 +4,13 @@
 //! per-processor memory reference streams that were fed to the Sumo
 //! memory-system simulator, optionally *filtered* (their multiprocessor
 //! ECperf runs kept only the application-server processors' references —
-//! Section 3.3). This module reproduces that workflow at two levels:
-//!
-//! - [`Trace`] / [`TraceSink`] — a single logical processor's stream,
-//!   recorded from any [`MemSink`] and replayed into any other;
-//! - [`SystemTrace`] — a whole machine's interleaved stream, every
-//!   reference tagged with its processor and [`AccessSource`], with
-//!   window boundaries recorded in-stream so a replay from a cold system
-//!   reproduces the live run's measurement-window statistics exactly.
+//! Section 3.3). This module reproduces that workflow with
+//! [`SystemTrace`]: a whole machine's interleaved stream, every
+//! reference tagged with its processor and [`AccessSource`], with window
+//! boundaries recorded in-stream so a replay from a cold system
+//! reproduces the live run's measurement-window statistics exactly.
+//! [`SystemSink`] adapts one processor of a [`MemorySystem`] into a
+//! [`MemSink`], so any generated stream can drive the coherent model.
 //!
 //! Filtering is a predicate over the tags — keeping one tier's
 //! processors is exactly the paper's filter step — and replay order is
@@ -38,107 +37,6 @@ pub enum AccessSource {
     Collector,
     /// The background OS clock tick (kernel lines, every processor).
     KernelTick,
-}
-
-/// One recorded event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// `n` instructions retired with no memory reference.
-    Instructions(u64),
-    /// A memory reference.
-    Ref {
-        /// Reference kind.
-        kind: AccessKind,
-        /// Byte address.
-        addr: Addr,
-    },
-}
-
-/// A captured reference stream for one logical processor.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Trace {
-    events: Vec<TraceEvent>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// Number of events (instruction batches + references).
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The recorded events.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Total memory references recorded.
-    pub fn refs(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Ref { .. }))
-            .count() as u64
-    }
-
-    /// Total instructions recorded.
-    pub fn instructions(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Instructions(n) => *n,
-                TraceEvent::Ref { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Keeps only references matching `keep` (instruction batches are
-    /// preserved) — the paper's filter-to-one-tier step.
-    pub fn filtered(&self, mut keep: impl FnMut(AccessKind, Addr) -> bool) -> Trace {
-        Trace {
-            events: self
-                .events
-                .iter()
-                .filter(|e| match e {
-                    TraceEvent::Instructions(_) => true,
-                    TraceEvent::Ref { kind, addr } => keep(*kind, *addr),
-                })
-                .copied()
-                .collect(),
-        }
-    }
-
-    /// Appends another trace.
-    pub fn extend_from(&mut self, other: &Trace) {
-        self.events.extend_from_slice(&other.events);
-    }
-
-    /// Replays the trace into any sink (a cache sweep, a recording sink,
-    /// a full memory system via [`SystemSink`]).
-    pub fn replay(&self, sink: &mut (impl MemSink + ?Sized)) {
-        for e in &self.events {
-            match e {
-                TraceEvent::Instructions(n) => sink.instructions(*n),
-                TraceEvent::Ref { kind, addr } => sink.access(*kind, *addr),
-            }
-        }
-    }
-}
-
-impl FromIterator<TraceEvent> for Trace {
-    fn from_iter<I: IntoIterator<Item = TraceEvent>>(iter: I) -> Self {
-        Trace {
-            events: iter.into_iter().collect(),
-        }
-    }
 }
 
 /// One event of a whole-machine capture. Field widths are chosen so the
@@ -324,27 +222,6 @@ impl SystemTrace {
         }
         out.cpus = self.cpus;
         out
-    }
-
-    /// Projects one processor's stream as a plain [`Trace`] (for cache
-    /// sweeps and other single-stream consumers). Window boundaries are
-    /// dropped; the stream is the whole capture.
-    pub fn cpu_stream(&self, cpu: usize) -> Trace {
-        let mut sink = TraceSink::new();
-        for e in &self.events {
-            match *e {
-                SystemTraceEvent::Instructions { cpu: c, n } if c as usize == cpu => {
-                    sink.instructions(n);
-                }
-                SystemTraceEvent::Ref {
-                    cpu: c, kind, addr, ..
-                } if c as usize == cpu => {
-                    sink.access(kind, addr);
-                }
-                _ => {}
-            }
-        }
-        sink.into_trace()
     }
 
     /// Replays the capture into a memory system in recorded order,
@@ -574,47 +451,8 @@ fn cursor_cpu(c: &mut Cursor<'_>) -> io::Result<u16> {
     u16::try_from(c.varint()?).map_err(|_| bad_data("cpu index exceeds u16"))
 }
 
-/// A sink that records everything it sees into a [`Trace`], optionally
-/// forwarding to an inner sink (tee).
-#[derive(Debug, Default)]
-pub struct TraceSink {
-    trace: Trace,
-}
-
-impl TraceSink {
-    /// Creates an empty recording sink.
-    pub fn new() -> Self {
-        TraceSink::default()
-    }
-
-    /// Consumes the sink, returning the captured trace.
-    pub fn into_trace(self) -> Trace {
-        self.trace
-    }
-
-    /// The trace captured so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-}
-
-impl MemSink for TraceSink {
-    fn instructions(&mut self, n: u64) {
-        // Coalesce adjacent instruction batches.
-        if let Some(TraceEvent::Instructions(last)) = self.trace.events.last_mut() {
-            *last += n;
-        } else {
-            self.trace.events.push(TraceEvent::Instructions(n));
-        }
-    }
-
-    fn access(&mut self, kind: AccessKind, addr: Addr) {
-        self.trace.events.push(TraceEvent::Ref { kind, addr });
-    }
-}
-
-/// Adapts a [`MemorySystem`] processor into a [`MemSink`], so traces can
-/// be replayed straight into the coherent model.
+/// Adapts a [`MemorySystem`] processor into a [`MemSink`], so a
+/// generated stream drives the coherent model directly.
 #[derive(Debug)]
 pub struct SystemSink<'a> {
     system: &'a mut MemorySystem,
@@ -643,73 +481,19 @@ impl MemSink for SystemSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::CountingSink;
-
-    fn sample() -> Trace {
-        let mut t = TraceSink::new();
-        t.instructions(10);
-        t.load(Addr(0x100));
-        t.instructions(5);
-        t.instructions(5);
-        t.store(Addr(0x200));
-        t.ifetch(Addr(0x300));
-        t.into_trace()
-    }
-
-    #[test]
-    fn capture_and_counts() {
-        let t = sample();
-        assert_eq!(t.refs(), 3);
-        assert_eq!(t.instructions(), 20);
-        // Adjacent instruction batches coalesce.
-        assert_eq!(t.len(), 5);
-    }
-
-    #[test]
-    fn replay_reproduces_the_stream() {
-        let t = sample();
-        let mut c = CountingSink::new();
-        t.replay(&mut c);
-        assert_eq!(c.instructions, 20);
-        assert_eq!(c.loads, 1);
-        assert_eq!(c.stores, 1);
-        assert_eq!(c.ifetches, 1);
-    }
-
-    #[test]
-    fn filter_keeps_instruction_batches() {
-        let t = sample();
-        let f = t.filtered(|kind, _| kind == AccessKind::Load);
-        assert_eq!(f.refs(), 1);
-        assert_eq!(f.instructions(), 20);
-    }
 
     #[test]
     fn replay_into_a_memory_system() {
-        let t = sample();
         let mut sys = MemorySystem::e6000(2).unwrap();
         {
             let mut sink = SystemSink::new(&mut sys, 1);
-            t.replay(&mut sink);
+            sink.instructions(10);
+            sink.load(Addr(0x100));
+            sink.store(Addr(0x200));
+            sink.ifetch(Addr(0x300));
         }
         assert_eq!(sys.stats().total_accesses(), 3);
-    }
-
-    #[test]
-    fn record_replay_roundtrip_is_identity() {
-        let t = sample();
-        let mut re = TraceSink::new();
-        t.replay(&mut re);
-        assert_eq!(re.into_trace(), t);
-    }
-
-    #[test]
-    fn extend_concatenates() {
-        let mut a = sample();
-        let b = sample();
-        let before = a.len();
-        a.extend_from(&b);
-        assert_eq!(a.len(), before + b.len());
+        assert_eq!(sys.stats().load.accesses, 1);
     }
 
     fn system_sample() -> SystemTrace {
@@ -756,9 +540,6 @@ mod tests {
         let p0 = t.filtered_cpus(|cpu| cpu == 0);
         assert_eq!(p0.refs(), 1);
         assert_eq!(p0.instructions(), 15);
-        let s1 = t.cpu_stream(1);
-        assert_eq!(s1.refs(), 2);
-        assert_eq!(s1.instructions(), 12);
     }
 
     #[test]

@@ -137,10 +137,12 @@ fn bench_shape(cpus: usize, cpus_per_l2: usize, effort: Effort, refs: u64) -> Sh
 }
 
 fn main() {
-    let effort = match std::env::args().nth(1).as_deref() {
-        Some("quick") => Effort::Quick,
-        Some("full") => Effort::Full,
-        _ => Effort::Standard,
+    let effort = match std::env::args().nth(1) {
+        None => Effort::Standard,
+        Some(arg) => Effort::parse(&arg).unwrap_or_else(|| {
+            eprintln!("usage: bench_memsys [quick|standard|full]");
+            std::process::exit(2)
+        }),
     };
     let refs: u64 = match effort {
         Effort::Quick => 2_000_000,

@@ -21,10 +21,12 @@ use middlesim::{jbb_machine, measure, Effort, ExperimentPlan, JobTelemetry};
 use probes::{Provenance, RunLog};
 
 fn main() {
-    let effort = match std::env::args().nth(1).as_deref() {
-        Some("quick") => Effort::Quick,
-        Some("full") => Effort::Full,
-        _ => Effort::Standard,
+    let effort = match std::env::args().nth(1) {
+        None => Effort::Standard,
+        Some(arg) => Effort::parse(&arg).unwrap_or_else(|| {
+            eprintln!("usage: bench_plan [quick|standard|full]");
+            std::process::exit(2)
+        }),
     };
     // pset × seed, mixed sizes: the 4-way points cost ~4× the 1-way.
     let jobs: Vec<(usize, u64)> = [1usize, 2, 4]

@@ -11,14 +11,17 @@
 //!
 //! Run with: `cargo run --release --example gc_timeline`
 
+use std::sync::Arc;
+
+use memsys::MemoryConfig;
 use middlesim::figures::fig10;
-use middlesim::Effort;
-use probes::runlog::{JobSpan, RunMeta};
+use middlesim::{Effort, ExperimentPlan};
 use probes::{Provenance, RunLog};
 
 fn main() {
-    let started = std::time::Instant::now();
-    let fig = fig10::run(Effort::Quick, 8);
+    let log = Arc::new(RunLog::new());
+    let plan = ExperimentPlan::new(Effort::Quick).with_run_log(Arc::clone(&log), "gc_timeline");
+    let fig = fig10::run(&plan, 8, MemoryConfig::Flat);
 
     let rates: Vec<f64> = fig
         .intervals
@@ -45,26 +48,8 @@ fn main() {
     println!("The mutators' dirty lines were written back long before collection");
     println!("(eden >> cache), so the collector reads memory, not remote caches.");
 
-    // Archive the sampled series as a schema-valid RunLog: provenance
-    // line, one run, the figure's span, every interval record.
-    let log = RunLog::new();
-    let run = log.begin_run(RunMeta {
-        tag: "gc_timeline".into(),
-        effort: "Quick".into(),
-        threads: 1,
-        jobs: 1,
-    });
-    log.record_span(JobSpan {
-        run,
-        id: 0,
-        label: Some("fig10".into()),
-        worker: 0,
-        claim: 0,
-        cost_hint: None,
-        wall_secs: started.elapsed().as_secs_f64(),
-        counters: None,
-    });
-    log.record_intervals(fig.records(run, 0));
+    // The plan archived the run as a schema-valid RunLog: provenance
+    // line, one run, the figure's span, its interval and event records.
     let jsonl = log.to_jsonl(&Provenance::capture());
     probes::report::check(&jsonl).expect("archived series passes the schema check");
     std::fs::write("RUNLOG_gc_timeline.jsonl", &jsonl).expect("write RUNLOG_gc_timeline.jsonl");

@@ -3,11 +3,11 @@
 //!
 //! Run with: `cargo run --release --example official_score`
 
-use middlesim::{official_run, Effort};
+use middlesim::{official_run, Effort, ExperimentPlan};
 
 fn main() {
     println!("running the official SPECjbb protocol on 4 processors...");
-    let score = official_run(4, 12, Effort::Quick);
+    let score = official_run(&ExperimentPlan::new(Effort::Quick), 4, 12);
     println!("\n{}", score.table());
     println!(
         "peak at n = {} warehouses; official-style score = {:.0} tx/s",

@@ -48,6 +48,13 @@ echo "==> SIMREPORT_plan.csv ($(wc -l < SIMREPORT_plan.csv) rows)"
 
 echo "==> bandwidth-latency curve figure (quick) + simreport over its RunLog"
 cargo build --release --offline -p middlesim --bin figures
+# Bad arguments fail before any simulation: a figure number is not an
+# effort, and an unknown figure name is an error, not a silent no-op.
+for bad in "10" "quick nosuchfig"; do
+    status=0
+    ./target/release/figures $bad 2>/dev/null || status=$?
+    test "$status" -eq 2 || { echo "figures $bad exited $status, expected 2"; exit 1; }
+done
 ./target/release/figures quick memcurve
 ./target/release/simreport --check RUNLOG_figures.jsonl
 test -s MEMCURVE.csv || { echo "figures memcurve did not write MEMCURVE.csv"; exit 1; }

@@ -619,10 +619,9 @@ fn attrib_profiler_attachment_leaves_outputs_bit_identical() {
 /// plan — produces the identical score structure at every worker count.
 #[test]
 fn official_run_is_identical_serial_and_parallel() {
-    let serial =
-        middlesim::official_run_with(&ExperimentPlan::serial(middlesim::Effort::Quick), 2, 4);
+    let serial = middlesim::official_run(&ExperimentPlan::serial(middlesim::Effort::Quick), 2, 4);
     for threads in [2, 4] {
-        let parallel = middlesim::official_run_with(
+        let parallel = middlesim::official_run(
             &ExperimentPlan::serial(middlesim::Effort::Quick).with_threads(threads),
             2,
             4,
@@ -639,9 +638,9 @@ fn official_run_is_identical_serial_and_parallel() {
 /// report at every worker count.
 #[test]
 fn cluster_run_is_identical_serial_and_parallel() {
-    let serial = middlesim::run_cluster_with(&ExperimentPlan::serial(middlesim::Effort::Quick), 2);
+    let serial = middlesim::run_cluster(&ExperimentPlan::serial(middlesim::Effort::Quick), 2);
     for threads in [2, 4] {
-        let parallel = middlesim::run_cluster_with(
+        let parallel = middlesim::run_cluster(
             &ExperimentPlan::serial(middlesim::Effort::Quick).with_threads(threads),
             2,
         );
