@@ -135,7 +135,7 @@ pub struct WindowReport {
     /// Cache-to-cache / L2-miss ratio.
     pub c2c_ratio: f64,
     /// Fraction of would-be remote snoop probes the memory system's
-    /// sharer directory eliminated over the window (0 on broadcast or
+    /// snoop filter eliminated over the window (0 on broadcast or
     /// single-L2 systems). Diagnostics only: the filter is exact, so no
     /// other statistic depends on it.
     pub snoop_filter_rate: f64,

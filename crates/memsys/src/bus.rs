@@ -22,13 +22,13 @@ pub struct BusStats {
     pub writebacks: u64,
     /// Remote L2 probes actually performed for bus transactions.
     ///
-    /// Diagnostics, not protocol state: with the sharer directory enabled
-    /// only actual sharers are probed; a broadcast system probes every
+    /// Diagnostics, not protocol state: with the snoop filter enabled
+    /// only actual holders are probed; a broadcast system probes every
     /// remote group. All protocol-visible counters above are identical
     /// either way.
     pub snoops_sent: u64,
-    /// Remote L2 probes skipped because the sharer directory proved the
-    /// group holds no copy. Always zero on a broadcast system.
+    /// Remote L2 probes skipped because the tag scan proved the group
+    /// holds no copy. Always zero on a broadcast system.
     pub snoops_filtered: u64,
 }
 

@@ -1,4 +1,5 @@
-//! A single set-associative cache with true-LRU replacement.
+//! A set-associative, true-LRU tag store, optionally split into
+//! partitions that share one geometry.
 //!
 //! The cache tracks tags and coherence states only (the simulator never
 //! stores data). Storage is flattened into contiguous per-set way arrays
@@ -17,10 +18,19 @@
 //! thread that key through [`Cache::touch_at`], [`Cache::insert_at`],
 //! [`Cache::set_state_at`] and friends, so a multi-step protocol action
 //! (touch, then upgrade; miss, then fill) never re-derives the index and
-//! never walks a set twice where one walk suffices. Because every cache in
-//! one level of a [`MemorySystem`](crate::system::MemorySystem) shares a
-//! geometry, the same key addresses the same line in *all* of them — the
-//! snoop paths decompose once per bus transaction, not once per cache.
+//! never walks a set twice where one walk suffices.
+//!
+//! ## Partitions
+//!
+//! [`Cache::partitioned`] builds `parts` independent LRU caches of one
+//! geometry in a single table — the memory system keeps every L2 group's
+//! tags this way. The table is *set-major*: slot
+//! `(set × parts + part) × ways + way`, so one set's ways across every
+//! partition form one contiguous row. The keyed entry points address a
+//! partition's set by its *row* `set × parts + part` ([`Cache::row`]);
+//! with one partition the row is the set. [`Cache::holders`] scans a
+//! whole row branch-free and answers which partitions hold a line valid —
+//! the snooping bus's "who has it?" in one pass over adjacent words.
 //!
 //! Caches built with [`Cache::with_presence`] additionally carry a per-line
 //! presence bitmask maintained by the level above (the memory system uses
@@ -65,7 +75,8 @@ fn word_tag(word: u64) -> u64 {
     word >> STATE_BITS
 }
 
-/// A set-associative, true-LRU cache of coherence states.
+/// A set-associative, true-LRU cache of coherence states, holding one or
+/// more same-geometry partitions in one set-major table.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -75,8 +86,13 @@ pub struct Cache {
     index_bits: u32,
     set_mask: u64,
     ways: usize,
-    /// `sets * ways` packed `tag << 3 | state` words, MRU-first within
-    /// each set; 0 (tag 0, [`LineState::Invalid`]) is an empty way.
+    /// Log2 of `ways` (a power of two), so a row scan maps a slot to its
+    /// partition with a shift, never a division.
+    way_bits: u32,
+    parts: usize,
+    /// `sets * parts * ways` packed `tag << 3 | state` words, row
+    /// `set * parts + part`, MRU-first within each row; 0 (tag 0,
+    /// [`LineState::Invalid`]) is an empty way.
     meta: Vec<u64>,
     /// Optional per-line presence masks (same slot layout as `meta`),
     /// moved with their lines on LRU rotates and cleared on fill and
@@ -85,8 +101,23 @@ pub struct Cache {
 }
 
 impl Cache {
+    /// The most partitions [`Cache::holders`] can answer for: one bit
+    /// each in a `u64`.
+    pub const MAX_HOLDER_PARTS: usize = 64;
+
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Self {
+        Cache::partitioned(cfg, 1)
+    }
+
+    /// Creates `parts` empty, independent caches of one geometry in a
+    /// single set-major table (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is zero.
+    pub fn partitioned(cfg: CacheConfig, parts: usize) -> Self {
+        assert!(parts > 0, "a cache needs at least one partition");
         let sets = cfg.sets() as usize;
         let ways = cfg.ways as usize;
         Cache {
@@ -95,48 +126,86 @@ impl Cache {
             index_bits: (sets as u64).trailing_zeros(),
             set_mask: (sets as u64) - 1,
             ways,
-            meta: crate::mem::huge_vec(sets * ways, 0), // big caches only; see `crate::mem`
+            way_bits: ways.trailing_zeros(),
+            parts,
+            meta: crate::mem::huge_vec(sets * parts * ways, 0), // big tables only; see `crate::mem`
             presence: None,
         }
     }
 
-    /// Creates an empty cache that also tracks a per-line presence mask
-    /// (see [`Cache::or_presence_mru`]).
-    pub fn with_presence(cfg: CacheConfig) -> Self {
-        let mut c = Cache::new(cfg);
-        c.presence = Some(vec![0; c.meta.len()].into_boxed_slice());
-        c
+    /// Adds a per-line presence mask to every partition (see
+    /// [`Cache::or_presence_mru`]).
+    pub fn with_presence(mut self) -> Self {
+        self.presence = Some(vec![0; self.meta.len()].into_boxed_slice());
+        self
     }
 
-    /// The cache's configuration.
+    /// The geometry of each partition.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
+    }
+
+    /// Number of partitions.
+    pub fn parts(&self) -> usize {
+        self.parts
     }
 
     /// Decomposes an address into this geometry's `(set, tag)` key.
     ///
     /// Every cache built from the same [`CacheConfig`] decomposes
-    /// identically, so one key drives lookups in a whole bank of caches
-    /// (the snoop paths rely on this).
+    /// identically, so one key drives lookups in every partition and in
+    /// a whole bank of caches.
     #[inline]
     pub fn locate(&self, addr: Addr) -> (usize, u64) {
         let line = addr.0 >> self.block_bits;
         ((line & self.set_mask) as usize, line >> self.index_bits)
     }
 
-    /// Recombines a `(set, tag)` key into the raw line index
-    /// (`byte address >> block_bits`) — the key the sharer directory is
-    /// indexed by.
+    /// The row of `part`'s copy of `set` — the `set` argument of the keyed
+    /// entry points for that partition.
     #[inline]
-    pub fn line_index(&self, set: usize, tag: u64) -> u64 {
-        (tag << self.index_bits) | set as u64
+    pub fn row(&self, set: usize, part: usize) -> usize {
+        debug_assert!(part < self.parts, "partition {part} out of range");
+        set * self.parts + part
     }
 
     #[inline]
-    fn line_addr(&self, set: usize, tag: u64) -> LineAddr {
+    fn line_addr(&self, row: usize, tag: u64) -> LineAddr {
         // Reconstruct a line address in units of *this cache's* block size,
         // then convert to coherence-unit line addressing via the base().
-        Addr(self.line_index(set, tag) << self.block_bits).line()
+        let set = (row / self.parts) as u64;
+        Addr(((tag << self.index_bits) | set) << self.block_bits).line()
+    }
+
+    /// The key of `addr` for the addressed entry points, which serve
+    /// one-partition caches (partitioned ones use the keyed forms with
+    /// [`Cache::row`]).
+    #[inline]
+    fn key(&self, addr: Addr) -> (usize, u64) {
+        debug_assert_eq!(
+            self.parts, 1,
+            "addressed entry point on a partitioned cache"
+        );
+        self.locate(addr)
+    }
+
+    /// The partitions holding `(set, tag)` valid, as a bitset (bit `p` for
+    /// partition `p`), from one branch-free scan of the set's row.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds past [`Cache::MAX_HOLDER_PARTS`] partitions.
+    #[inline]
+    pub fn holders(&self, set: usize, tag: u64) -> u64 {
+        debug_assert!(self.parts <= Self::MAX_HOLDER_PARTS);
+        let width = self.parts * self.ways;
+        let row = &self.meta[set * width..(set + 1) * width];
+        let mut mask = 0;
+        for (i, &word) in row.iter().enumerate() {
+            let hit = (word_tag(word) == tag) & (word & STATE_MASK != 0);
+            mask |= (hit as u64) << (i >> self.way_bits);
+        }
+        mask
     }
 
     /// Finds the slot holding `(set, tag)`, valid lines only.
@@ -156,7 +225,7 @@ impl Cache {
     ///
     /// Returns the line's state if present and valid.
     pub fn probe(&self, addr: Addr) -> Option<LineState> {
-        let (set, tag) = self.locate(addr);
+        let (set, tag) = self.key(addr);
         self.probe_at(set, tag)
     }
 
@@ -168,7 +237,7 @@ impl Cache {
 
     /// Looks up `addr`, promoting it to MRU on a hit.
     pub fn touch(&mut self, addr: Addr) -> Option<LineState> {
-        let (set, tag) = self.locate(addr);
+        let (set, tag) = self.key(addr);
         self.touch_at(set, tag)
     }
 
@@ -207,7 +276,7 @@ impl Cache {
     /// Panics in debug builds if the line is already present — fills must
     /// follow a miss.
     pub fn insert(&mut self, addr: Addr, state: LineState) -> Option<Evicted> {
-        let (set, tag) = self.locate(addr);
+        let (set, tag) = self.key(addr);
         self.insert_at(set, tag, state)
     }
 
@@ -248,43 +317,10 @@ impl Cache {
         evicted
     }
 
-    /// Hints the CPU to pull `set`'s way words toward L1 — the L2 arrays
-    /// of a many-processor system overflow the host's caches, and this
-    /// fetch is the longest dependent load on the access path. Issued at
-    /// access entry so it overlaps the (small, cache-resident) L1 probe.
-    /// A hint only; no architectural effect.
-    #[inline]
-    pub fn prefetch_set(&self, set: usize) {
-        // Discarded volatile load, not a prefetch instruction: prefetches
-        // whose translation misses the TLB are dropped, and big L2 arrays
-        // are where that happens (see `Directory::prefetch`).
-        unsafe {
-            let p = self.meta.as_ptr().add(set * self.ways);
-            std::ptr::read_volatile(p.cast::<u8>());
-            crate::mem::prefetch_write(p.cast());
-        }
-    }
-
-    /// The line index ([`Cache::line_index`]) that [`Cache::insert_at`]
-    /// would evict from `set` right now, or `None` while a free way
-    /// remains. Lets the miss path start fetching eviction-side metadata
-    /// (the sharer directory's slot for the victim) before the snoop and
-    /// fill that will actually retire it.
-    #[inline]
-    pub fn victim_line_index(&self, set: usize) -> Option<u64> {
-        let base = set * self.ways;
-        for w in (0..self.ways).rev() {
-            if word_state(self.meta[base + w]) == LineState::Invalid {
-                return None;
-            }
-        }
-        Some(self.line_index(set, word_tag(self.meta[base + self.ways - 1])))
-    }
-
     /// Overwrites the state of a present line; returns the old state, or
     /// `None` if the line is not cached.
     pub fn set_state(&mut self, addr: Addr, state: LineState) -> Option<LineState> {
-        let (set, tag) = self.locate(addr);
+        let (set, tag) = self.key(addr);
         self.set_state_at(set, tag, state)
     }
 
@@ -344,7 +380,7 @@ impl Cache {
 
     /// Invalidates a line if present; returns its prior state.
     pub fn invalidate(&mut self, addr: Addr) -> Option<LineState> {
-        let (set, tag) = self.locate(addr);
+        let (set, tag) = self.key(addr);
         self.invalidate_at(set, tag).map(|(state, _)| state)
     }
 
@@ -382,19 +418,8 @@ impl Cache {
     /// and holds the line (tests and diagnostics).
     pub fn presence_of(&self, addr: Addr) -> Option<u64> {
         let p = self.presence.as_ref()?;
-        let (set, tag) = self.locate(addr);
+        let (set, tag) = self.key(addr);
         self.find(set, tag).map(|slot| p[slot])
-    }
-
-    /// Iterates over every valid resident line and its state (O(capacity);
-    /// directory audits, tests and diagnostics).
-    pub fn resident(&self) -> impl Iterator<Item = (LineAddr, LineState)> + '_ {
-        (0..self.meta.len()).filter_map(move |slot| {
-            let word = self.meta[slot];
-            let st = word_state(word);
-            st.is_valid()
-                .then(|| (self.line_addr(slot / self.ways, word_tag(word)), st))
-        })
     }
 
     /// Number of valid lines currently resident (O(capacity); for tests and
@@ -438,7 +463,6 @@ mod tests {
         let (set, tag) = c.locate(Addr(0xdead_b000));
         assert_eq!(set, (0xdead_b000u64 >> 6) as usize & 63);
         assert_eq!(tag, 0xdead_b000u64 >> 12);
-        assert_eq!(c.line_index(set, tag), 0xdead_b000u64 >> 6);
     }
 
     #[test]
@@ -533,7 +557,7 @@ mod tests {
 
     #[test]
     fn presence_mask_follows_the_line() {
-        let mut c = Cache::with_presence(CacheConfig::new(256, 2, 64).unwrap());
+        let mut c = Cache::new(CacheConfig::new(256, 2, 64).unwrap()).with_presence();
         let (set, tag) = c.locate(Addr(0));
         c.insert_at(set, tag, LineState::Exclusive);
         c.or_presence_mru(set, tag, 0b101);
@@ -552,7 +576,7 @@ mod tests {
 
     #[test]
     fn eviction_carries_presence_and_untracked_caches_report_full() {
-        let mut c = Cache::with_presence(CacheConfig::new(256, 2, 64).unwrap());
+        let mut c = Cache::new(CacheConfig::new(256, 2, 64).unwrap()).with_presence();
         c.insert(Addr(0), LineState::Shared);
         let (set, tag) = c.locate(Addr(0));
         c.or_presence_mru(set, tag, 0b11);
@@ -572,22 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_iterates_valid_lines() {
-        let mut c = small();
-        c.insert(Addr(0), LineState::Modified);
-        c.insert(Addr(64), LineState::Shared);
-        let mut lines: Vec<_> = c.resident().collect();
-        lines.sort_by_key(|&(line, _)| line);
-        assert_eq!(
-            lines,
-            vec![
-                (Addr(0).line(), LineState::Modified),
-                (Addr(64).line(), LineState::Shared)
-            ]
-        );
-    }
-
-    #[test]
     fn evicted_line_address_reconstructed() {
         let mut c = Cache::new(CacheConfig::new(1 << 14, 4, 64).unwrap());
         let addr = Addr(0xdead_b000);
@@ -603,6 +611,31 @@ mod tests {
             }
         }
         assert_eq!(evicted.unwrap().line, addr.line());
+    }
+
+    #[test]
+    fn partitions_share_a_row_and_report_holders() {
+        // 2 sets x 2 ways per partition, 3 partitions.
+        let mut c = Cache::partitioned(CacheConfig::new(256, 2, 64).unwrap(), 3).with_presence();
+        let (set, tag) = c.locate(Addr(0x40));
+        assert_eq!(c.holders(set, tag), 0);
+        c.insert_at(c.row(set, 0), tag, LineState::Shared);
+        c.insert_at(c.row(set, 2), tag, LineState::Owned);
+        assert_eq!(c.holders(set, tag), 0b101);
+        assert_eq!(c.holders(set ^ 1, tag), 0, "other set untouched");
+        // Two more fills evict partition 2's copy and leave 0's alone.
+        let (_, t2) = c.locate(Addr(0x40 + 128));
+        let (_, t3) = c.locate(Addr(0x40 + 256));
+        c.insert_at(c.row(set, 2), t2, LineState::Shared);
+        let ev = c.insert_at(c.row(set, 2), t3, LineState::Shared).unwrap();
+        assert_eq!((ev.line, ev.state), (Addr(0x40).line(), LineState::Owned));
+        assert_eq!(c.holders(set, tag), 0b001);
+        assert_eq!(c.holders(set, t3), 0b100);
+        assert_eq!(
+            c.invalidate_at(c.row(set, 0), tag),
+            Some((LineState::Shared, 0))
+        );
+        assert_eq!(c.holders(set, tag), 0);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //!
 //! The crate provides:
 //!
-//! - [`cache::Cache`] — a set-associative, true-LRU cache of coherence tags;
+//! - [`cache::Cache`] — a set-associative, true-LRU cache of coherence tags,
+//!   optionally partitioned so one set-major table holds every L2 group's
+//!   tags and answers snoops with one row scan;
 //! - [`system::MemorySystem`] — per-processor split L1 I/D caches over
 //!   unified L2s kept coherent with a MOESI snooping protocol, including the
 //!   shared-L2 chip-multiprocessor topologies of the paper's Figure 16;
@@ -35,7 +37,6 @@ pub mod backend;
 pub mod bus;
 pub mod cache;
 pub mod config;
-pub mod directory;
 pub mod latency;
 pub mod linestats;
 mod mem;
@@ -53,7 +54,6 @@ pub use backend::{Backend, BankedDram, DramStats, FlatLatency, MemoryBackend};
 pub use bus::BusStats;
 pub use cache::{Cache, Evicted};
 pub use config::{CacheConfig, ConfigError, DramConfig, HierarchyConfig, MemoryConfig};
-pub use directory::Directory;
 pub use latency::LatencyTable;
 pub use linestats::LineStats;
 pub use protocol::{BusOp, LineState};

@@ -1,12 +1,11 @@
 //! Best-effort huge-page advice for the simulator's big flat arrays.
 //!
-//! The L2 metadata arrays and the sharer directory's slot table are a few
-//! megabytes each and are accessed at random, so with 4 KB pages nearly
-//! every touch also risks a TLB miss — and x86 silently drops software
-//! prefetches whose translation misses, which defeats the access path's
-//! latency-hiding (see `Directory::prefetch` / `Cache::prefetch_set`).
-//! Backing the arrays with 2 MB pages removes that pressure: the whole
-//! working set maps with a handful of entries.
+//! The set-major L2 tag table of a many-processor system is megabytes
+//! touched at random (every group's tags in one array, see
+//! [`Cache::partitioned`](crate::cache::Cache::partitioned)), so with 4 KB
+//! pages nearly every access path also risks a TLB miss. Backing the
+//! array with 2 MB pages removes that pressure: the whole table maps with
+//! a handful of entries.
 //!
 //! Hosts commonly ship transparent huge pages in `madvise` mode, where
 //! only regions that ask get them, so we ask — *before* first touch,
@@ -49,32 +48,6 @@ pub(crate) fn advise_huge_raw(ptr: *const u8, size: usize) -> isize {
     {
         let _ = (ptr, size);
         0
-    }
-}
-
-/// Hints the CPU to pull the cache line at `p` into this core in
-/// *writable* (exclusive) state. The simulator's metadata touches almost
-/// always write — directory slots on every residency change, LRU stacks
-/// on every hit — so fetching the line shared (as the preceding volatile
-/// read does) would pay a second coherence round-trip for the ownership
-/// upgrade. `PREFETCHW` starts that upgrade early; CPUs without the
-/// feature have always executed the opcode as a NOP, so no detection is
-/// needed. Issued *after* a real load of the same line: by then the
-/// translation is warm, so the (droppable) prefetch actually runs.
-///
-/// # Safety
-///
-/// `p` must be a valid address (it is dereferenced by the preceding
-/// volatile load in all callers; the prefetch itself cannot fault).
-#[inline]
-pub(crate) unsafe fn prefetch_write(p: *const u8) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        std::arch::asm!("prefetchw [{0}]", in(reg) p, options(nostack, preserves_flags, readonly));
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = p;
     }
 }
 

@@ -68,6 +68,39 @@ fn cache_matches_reference_lru() {
     }
 }
 
+/// A partitioned cache is independent LRU caches in one table: a seeded
+/// stream interleaved over the partitions hits exactly where one reference
+/// cache per partition does, and `holders` names exactly the partitions
+/// where the line probes valid.
+#[test]
+fn partitions_are_independent_lru_caches() {
+    for (seed, parts) in [1usize, 2, 3, 5, 8, 16, 64].into_iter().enumerate() {
+        let mut rng = SimRng::seed_from_u64(seed as u64);
+        let cfg = CacheConfig::new(1024, 4, 64).unwrap();
+        let mut cache = Cache::partitioned(cfg, parts);
+        let mut reference: Vec<RefCache> = (0..parts).map(|_| RefCache::new(cfg)).collect();
+        for _ in 0..4000 {
+            let p = rng.gen_range(0..parts);
+            let a = rng.gen_range(0..(1u64 << 13));
+            let (set, tag) = cache.locate(Addr(a));
+            let row = cache.row(set, p);
+            let hit = cache.touch_at(row, tag).is_some();
+            if !hit {
+                let _ = cache.insert_at(row, tag, LineState::Shared);
+            }
+            assert_eq!(
+                hit,
+                reference[p].access(a),
+                "{parts} parts: partition {p} diverged at {a:#x}"
+            );
+            let valid = (0..parts)
+                .filter(|&q| cache.probe_at(cache.row(set, q), tag).is_some())
+                .fold(0u64, |m, q| m | 1 << q);
+            assert_eq!(cache.holders(set, tag), valid, "{parts} parts: {a:#x}");
+        }
+    }
+}
+
 /// Coherence single-writer invariant: after any access stream, no line
 /// is dirty/exclusive in one L2 while valid in another.
 #[test]

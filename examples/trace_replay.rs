@@ -75,7 +75,7 @@ fn main() {
     );
     assert_eq!(replay.stats, live);
     println!(
-        "replay snoops: {:>9} sent, {:>9} filtered by the sharer directory ({:.1}%)",
+        "replay snoops: {:>9} sent, {:>9} filtered by the snoop filter ({:.1}%)",
         replay.bus.snoops_sent,
         replay.bus.snoops_filtered,
         replay.bus.snoop_filter_rate() * 100.0

@@ -1,19 +1,20 @@
-//! Differential oracle for the sharer-directory snoop filter.
+//! Differential oracle for the snoop filter.
 //!
-//! [`MemorySystem::new`] snoops only the L2 groups the exact directory
-//! lists as sharers; [`MemorySystem::new_broadcast`] probes every remote
-//! group, the textbook behavior. The filter's exactness claim — skipping
+//! [`MemorySystem::new`] snoops only the L2 groups a scan of the line's
+//! set-major tag row finds holding it valid; [`MemorySystem::new_broadcast`]
+//! probes every remote group, the textbook behavior. The filter's exactness claim — skipping
 //! a cache that does not hold the line cannot change any MOESI outcome —
 //! is checked here end-to-end: both systems consume identical seeded
 //! streams of mixed loads/stores/ifetches across several `cpus` ×
 //! `cpus_per_l2` shapes, with small caches so evictions, upgrades and
 //! invalidations churn constantly, and must agree on every per-access
 //! outcome, every final statistic, and the coherence state of every
-//! touched line. Protocol invariants (single writer, L1 inclusion) and a
-//! ground-truth directory audit run along the way.
+//! touched line. Protocol invariants (single writer, L1 inclusion) run
+//! along the way, and every bus transaction must probe exactly the remote
+//! groups whose L2 held the line valid just before it.
 
 use java_middleware_memsim::memsys::{
-    AccessKind, Addr, CacheConfig, Directory, HierarchyConfig, LineState, MemorySystem,
+    AccessKind, Addr, Cache, CacheConfig, HierarchyConfig, HitLevel, LineState, MemorySystem,
 };
 use prng::SimRng;
 
@@ -84,13 +85,32 @@ fn check_inclusion(sys: &MemorySystem, addr: Addr) {
     }
 }
 
+/// The probes one access sends: none unless it goes to the bus, then
+/// (filter on) the remote groups whose L2 held the line valid just before
+/// the access, or (filter off) every remote group.
+fn expected_snoops(sys: &MemorySystem, cpu: usize, before: &[LineState], level: HitLevel) -> u64 {
+    if !matches!(
+        level,
+        HitLevel::Memory | HitLevel::CacheToCache | HitLevel::Upgrade
+    ) {
+        return 0;
+    }
+    let group = sys.config().l2_group(cpu);
+    let remote = (0..before.len()).filter(|&g| g != group);
+    if sys.snoop_filter_enabled() {
+        remote.filter(|&g| before[g].is_valid()).count() as u64
+    } else {
+        remote.count() as u64
+    }
+}
+
 fn drive_shape(cpus: usize, cpus_per_l2: usize, steps: u64, seed: u64) {
     let cfg = tiny(cpus, cpus_per_l2);
     let mut filtered = MemorySystem::new(cfg);
     let mut broadcast = MemorySystem::new_broadcast(cfg);
     assert_eq!(
         filtered.snoop_filter_enabled(),
-        cfg.l2_count() > 1 && cfg.l2_count() <= Directory::MAX_GROUPS
+        cfg.l2_count() > 1 && cfg.l2_count() <= Cache::MAX_HOLDER_PARTS
     );
     assert!(!broadcast.snoop_filter_enabled());
 
@@ -99,19 +119,22 @@ fn drive_shape(cpus: usize, cpus_per_l2: usize, steps: u64, seed: u64) {
     for step in 0..steps {
         let (cpu, kind, addr) = next_ref(&mut rng, cpus);
         touched.insert(addr.0);
+        let before = filtered.l2_states(addr);
+        let sent = filtered.bus_stats().snoops_sent;
         let a = filtered.access(cpu, kind, addr);
         let b = broadcast.access(cpu, kind, addr);
         assert_eq!(
             a, b,
             "outcome diverged at step {step} ({cpu} {kind} {addr:?})"
         );
+        assert_eq!(
+            filtered.bus_stats().snoops_sent - sent,
+            expected_snoops(&filtered, cpu, &before, a.level),
+            "snoop count wrong at step {step} ({cpu} {kind} {addr:?}, states {before:?})"
+        );
         check_single_writer(&filtered.l2_states(addr), addr);
         check_inclusion(&filtered, addr);
-        if step % 4096 == 0 {
-            filtered.audit_directory();
-        }
     }
-    filtered.audit_directory();
 
     // Every statistic the protocol produces must match. The snoop fan-out
     // diagnostics are the one legitimate difference — the filter's whole
@@ -129,7 +152,7 @@ fn drive_shape(cpus: usize, cpus_per_l2: usize, steps: u64, seed: u64) {
         bb.snoops_sent,
         "filtered and broadcast saw different snoop opportunities"
     );
-    if cfg.l2_count() > 1 && cfg.l2_count() <= Directory::MAX_GROUPS {
+    if cfg.l2_count() > 1 && cfg.l2_count() <= Cache::MAX_HOLDER_PARTS {
         assert!(
             fb.snoops_filtered > 0,
             "a contended run at {cpus} cpus should filter something"
@@ -181,32 +204,31 @@ fn filtered_matches_broadcast_16_cpus_shared_l2() {
 
 #[test]
 fn filtered_matches_broadcast_32_l2_groups() {
-    // Past the old 16-group sharer field: the two-word directory entry
-    // keeps the filter exact (and enabled — drive_shape asserts it) at
-    // 32 private-L2 groups instead of falling back to broadcast.
+    // Half the holder bitset: the filter stays exact (and enabled —
+    // drive_shape asserts it) at 32 private-L2 groups.
     drive_shape(32, 1, 40_000, 0xD32F);
 }
 
 #[test]
 fn filtered_matches_broadcast_at_exactly_max_groups() {
-    // The boundary the PR 5 widening moved: 64 private-L2 groups is the
-    // last shape the one-word sharer bitset tracks, so the filter must
-    // still be enabled (drive_shape asserts it) and exact there.
-    assert_eq!(Directory::MAX_GROUPS, 64);
+    // 64 private-L2 groups is the last shape the one-word holder bitset
+    // tracks, so the filter must still be enabled (drive_shape asserts
+    // it) and exact there.
+    assert_eq!(Cache::MAX_HOLDER_PARTS, 64);
     drive_shape(64, 1, 30_000, 0xD64F);
 }
 
 #[test]
 fn one_past_max_groups_falls_back_to_broadcast() {
-    // 65 groups exceeds the bitset: the directory must disengage and the
+    // 65 groups exceeds the bitset: the filter must disengage and the
     // "filtered" system become a plain broadcast one — still exact, and
     // filtering nothing.
     let cfg = tiny(65, 1);
-    assert!(cfg.l2_count() > Directory::MAX_GROUPS);
+    assert!(cfg.l2_count() > Cache::MAX_HOLDER_PARTS);
     let filtered = MemorySystem::new(cfg);
     assert!(
         !filtered.snoop_filter_enabled(),
-        "past MAX_GROUPS the directory must fall back to broadcast"
+        "past MAX_HOLDER_PARTS the filter must fall back to broadcast"
     );
     drive_shape(65, 1, 15_000, 0xD65F);
     // drive_shape's snoops_filtered > 0 expectation is gated on the
@@ -276,7 +298,7 @@ fn snapshot_reports_the_filter_invariant() {
 
 #[test]
 fn default_shape_filters_most_snoops() {
-    // E6000 geometry, mostly-private traffic: the directory should absorb
+    // E6000 geometry, mostly-private traffic: the filter should absorb
     // nearly all broadcast probes, which is the performance story.
     let mut sys = MemorySystem::e6000(16).unwrap();
     let mut rng = SimRng::seed_from_u64(7);
@@ -298,5 +320,4 @@ fn default_shape_filters_most_snoops() {
     }
     let rate = sys.bus_stats().snoop_filter_rate();
     assert!(rate > 0.8, "filter rate {rate:.3} unexpectedly low");
-    sys.audit_directory();
 }
