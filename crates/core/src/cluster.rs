@@ -155,7 +155,7 @@ pub fn run_cluster(plan: &ExperimentPlan, pset: usize) -> ClusterReport {
 
 /// Replays a query log into a fresh database machine; returns
 /// `(cpi, data misses per 1000 instructions, pool bytes)`.
-pub fn replay_into_database(queries: &[DbQuery], effort: Effort) -> (f64, f64, u64) {
+pub(crate) fn replay_into_database(queries: &[DbQuery], effort: Effort) -> (f64, f64, u64) {
     let mut db = Database::new(
         DatabaseConfig {
             keyspace_divisor: effort.scale_divisor(),

@@ -24,7 +24,7 @@ pub struct Accounting {
 
 impl Accounting {
     /// Zeroed accounting for `cpus` processors.
-    pub fn new(cpus: usize) -> Self {
+    pub(crate) fn new(cpus: usize) -> Self {
         Accounting {
             clocks: vec![0; cpus],
             modes: ModeAccount::new(cpus),
@@ -35,32 +35,32 @@ impl Accounting {
     }
 
     /// Number of processors tracked.
-    pub fn cpus(&self) -> usize {
+    pub(crate) fn cpus(&self) -> usize {
         self.clocks.len()
     }
 
     /// Processor `cpu`'s virtual clock in cycles.
     #[inline]
-    pub fn clock(&self, cpu: usize) -> u64 {
+    pub(crate) fn clock(&self, cpu: usize) -> u64 {
         self.clocks[cpu]
     }
 
     /// All clocks (for min/max scans).
     #[inline]
-    pub fn clocks(&self) -> &[u64] {
+    pub(crate) fn clocks(&self) -> &[u64] {
         &self.clocks
     }
 
     /// Charges `cycles` of `mode` to `cpu`, advancing its clock.
     #[inline]
-    pub fn advance(&mut self, cpu: usize, mode: ExecMode, cycles: u64) {
+    pub(crate) fn advance(&mut self, cpu: usize, mode: ExecMode, cycles: u64) {
         self.modes.add(cpu, mode, cycles);
         self.clocks[cpu] += cycles;
     }
 
     /// Advances `cpu` to absolute time `to`, charging the gap to `mode`
     /// (no-op if the clock is already past `to`).
-    pub fn fill(&mut self, cpu: usize, to: u64, mode: ExecMode) {
+    pub(crate) fn fill(&mut self, cpu: usize, to: u64, mode: ExecMode) {
         if self.clocks[cpu] < to {
             self.modes.add(cpu, mode, to - self.clocks[cpu]);
             self.clocks[cpu] = to;
@@ -69,30 +69,30 @@ impl Accounting {
 
     /// Records a completed transaction.
     #[inline]
-    pub fn tx_done(&mut self) {
+    pub(crate) fn tx_done(&mut self) {
         self.tx_count += 1;
         self.window_tx += 1;
     }
 
     /// Transactions completed since construction.
-    pub fn transactions(&self) -> u64 {
+    pub(crate) fn transactions(&self) -> u64 {
         self.tx_count
     }
 
     /// Transactions completed in the current window.
-    pub fn window_transactions(&self) -> u64 {
+    pub(crate) fn window_transactions(&self) -> u64 {
         self.window_tx
     }
 
     /// Start time of the current measurement window.
-    pub fn window_start(&self) -> u64 {
+    pub(crate) fn window_start(&self) -> u64 {
         self.window_start
     }
 
     /// Opens a new measurement window at time `now`: resets the mode
     /// account and the window-scoped counters. Clocks keep advancing —
     /// virtual time never rewinds.
-    pub fn begin_window(&mut self, now: u64) {
+    pub(crate) fn begin_window(&mut self, now: u64) {
         self.modes.reset();
         self.window_start = now;
         self.window_tx = 0;
@@ -100,14 +100,14 @@ impl Accounting {
 
     /// Total cycles charged to `mode` across all processors in the
     /// current window (the counter-registry export).
-    pub fn mode_total(&self, mode: ExecMode) -> u64 {
+    pub(crate) fn mode_total(&self, mode: ExecMode) -> u64 {
         self.modes.total(mode)
     }
 
     /// Mode breakdown over the processors in `pset` only (the paper
     /// reports the benchmark's processor set, not the whole machine).
-    pub fn pset_breakdown(&self, pset: &ProcessorSet) -> ModeBreakdown {
-        let mut pset_modes = ModeAccount::new(pset.len());
+    pub(crate) fn pset_breakdown(&self, pset: &ProcessorSet) -> ModeBreakdown {
+        let mut pset_modes = ModeAccount::new(pset.cpus().len());
         for (i, &c) in pset.cpus().iter().enumerate() {
             for m in sysos::modes::ALL_MODES {
                 pset_modes.add(i, m, self.modes.get(c, m));
@@ -154,7 +154,7 @@ impl WindowReport {
     /// Throughput with GC time excluded (Figure 9's dotted lines): the
     /// collector is single-threaded, so its busy cycles *are* wall-clock
     /// stop-the-world time, subtracted from the window.
-    pub fn throughput_no_gc(&self) -> f64 {
+    pub(crate) fn throughput_no_gc(&self) -> f64 {
         let busy = self.cycles.saturating_sub(self.gc_cycles);
         if busy == 0 {
             0.0

@@ -22,7 +22,7 @@
 //!   `survivor`, `old_gen`, `code`, `lock`, `stack`, `kernel`, or
 //!   `other`).
 //!
-//! The profiler is an observer: it reads the [`StallCharge`] the timer
+//! The profiler is an observer: it reads the [`StallCharge`](simcpu::StallCharge) the timer
 //! already computed, so attaching it perturbs nothing — runs with and
 //! without it stay bit-identical in every pre-existing counter and
 //! record. Base ("other") cycles are reconstructed at fold time from
@@ -107,18 +107,9 @@ impl AttribProfiler {
         }
     }
 
-    /// Retired instructions in `phase` (`"mutator"`, `"gc"`,
-    /// `"kernel"`).
-    pub fn phase_instructions(&self, phase: &str) -> u64 {
-        PHASES
-            .iter()
-            .position(|p| *p == phase)
-            .map_or(0, |i| self.instructions[i])
-    }
-
     /// The folded stacks with their cycle weights, phase-major, base
     /// rows included: the in-memory form of the folded-stack export.
-    pub fn folded(&self) -> Vec<(String, u64)> {
+    pub(crate) fn folded(&self) -> Vec<(String, u64)> {
         let mut out = Vec::with_capacity(self.stalls.len() + PHASES.len());
         for (&(phase, component, cause, region), &cyc) in &self.stalls {
             if cyc > 0 {
@@ -135,21 +126,6 @@ impl AttribProfiler {
             }
         }
         out
-    }
-
-    /// Total cycles attributed across every stack, base included.
-    pub fn total_cycles(&self) -> u64 {
-        self.folded().iter().map(|&(_, c)| c).sum()
-    }
-
-    /// Cycles attributed to one phase across its stacks.
-    pub fn phase_cycles(&self, phase: &str) -> u64 {
-        let prefix = format!("{phase};");
-        self.folded()
-            .iter()
-            .filter(|(s, _)| s.starts_with(&prefix))
-            .map(|&(_, c)| c)
-            .sum()
     }
 
     /// Converts the fold into RunLog `attrib` records for job
@@ -289,7 +265,7 @@ mod tests {
             cpu: 0,
             kind,
             addr: Addr(addr),
-            outcome: outcome,
+            outcome,
             now: 0,
             source,
             charge,
@@ -351,7 +327,7 @@ mod tests {
         assert_eq!(get("gc;instr_stall;memory;other"), Some(75));
         assert_eq!(get("mutator;data_stall;store_buffer;eden"), Some(12));
         assert_eq!(get("mutator;data_stall;raw_hazard;eden"), Some(4));
-        assert_eq!(p.total_cycles(), 75 + 105 + 75 + 12 + 4);
+        assert_eq!(folded.len(), 5, "no other stack carries cycles");
     }
 
     #[test]
@@ -363,8 +339,6 @@ mod tests {
         assert_eq!(folded.len(), 2);
         assert!(folded.contains(&("mutator;other;base;all".into(), 1300)));
         assert!(folded.contains(&("gc;other;base;all".into(), 260)));
-        assert_eq!(p.phase_instructions("mutator"), 1000);
-        assert_eq!(p.phase_cycles("gc"), 260);
     }
 
     #[test]
@@ -416,6 +390,5 @@ mod tests {
             StallCharge::default(),
         ));
         assert!(p.folded().is_empty());
-        assert_eq!(p.total_cycles(), 0);
     }
 }

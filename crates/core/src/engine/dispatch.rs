@@ -78,7 +78,7 @@ impl Scheduler {
     /// Builds a scheduler for `thread_count` threads over `cpus`
     /// processors, bound to `pset`, with the given lock table. All
     /// threads start ready.
-    pub fn new(
+    pub(crate) fn new(
         params: SchedParams,
         pset: ProcessorSet,
         cpus: usize,
@@ -110,22 +110,22 @@ impl Scheduler {
     }
 
     /// The benchmark's processor set.
-    pub fn pset(&self) -> &ProcessorSet {
+    pub(crate) fn pset(&self) -> &ProcessorSet {
         &self.pset
     }
 
     /// Whether any thread is ready to run.
-    pub fn has_ready(&self) -> bool {
+    pub(crate) fn has_ready(&self) -> bool {
         !self.ready.is_empty()
     }
 
     /// The thread currently on `cpu`, if any.
-    pub fn thread_on(&self, cpu: usize) -> Option<usize> {
+    pub(crate) fn thread_on(&self, cpu: usize) -> Option<usize> {
         self.running[cpu]
     }
 
     /// Processors currently running a thread.
-    pub fn running_cpus(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn running_cpus(&self) -> impl Iterator<Item = usize> + '_ {
         self.running
             .iter()
             .enumerate()
@@ -134,7 +134,7 @@ impl Scheduler {
 
     /// Processors whose thread may be stepped (running, not spinning on
     /// a lock — spinners wait for their grant).
-    pub fn steppable_cpus(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn steppable_cpus(&self) -> impl Iterator<Item = usize> + '_ {
         self.running.iter().enumerate().filter_map(|(c, t)| {
             t.filter(|&th| matches!(self.threads[th].status, Status::Running(_)))
                 .map(|_| c)
@@ -143,7 +143,7 @@ impl Scheduler {
 
     /// Current virtual time: the slowest running processor's clock (all
     /// processors' progress is bounded below by it).
-    pub fn time(&self, acct: &Accounting) -> u64 {
+    pub(crate) fn time(&self, acct: &Accounting) -> u64 {
         self.running_cpus()
             .map(|c| acct.clock(c))
             .min()
@@ -155,7 +155,7 @@ impl Scheduler {
     /// on it (Solaris's dispatcher does the same; without this, every
     /// short monitor block would migrate the thread and needlessly turn
     /// its whole cache footprint into coherence traffic).
-    pub fn dispatch(&mut self, acct: &mut Accounting) {
+    pub(crate) fn dispatch(&mut self, acct: &mut Accounting) {
         // Virtual "now" for rechoose eligibility: an idle processor's own
         // clock is stale, so compare against global progress too.
         let now_global = self.time(acct);
@@ -223,7 +223,7 @@ impl Scheduler {
     }
 
     /// Moves due sleepers to the ready queue.
-    pub fn wake_sleepers(&mut self, now: u64) {
+    pub(crate) fn wake_sleepers(&mut self, now: u64) {
         for t in 0..self.threads.len() {
             if let Status::Sleeping(until) = self.threads[t].status {
                 if until <= now {
@@ -236,7 +236,7 @@ impl Scheduler {
     }
 
     /// The earliest sleeping thread's wake time, if any thread sleeps.
-    pub fn earliest_wake(&self) -> Option<u64> {
+    pub(crate) fn earliest_wake(&self) -> Option<u64> {
         self.threads
             .iter()
             .filter_map(|t| match t.status {
@@ -248,14 +248,14 @@ impl Scheduler {
 
     /// Puts the thread on `cpu` to sleep until `until`, freeing the
     /// processor.
-    pub fn sleep(&mut self, cpu: usize, until: u64) {
+    pub(crate) fn sleep(&mut self, cpu: usize, until: u64) {
         let thread = self.running[cpu].expect("sleep on busy cpu");
         self.threads[thread].status = Status::Sleeping(until);
         self.running[cpu] = None;
     }
 
     /// Marks the thread on `cpu` as finished, freeing the processor.
-    pub fn finish(&mut self, cpu: usize) {
+    pub(crate) fn finish(&mut self, cpu: usize) {
         let thread = self.running[cpu].expect("finish on busy cpu");
         self.threads[thread].status = Status::Done;
         self.running[cpu] = None;
@@ -266,7 +266,7 @@ impl Scheduler {
     /// this, a non-blocking thread would monopolize its processor forever
     /// (and a 25-warehouse SPECjbb on one processor would degenerate to a
     /// single warehouse).
-    pub fn maybe_preempt(&mut self, cpu: usize, acct: &mut Accounting) {
+    pub(crate) fn maybe_preempt(&mut self, cpu: usize, acct: &mut Accounting) {
         if self.ready.is_empty() {
             return;
         }
@@ -285,7 +285,7 @@ impl Scheduler {
 
     /// Handles a thread's lock-acquire request: grants immediately when
     /// uncontended, otherwise spins or parks per the lock's wait kind.
-    pub fn acquire(&mut self, thread: usize, cpu: usize, lock: u32, mode: ExecMode) {
+    pub(crate) fn acquire(&mut self, thread: usize, cpu: usize, lock: u32, mode: ExecMode) {
         let l = &mut self.locks[lock as usize];
         if l.holders < l.desc.capacity && l.waiters.is_empty() {
             l.holders += 1;
@@ -315,7 +315,7 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if the lock is not held.
-    pub fn release(&mut self, cpu: usize, lock: u32, acct: &mut Accounting) {
+    pub(crate) fn release(&mut self, cpu: usize, lock: u32, acct: &mut Accounting) {
         let now = acct.clock(cpu);
         let mut grants = Vec::new();
         {

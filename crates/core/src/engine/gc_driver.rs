@@ -19,7 +19,6 @@ use super::accounting::Accounting;
 #[derive(Debug, Clone, Default)]
 pub struct GcDriver {
     gc_count: u64,
-    gc_cycles: u64,
     intervals: Vec<(u64, u64)>,
     window_gc_cycles: u64,
     window_gc_count: u64,
@@ -27,38 +26,33 @@ pub struct GcDriver {
 
 impl GcDriver {
     /// A driver with no collections recorded.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         GcDriver::default()
     }
 
     /// Collections since construction.
-    pub fn gc_count(&self) -> u64 {
+    pub(crate) fn gc_count(&self) -> u64 {
         self.gc_count
-    }
-
-    /// Collector cycles since construction.
-    pub fn gc_cycles(&self) -> u64 {
-        self.gc_cycles
     }
 
     /// GC intervals `(start, end)` in cycles since the last window reset
     /// (for Figure 10's shading).
-    pub fn intervals(&self) -> &[(u64, u64)] {
+    pub(crate) fn intervals(&self) -> &[(u64, u64)] {
         &self.intervals
     }
 
     /// Collections in the current window.
-    pub fn window_gc_count(&self) -> u64 {
+    pub(crate) fn window_gc_count(&self) -> u64 {
         self.window_gc_count
     }
 
     /// Collector cycles in the current window.
-    pub fn window_gc_cycles(&self) -> u64 {
+    pub(crate) fn window_gc_cycles(&self) -> u64 {
         self.window_gc_cycles
     }
 
     /// Discards window-scoped state at a window boundary.
-    pub fn begin_window(&mut self) {
+    pub(crate) fn begin_window(&mut self) {
         self.window_gc_cycles = 0;
         self.window_gc_count = 0;
         self.intervals.clear();
@@ -73,7 +67,7 @@ impl GcDriver {
     /// returns its duration in cycles — charges that duration to `cpu`
     /// as User time (the collector is JVM code, not kernel code), and
     /// GC-idle-fills the other processors to the end of the collection.
-    pub fn collect(
+    pub(crate) fn collect(
         &mut self,
         acct: &mut Accounting,
         pset: &ProcessorSet,
@@ -99,7 +93,6 @@ impl GcDriver {
             }
         }
         self.gc_count += 1;
-        self.gc_cycles += duration;
         self.window_gc_cycles += duration;
         self.window_gc_count += 1;
         self.intervals.push((start, end));
@@ -130,7 +123,6 @@ mod tests {
         assert_eq!(acct.clock(2), 800);
         assert_eq!(acct.clock(3), 0, "outside the set: untouched");
         assert_eq!(gc.gc_count(), 1);
-        assert_eq!(gc.gc_cycles(), 500);
         assert_eq!(gc.intervals(), &[(300, 800)]);
     }
 

@@ -4,8 +4,8 @@
 //! This is the harness's equivalent of the paper's instrumented E6000 +
 //! Simics setup. The kernel owns the coherent [`MemorySystem`], the
 //! per-processor [`CpuTimer`]s and the workload; it delegates *who runs
-//! where* to the [`Scheduler`](super::Scheduler), stop-the-world
-//! collections to the [`GcDriver`](super::GcDriver), and all
+//! where* to the [`Scheduler`], stop-the-world
+//! collections to the [`GcDriver`], and all
 //! clock/mode bookkeeping to [`Accounting`]. Background OS clock ticks
 //! on *every* machine processor touch shared kernel lines — the reason
 //! the paper sees cache-to-cache transfers even with the benchmark bound
@@ -246,7 +246,7 @@ impl<W: Workload> Machine<W> {
     }
 
     /// Mutable workload access (e.g. re-tuning between windows).
-    pub fn workload_mut(&mut self) -> &mut W {
+    pub(crate) fn workload_mut(&mut self) -> &mut W {
         &mut self.workload
     }
 
@@ -263,7 +263,7 @@ impl<W: Workload> Machine<W> {
     }
 
     /// The clock/mode accounting (for inspection).
-    pub fn accounting(&self) -> &Accounting {
+    pub(crate) fn accounting(&self) -> &Accounting {
         &self.acct
     }
 

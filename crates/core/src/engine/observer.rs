@@ -18,7 +18,7 @@ use std::any::Any;
 use std::marker::PhantomData;
 
 use memsys::{AccessKind, AccessOutcome, Addr, CacheSweep, LineStats};
-use probes::runlog::{EventRecord, IntervalRecord};
+use probes::runlog::EventRecord;
 use probes::Snapshot;
 use simcpu::StallCharge;
 
@@ -110,19 +110,19 @@ pub struct ObserverSet {
 
 impl ObserverSet {
     /// An empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ObserverSet::default()
     }
 
     /// Whether any observer is attached (lets the hot path skip event
     /// construction entirely).
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.observers.is_empty()
     }
 
     /// Attaches an observer, returning its typed handle.
-    pub fn attach<T: SimObserver>(&mut self, observer: T) -> ObserverHandle<T> {
+    pub(crate) fn attach<T: SimObserver>(&mut self, observer: T) -> ObserverHandle<T> {
         let index = self.observers.len();
         self.observers.push(Box::new(observer));
         ObserverHandle {
@@ -136,7 +136,7 @@ impl ObserverSet {
     /// # Panics
     ///
     /// Panics if the handle belongs to a different machine.
-    pub fn get<T: SimObserver>(&self, handle: ObserverHandle<T>) -> &T {
+    pub(crate) fn get<T: SimObserver>(&self, handle: ObserverHandle<T>) -> &T {
         let obs: &dyn Any = &*self.observers[handle.index];
         obs.downcast_ref::<T>()
             .expect("observer handle type mismatch")
@@ -147,7 +147,7 @@ impl ObserverSet {
     /// # Panics
     ///
     /// Panics if the handle belongs to a different machine.
-    pub fn get_mut<T: SimObserver>(&mut self, handle: ObserverHandle<T>) -> &mut T {
+    pub(crate) fn get_mut<T: SimObserver>(&mut self, handle: ObserverHandle<T>) -> &mut T {
         let obs: &mut dyn Any = &mut *self.observers[handle.index];
         obs.downcast_mut::<T>()
             .expect("observer handle type mismatch")
@@ -222,7 +222,7 @@ pub struct IntervalSample {
 
 impl IntervalSample {
     /// Interval width in cycles (always positive).
-    pub fn width(&self) -> u64 {
+    pub(crate) fn width(&self) -> u64 {
         self.end - self.start
     }
 
@@ -244,7 +244,7 @@ impl IntervalSample {
 /// Because a single step (a long GC pause, a sleep) can jump virtual
 /// time past a boundary, emitted intervals are *at least* `width` wide
 /// and carry their actual `[start, end)` — consumers normalize by
-/// [`IntervalSample::width`], never by the nominal width.
+/// `IntervalSample::width`, never by the nominal width.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSampler {
     width: u64,
@@ -270,31 +270,9 @@ impl IntervalSampler {
         }
     }
 
-    /// The nominal interval width in cycles.
-    pub fn width(&self) -> u64 {
-        self.width
-    }
-
     /// The emitted intervals, in time order.
     pub fn samples(&self) -> &[IntervalSample] {
         &self.samples
-    }
-
-    /// Converts the series into RunLog `interval` records for job
-    /// `(run, id)`.
-    pub fn to_records(&self, run: usize, id: usize) -> Vec<IntervalRecord> {
-        self.samples
-            .iter()
-            .map(|s| IntervalRecord {
-                run,
-                id,
-                seq: s.seq,
-                start: s.start,
-                end: s.end,
-                gc: s.gc,
-                counters: s.counters.clone(),
-            })
-            .collect()
     }
 }
 
@@ -354,22 +332,22 @@ pub struct SweepObserver {
 
 impl SweepObserver {
     /// Creates the observer from an instruction and a data sweep.
-    pub fn new(isweep: CacheSweep, dsweep: CacheSweep) -> Self {
+    pub(crate) fn new(isweep: CacheSweep, dsweep: CacheSweep) -> Self {
         SweepObserver { isweep, dsweep }
     }
 
     /// Both sweeps at the paper's capacity axis.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         SweepObserver::new(CacheSweep::paper(), CacheSweep::paper())
     }
 
     /// The instruction-cache sweep.
-    pub fn isweep(&self) -> &CacheSweep {
+    pub(crate) fn isweep(&self) -> &CacheSweep {
         &self.isweep
     }
 
     /// The data-cache sweep.
-    pub fn dsweep(&self) -> &CacheSweep {
+    pub(crate) fn dsweep(&self) -> &CacheSweep {
         &self.dsweep
     }
 }
@@ -401,12 +379,12 @@ pub struct LineStatsObserver {
 
 impl LineStatsObserver {
     /// An empty tracker.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LineStatsObserver::default()
     }
 
     /// The accumulated per-line statistics.
-    pub fn stats(&self) -> &LineStats {
+    pub(crate) fn stats(&self) -> &LineStats {
         &self.stats
     }
 }
@@ -448,16 +426,6 @@ impl TimelineCollector {
     /// An empty collector.
     pub fn new() -> Self {
         TimelineCollector::default()
-    }
-
-    /// The collected GC pauses, `[start, end)` in cycles.
-    pub fn gc_pauses(&self) -> &[(u64, u64)] {
-        &self.gc_pauses
-    }
-
-    /// The collected window-reset instants, in cycles.
-    pub fn window_resets(&self) -> &[u64] {
-        &self.window_resets
     }
 
     /// Converts the collected events into RunLog `event` records for
@@ -544,12 +512,6 @@ mod tests {
         assert_eq!(tl[2].seq, 2);
         assert!((tl[2].rate_per_mcycle("bus.snoop_cb") - 20.0 * 1e6 / 90.0).abs() < 1e-6);
 
-        // Records carry the series verbatim.
-        let recs = s.to_records(3, 7);
-        assert_eq!(recs.len(), 3);
-        assert_eq!((recs[1].run, recs[1].id, recs[1].seq), (3, 7, 1));
-        assert!(recs[1].gc);
-
         // A window reset discards everything, including the baseline.
         s.on_window_reset(300);
         assert!(s.samples().is_empty());
@@ -610,8 +572,6 @@ mod tests {
         tc.on_gc_interval(100, 400);
         tc.on_window_reset(500);
         tc.on_gc_interval(900, 1200);
-        assert_eq!(tc.gc_pauses(), &[(100, 400), (900, 1200)]);
-        assert_eq!(tc.window_resets(), &[500]);
 
         let recs = tc.to_records(2, 3);
         assert_eq!(recs.len(), 3);
@@ -620,9 +580,14 @@ mod tests {
             .all(|r| (r.run, r.id) == (2, 3) && r.end >= r.start));
         let reset = recs.iter().find(|r| r.name == "window.reset").unwrap();
         assert_eq!((reset.start, reset.end), (500, 500), "instant event");
+        let pauses: Vec<(u64, u64)> = recs
+            .iter()
+            .filter(|r| r.name == "gc.pause")
+            .map(|r| (r.start, r.end))
+            .collect();
         assert_eq!(
-            recs.iter().filter(|r| r.name == "gc.pause").count(),
-            2,
+            pauses,
+            [(100, 400), (900, 1200)],
             "warm-up GC survives the reset"
         );
     }

@@ -71,7 +71,7 @@ pub fn descriptor_tables() -> Vec<&'static [CounterDesc]> {
 impl<W: Workload> Machine<W> {
     /// A `cpustat`-style sample of the paper's four UltraSPARC II
     /// events, derived from the pipeline and bus counters.
-    pub fn counter_sample(&self) -> CounterSample {
+    pub(crate) fn counter_sample(&self) -> CounterSample {
         let cpi = self.pset_cpi();
         CounterSample {
             cycle_cnt: cpi.cycles(),
@@ -82,7 +82,7 @@ impl<W: Workload> Machine<W> {
     }
 
     /// Every counter the machine maintains, as one flat snapshot:
-    /// `mem.*`/`bus.*`(/`lines.*`), `cpu.*`, `cpustat.*`, `acct.*`.
+    /// `mem.*`/`bus.*`(/`dram.*`), `cpu.*`, `cpustat.*`, `acct.*`.
     pub fn counters(&self) -> Snapshot {
         let mut snap = Snapshot::new();
         self.memory().record_counters(&mut snap);

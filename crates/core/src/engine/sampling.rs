@@ -50,23 +50,18 @@ use super::accounting::WindowReport;
 use super::kernel::Machine;
 
 /// How a figure driver executes its measurement windows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum SimMode {
     /// Simulate every cycle in detail (the default).
+    #[default]
     Full,
     /// Fast-forward between signature-picked sample units.
     Sampled(SamplingConfig),
 }
 
-impl Default for SimMode {
-    fn default() -> Self {
-        SimMode::Full
-    }
-}
-
 impl SimMode {
     /// Whether this mode samples.
-    pub fn is_sampled(&self) -> bool {
+    pub(crate) fn is_sampled(&self) -> bool {
         matches!(self, SimMode::Sampled(_))
     }
 }
@@ -245,7 +240,12 @@ pub struct Signature(pub [f64; SIG_DIMS]);
 impl Signature {
     /// Builds the feature vector from raw counts plus the unit's GC
     /// cycles and completed transactions.
-    pub fn from_counts(c: &SigCounts, unit_cycles: u64, gc_cycles: u64, transactions: u64) -> Self {
+    pub(crate) fn from_counts(
+        c: &SigCounts,
+        unit_cycles: u64,
+        gc_cycles: u64,
+        transactions: u64,
+    ) -> Self {
         let refs = (c.loads + c.stores + c.ifetches) as f64;
         let instrs = c.instrs.max(1) as f64;
         let cycles = unit_cycles.max(1) as f64;
@@ -271,7 +271,7 @@ impl Signature {
     }
 
     /// Euclidean distance to another signature.
-    pub fn distance(&self, other: &Signature) -> f64 {
+    pub(crate) fn distance(&self, other: &Signature) -> f64 {
         self.0
             .iter()
             .zip(&other.0)
@@ -539,11 +539,6 @@ impl UnitMeasurement {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).unwrap_or(0)
     }
-
-    /// Per-Mcycle rate of a named counter over the measured span.
-    pub fn rate_per_mcycle(&self, name: &str) -> f64 {
-        self.counter(name) as f64 * 1e6 / self.span.max(1) as f64
-    }
 }
 
 /// Snapshot of everything a unit measurement diffs.
@@ -662,7 +657,7 @@ impl SampledRun {
 
     /// Stratified estimate of `f` over the measured units, weighted by
     /// cluster population.
-    pub fn estimate(&self, f: impl Fn(&UnitMeasurement) -> f64) -> Estimate {
+    pub(crate) fn estimate(&self, f: impl Fn(&UnitMeasurement) -> f64) -> Estimate {
         let total: u64 = self.clusters.iter().map(|c| c.pop).sum();
         let strata: Vec<Stratum> = self
             .clusters
@@ -721,20 +716,15 @@ impl SampledRun {
     }
 
     /// Estimated ratio of two counters (e.g. an L2 miss rate).
-    pub fn counter_ratio(&self, num: &str, den: &str) -> Estimate {
+    pub(crate) fn counter_ratio(&self, num: &str, den: &str) -> Estimate {
         self.ratio_estimate(|m| m.counter(num) as f64, |m| m.counter(den) as f64)
-    }
-
-    /// Estimated per-Mcycle rate of a counter.
-    pub fn counter_rate(&self, name: &str) -> Estimate {
-        self.estimate(|m| m.rate_per_mcycle(name))
     }
 
     /// The measured units' histograms merged with each unit's bucket
     /// counts scaled by its cluster's population/measured ratio — the
     /// extrapolated whole-window distribution (integer arithmetic, so
     /// deterministic).
-    pub fn scaled_hist(
+    pub(crate) fn scaled_hist(
         &self,
         select: impl Fn(&UnitMeasurement) -> Option<&Histogram>,
     ) -> Option<Histogram> {

@@ -7,7 +7,7 @@
 //! [`replay_trace`] plays a capture back through a fresh
 //! [`MemorySystem`], reproducing the live run's measurement-window
 //! statistics exactly. Batches of captures go through the
-//! [`ExperimentPlan`](crate::ExperimentPlan) like any other job
+//! [`ExperimentPlan`] like any other job
 //! ([`replay_traces`]), so trace-driven and execution-driven experiments
 //! share one spine.
 //!
@@ -61,7 +61,7 @@ impl TraceObserver {
     }
 
     fn keeps(&self, cpu: usize, source: AccessSource) -> bool {
-        self.keep.as_ref().map_or(true, |k| k(cpu, source))
+        self.keep.as_ref().is_none_or(|k| k(cpu, source))
     }
 }
 
@@ -113,7 +113,7 @@ impl ReplayReport {
 ///
 /// Panics if the trace references a processor `hierarchy` lacks.
 pub fn replay_trace(trace: &SystemTrace, hierarchy: &HierarchyConfig) -> ReplayReport {
-    let mut sys = MemorySystem::new(hierarchy.clone());
+    let mut sys = MemorySystem::new(*hierarchy);
     trace.replay_into(&mut sys);
     ReplayReport {
         stats: sys.stats().clone(),

@@ -1,7 +1,7 @@
 //! Experiment orchestration: workload factories, warm-up/measurement
 //! windows, and the parallel [`ExperimentPlan`] runner all figure
 //! experiments fan out through. The multi-seed variability methodology
-//! is [`ExperimentPlan::seeds`] fanned over [`ExperimentPlan::run`].
+//! is `ExperimentPlan::seeds` fanned over [`ExperimentPlan::run`].
 //!
 //! Every figure experiment follows the paper's protocol: build the
 //! workload, warm it up (caches, JIT, bean cache, steady-state heap),
@@ -70,7 +70,7 @@ impl Effort {
     }
 
     /// Seeds per configuration (the Alameldeen–Wood methodology).
-    pub fn seeds(self) -> u64 {
+    pub(crate) fn seeds(self) -> u64 {
         match self {
             Effort::Quick => 1,
             Effort::Standard => 3,
@@ -114,7 +114,7 @@ impl Effort {
     }
 
     /// The sampled-mode configuration scaled to this preset's window.
-    pub fn sampling(self) -> SamplingConfig {
+    pub(crate) fn sampling(self) -> SamplingConfig {
         SamplingConfig::for_window(self.window())
     }
 
@@ -162,7 +162,7 @@ impl JobTelemetry {
 
     /// Attaches a sampled run's unit schedule (placeholder `run`/`id`;
     /// the plan runner stamps the real ones at emission).
-    pub fn with_samples(mut self, sampled: Option<&SampledRun>) -> Self {
+    pub(crate) fn with_samples(mut self, sampled: Option<&SampledRun>) -> Self {
         if let Some(s) = sampled {
             self.samples = s.sample_units(0, 0);
             self.events.extend(s.event_records(0, 0));
@@ -279,7 +279,7 @@ impl ExperimentPlan {
     }
 
     /// The plan's simulation mode.
-    pub fn mode(&self) -> &SimMode {
+    pub(crate) fn mode(&self) -> &SimMode {
         &self.mode
     }
 
@@ -461,7 +461,7 @@ impl ExperimentPlan {
     /// stratified confidence interval replaces seed replication as the
     /// variability estimate, and dropping the replicas is where most of
     /// the sampled wall-clock win at a fixed effort comes from.
-    pub fn seeds(&self) -> u64 {
+    pub(crate) fn seeds(&self) -> u64 {
         if self.mode.is_sampled() {
             1
         } else {
@@ -493,7 +493,7 @@ pub fn jbb_machine_with(mc: MachineConfig, cfg: SpecJbbConfig) -> Machine<SpecJb
 /// The scaled ECperf application server for `pset` processors: the
 /// thread pool is tuned to the processor count (as the paper tunes per
 /// configuration) and the database connections to the pool.
-pub fn ecperf_config(pset: usize, scale_divisor: u64) -> EcperfConfig {
+pub(crate) fn ecperf_config(pset: usize, scale_divisor: u64) -> EcperfConfig {
     let mut cfg = EcperfConfig::scaled(10, scale_divisor);
     cfg.threads = (pset * 6).clamp(12, 96);
     cfg.db_connections = (cfg.threads as u32 / 2).max(2);
@@ -501,7 +501,7 @@ pub fn ecperf_config(pset: usize, scale_divisor: u64) -> EcperfConfig {
 }
 
 /// Builds an ECperf application-server machine from
-/// [`ecperf_config`] on `pset` processors of a 16-way E6000.
+/// `ecperf_config` on `pset` processors of a 16-way E6000.
 pub fn ecperf_machine(pset: usize, seed: u64, effort: Effort) -> Machine<Ecperf> {
     let cfg = ecperf_config(pset, effort.scale_divisor());
     ecperf_machine_with(

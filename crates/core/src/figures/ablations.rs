@@ -41,7 +41,7 @@ pub struct IsmAblation {
 
 impl IsmAblation {
     /// Relative gain from ISM.
-    pub fn gain(&self) -> f64 {
+    pub(crate) fn gain(&self) -> f64 {
         if self.base_pages <= 0.0 {
             0.0
         } else {

@@ -66,28 +66,28 @@ impl WorkloadAttrib {
     }
 
     /// Total attributed cycles.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.folded.iter().map(|&(_, c)| c).sum()
     }
 
     /// Cycles attributed to `phase`.
-    pub fn phase_total(&self, phase: &str) -> u64 {
+    pub(crate) fn phase_total(&self, phase: &str) -> u64 {
         self.sum_where(|f| f[0] == phase)
     }
 
     /// Cycles in one `phase;component` slice, optionally narrowed to a
     /// cause.
-    pub fn slice(&self, phase: &str, component: &str, cause: Option<&str>) -> u64 {
+    pub(crate) fn slice(&self, phase: &str, component: &str, cause: Option<&str>) -> u64 {
         self.sum_where(|f| f[0] == phase && f[1] == component && cause.is_none_or(|c| f[2] == c))
     }
 
     /// Cycles with `cause` across all phases and components.
-    pub fn cause_total(&self, cause: &str) -> u64 {
+    pub(crate) fn cause_total(&self, cause: &str) -> u64 {
         self.sum_where(|f| f[2] == cause)
     }
 
     /// Data-stall cycles across all phases.
-    pub fn data_stall_total(&self) -> u64 {
+    pub(crate) fn data_stall_total(&self) -> u64 {
         self.sum_where(|f| f[1] == "data_stall")
     }
 }

@@ -18,7 +18,7 @@ pub struct CpiSeries {
 
 impl CpiSeries {
     /// Total CPI at each point.
-    pub fn totals(&self) -> Vec<(usize, f64)> {
+    pub(crate) fn totals(&self) -> Vec<(usize, f64)> {
         self.points
             .iter()
             .map(|(p, i, d, o)| (*p, i + d + o))

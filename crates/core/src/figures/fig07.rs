@@ -26,7 +26,7 @@ pub struct StallSlices {
 
 impl StallSlices {
     /// Share of data stall due to L2 *misses* (c2c + memory).
-    pub fn l2_miss_share(&self) -> f64 {
+    pub(crate) fn l2_miss_share(&self) -> f64 {
         self.c2c + self.memory
     }
 }

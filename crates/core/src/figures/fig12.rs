@@ -124,7 +124,7 @@ pub fn from_data(d: &SweepData) -> Fig12 {
 }
 
 /// Renders a miss-rate table shared by Figures 12 and 13.
-pub fn render_curves(title: &str, ecperf: &Curve, jbb: &[Curve; 3]) -> Table {
+pub(crate) fn render_curves(title: &str, ecperf: &Curve, jbb: &[Curve; 3]) -> Table {
     let mut t = Table::new(
         title,
         &["size", "ECperf", "SPECjbb-1", "SPECjbb-10", "SPECjbb-25"],
@@ -146,7 +146,7 @@ pub fn render_curves(title: &str, ecperf: &Curve, jbb: &[Curve; 3]) -> Table {
 }
 
 /// Value of a curve at an exact capacity (0 when absent).
-pub fn at_size(curve: &Curve, size: u64) -> f64 {
+pub(crate) fn at_size(curve: &Curve, size: u64) -> f64 {
     curve
         .iter()
         .find(|(s, _)| *s == size)

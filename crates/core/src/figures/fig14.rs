@@ -45,7 +45,7 @@ pub struct CommFootprint {
 
 impl CommFootprint {
     /// Extracts the metrics from a line tracker.
-    pub fn from_stats(ls: &LineStats) -> Self {
+    pub(crate) fn from_stats(ls: &LineStats) -> Self {
         CommFootprint {
             hottest_share: ls.hottest_line_share(),
             share_hot_permille: ls.share_from_hottest_fraction(0.001),

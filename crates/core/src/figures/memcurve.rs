@@ -5,7 +5,7 @@
 //! load, one curve per read/write mix: latency is flat near idle, bends
 //! as queues form, and blows up at the bandwidth ceiling. A flat-latency
 //! model is a horizontal line on this plot — the curve *is* the
-//! difference the [`BankedDram`](memsys::BankedDram) backend introduces.
+//! difference the [`BankedDram`] backend introduces.
 //!
 //! Each experiment job drives one backend instance open-loop with a
 //! deterministic synthetic request stream (part streaming, part random,
@@ -177,7 +177,7 @@ pub fn run(plan: &ExperimentPlan) -> MemCurve {
 
 impl MemCurve {
     /// The points of one mix, in load order.
-    pub fn mix(&self, write_pct: u32) -> Vec<&CurvePoint> {
+    pub(crate) fn mix(&self, write_pct: u32) -> Vec<&CurvePoint> {
         self.points
             .iter()
             .filter(|p| p.write_pct == write_pct)

@@ -17,24 +17,9 @@ pub struct ScalingPoint {
 
 impl ScalingPoint {
     /// Mean of `f` across seeds.
-    pub fn mean(&self, f: impl Fn(&WindowReport) -> f64) -> f64 {
+    pub(crate) fn mean(&self, f: impl Fn(&WindowReport) -> f64) -> f64 {
         let s: f64 = self.reports.iter().map(&f).sum();
         s / self.reports.len() as f64
-    }
-
-    /// Sample standard deviation of `f` across seeds.
-    pub fn stddev(&self, f: impl Fn(&WindowReport) -> f64) -> f64 {
-        if self.reports.len() < 2 {
-            return 0.0;
-        }
-        let mean = self.mean(&f);
-        let var: f64 = self
-            .reports
-            .iter()
-            .map(|r| (f(r) - mean).powi(2))
-            .sum::<f64>()
-            / (self.reports.len() - 1) as f64;
-        var.sqrt()
     }
 }
 
@@ -52,7 +37,7 @@ pub struct ScalingData {
 impl ScalingData {
     /// Speedup series for a workload: mean throughput normalized to the
     /// first point's.
-    pub fn speedups(points: &[ScalingPoint]) -> Vec<(usize, f64)> {
+    pub(crate) fn speedups(points: &[ScalingPoint]) -> Vec<(usize, f64)> {
         let base = points
             .first()
             .map(|p| p.mean(|r| r.throughput()))
@@ -65,7 +50,7 @@ impl ScalingData {
     }
 }
 
-/// Runs both workloads over `ps`, [`ExperimentPlan::seeds`] times each.
+/// Runs both workloads over `ps`, `ExperimentPlan::seeds` times each.
 /// SPECjbb runs with 2P warehouses ("optimal warehouses at each system
 /// size", Section 2.1); ECperf's thread pool is tuned per processor count
 /// (Section 3.2).
@@ -152,7 +137,6 @@ mod tests {
             reports: vec![mk(100), mk(200)],
         };
         assert!((p.mean(|r| r.throughput()) - 150.0).abs() < 1e-9);
-        assert!(p.stddev(|r| r.throughput()) > 0.0);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct ValidationRow {
 /// The full differential comparison.
 #[derive(Debug, Clone)]
 pub struct Validation {
-    /// All rows, config-major in [`CONFIGS`] × [`METRICS`] order, each
+    /// All rows, config-major in `CONFIGS` × [`METRICS`] order, each
     /// config closed by its `wall_speedup` row.
     pub rows: Vec<ValidationRow>,
     /// The bound [`violations`](Self::violations) checks against.
@@ -217,7 +217,7 @@ pub fn run(plan: &ExperimentPlan) -> Validation {
 
 impl Validation {
     /// The metric rows (excluding the `wall_speedup` bookkeeping rows).
-    pub fn metric_rows(&self) -> impl Iterator<Item = &ValidationRow> {
+    pub(crate) fn metric_rows(&self) -> impl Iterator<Item = &ValidationRow> {
         self.rows.iter().filter(|r| r.metric != "wall_speedup")
     }
 

@@ -22,7 +22,7 @@ pub mod experiment;
 pub mod figures;
 pub mod score;
 
-pub use cluster::{replay_into_database, run_cluster, ClusterReport};
+pub use cluster::{run_cluster, ClusterReport};
 pub use engine::{
     measure_sampled, replay_trace, replay_traces, AccessSource, AttribProfiler, IntervalSample,
     IntervalSampler, LineStatsObserver, Machine, MachineConfig, ObserverHandle, ReplayReport,

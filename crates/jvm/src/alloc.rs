@@ -45,7 +45,7 @@ impl Tlab {
     }
 
     /// Bytes remaining in the current chunk.
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.end - self.cur
     }
 

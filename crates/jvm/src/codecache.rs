@@ -60,21 +60,6 @@ impl CodeCache {
         self.region
     }
 
-    /// Number of installed methods.
-    pub fn len(&self) -> usize {
-        self.methods.len()
-    }
-
-    /// Whether no methods are installed.
-    pub fn is_empty(&self) -> bool {
-        self.methods.is_empty()
-    }
-
-    /// Total installed code bytes.
-    pub fn footprint(&self) -> u64 {
-        self.used
-    }
-
     /// The method's code range.
     ///
     /// # Panics
@@ -92,7 +77,12 @@ impl CodeCache {
 
     /// Executes up to `lines` lines of the method (short calls / early
     /// returns execute a prefix of the body).
-    pub fn execute_lines(&self, id: MethodId, lines: u32, sink: &mut (impl MemSink + ?Sized)) {
+    pub(crate) fn execute_lines(
+        &self,
+        id: MethodId,
+        lines: u32,
+        sink: &mut (impl MemSink + ?Sized),
+    ) {
         let range = self.range(id);
         let total = range.line_count().min(lines as u64);
         let mut line = range.start().line();
@@ -120,7 +110,9 @@ mod tests {
         let b = c.install(1000);
         assert!(!c.range(a).overlaps(&c.range(b)));
         assert_eq!(c.range(a).len(), 128, "rounded to lines");
-        assert_eq!(c.footprint(), 128 + 1024);
+        assert_eq!(c.range(b).start(), Addr(0x10_0000 + 128));
+        let next = c.install(1);
+        assert_eq!(c.range(next).start(), Addr(0x10_0000 + 128 + 1024));
     }
 
     #[test]

@@ -266,7 +266,7 @@ mod tests {
         let out = h.minor_gc(&mut sink);
         assert_eq!(out.copied_bytes, 0, "nothing live to copy");
         assert!(out.freed_bytes > (900 << 10), "almost all of eden freed");
-        assert_eq!(h.eden_used(), 0);
+        assert_eq!(h.eden_occupancy(), 0.0);
         assert_eq!(h.occupied_bytes(), 0);
     }
 

@@ -25,7 +25,7 @@ pub struct HeapGeometry {
 impl HeapGeometry {
     /// The paper's configuration: 1424 MB heap, 400 MB new generation
     /// (320 MB eden + 2 x 40 MB survivors), 1024 MB old generation.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         HeapGeometry {
             eden: 320 << 20,
             survivor: 40 << 20,
@@ -163,7 +163,7 @@ impl Heap {
     }
 
     /// The heap configuration.
-    pub fn config(&self) -> &HeapConfig {
+    pub(crate) fn config(&self) -> &HeapConfig {
         &self.cfg
     }
 
@@ -311,11 +311,6 @@ impl Heap {
         sink.sweep(memsys::AccessKind::Store, self.range_of(id));
     }
 
-    /// Bytes currently consumed in eden.
-    pub fn eden_used(&self) -> u64 {
-        self.eden_used
-    }
-
     /// Fraction of eden consumed.
     pub fn eden_occupancy(&self) -> f64 {
         self.eden_used as f64 / self.eden.len() as f64
@@ -329,7 +324,7 @@ impl Heap {
     }
 
     /// Old-generation occupancy fraction (used and not yet compacted).
-    pub fn old_occupancy(&self) -> f64 {
+    pub(crate) fn old_occupancy(&self) -> f64 {
         self.old_used as f64 / self.old.len() as f64
     }
 }

@@ -56,22 +56,12 @@ impl LockSet {
         self.region
     }
 
-    /// Number of monitors created.
-    pub fn len(&self) -> u32 {
-        self.count
-    }
-
-    /// Whether no monitors exist yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
     /// The lock word's address.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not created by this set.
-    pub fn addr(&self, id: LockId) -> Addr {
+    pub(crate) fn addr(&self, id: LockId) -> Addr {
         assert!(id.0 < self.count, "unknown lock {id:?}");
         Addr(self.region.start().0 + id.0 as u64 * memsys::LINE_BYTES)
     }

@@ -61,7 +61,7 @@ pub struct ObjectRecord {
 
 impl ObjectRecord {
     /// Whether the object is live at `epoch`.
-    pub fn is_live(&self, epoch: u64) -> bool {
+    pub(crate) fn is_live(&self, epoch: u64) -> bool {
         if self.freed {
             return false;
         }
@@ -82,22 +82,12 @@ pub struct ObjectTable {
 
 impl ObjectTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ObjectTable::default()
     }
 
-    /// Number of records in use.
-    pub fn len(&self) -> usize {
-        self.records.len() - self.free.len()
-    }
-
-    /// Whether no records are in use.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Inserts a record, recycling a free slot when available.
-    pub fn insert(&mut self, rec: ObjectRecord) -> ObjectId {
+    pub(crate) fn insert(&mut self, rec: ObjectRecord) -> ObjectId {
         if let Some(slot) = self.free.pop() {
             self.records[slot as usize] = rec;
             ObjectId(slot)
@@ -114,17 +104,17 @@ impl ObjectTable {
     ///
     /// Panics if `id` was removed (its slot recycled state is not checked;
     /// callers own id validity).
-    pub fn get(&self, id: ObjectId) -> &ObjectRecord {
+    pub(crate) fn get(&self, id: ObjectId) -> &ObjectRecord {
         &self.records[id.0 as usize]
     }
 
     /// Mutable access to a record.
-    pub fn get_mut(&mut self, id: ObjectId) -> &mut ObjectRecord {
+    pub(crate) fn get_mut(&mut self, id: ObjectId) -> &mut ObjectRecord {
         &mut self.records[id.0 as usize]
     }
 
     /// Removes a record, making its slot recyclable.
-    pub fn remove(&mut self, id: ObjectId) {
+    pub(crate) fn remove(&mut self, id: ObjectId) {
         self.free.push(id.0);
     }
 }
@@ -172,11 +162,10 @@ mod tests {
         let a = t.insert(rec(Lifetime::Permanent));
         let b = t.insert(rec(Lifetime::Permanent));
         assert_ne!(a, b);
-        assert_eq!(t.len(), 2);
         t.remove(a);
-        assert_eq!(t.len(), 1);
         let c = t.insert(rec(Lifetime::Ephemeral));
         assert_eq!(c, a, "freed slot is recycled");
-        assert_eq!(t.len(), 2);
+        let d = t.insert(rec(Lifetime::Permanent));
+        assert!(d != a && d != b, "no free slot left to recycle");
     }
 }

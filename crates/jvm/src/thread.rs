@@ -25,7 +25,7 @@ pub struct JavaThread {
 
 impl JavaThread {
     /// Creates a thread with the given stack region.
-    pub fn new(id: usize, stack: AddrRange) -> Self {
+    pub(crate) fn new(id: usize, stack: AddrRange) -> Self {
         JavaThread {
             id,
             stack,

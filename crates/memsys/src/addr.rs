@@ -34,12 +34,6 @@ impl Addr {
         LineAddr(self.0 >> LINE_BITS)
     }
 
-    /// Byte offset of this address within its cache line.
-    #[inline]
-    pub fn line_offset(self) -> u64 {
-        self.0 & (LINE_BYTES - 1)
-    }
-
     /// The address advanced by `bytes`.
     #[inline]
     pub fn offset(self, bytes: u64) -> Addr {
@@ -128,17 +122,7 @@ impl AddrRange {
     }
 
     /// Whether `addr` falls inside the range.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use memsys::addr::{Addr, AddrRange};
-    /// let r = AddrRange::new(Addr(0x100), 0x100);
-    /// assert!(r.contains(Addr(0x100)));
-    /// assert!(r.contains(Addr(0x1ff)));
-    /// assert!(!r.contains(Addr(0x200)));
-    /// ```
-    pub fn contains(&self, addr: Addr) -> bool {
+    pub(crate) fn contains(&self, addr: Addr) -> bool {
         addr >= self.start && addr < self.end()
     }
 
@@ -188,13 +172,6 @@ mod tests {
         assert_eq!(Addr(63).line(), LineAddr(0));
         assert_eq!(Addr(64).line(), LineAddr(1));
         assert_eq!(Addr(0x1000).line(), LineAddr(0x40));
-    }
-
-    #[test]
-    fn line_offset_wraps_within_line() {
-        assert_eq!(Addr(0).line_offset(), 0);
-        assert_eq!(Addr(63).line_offset(), 63);
-        assert_eq!(Addr(64).line_offset(), 0);
     }
 
     #[test]

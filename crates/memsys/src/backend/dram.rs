@@ -77,7 +77,7 @@ impl DramStats {
     }
 
     /// Mean channel-queue occupancy seen by arriving requests.
-    pub fn mean_occupancy(&self) -> f64 {
+    pub(crate) fn mean_occupancy(&self) -> f64 {
         let n = self.requests();
         if n == 0 {
             0.0
@@ -152,11 +152,6 @@ impl BankedDram {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
     /// Event counters so far.
     pub fn stats(&self) -> &DramStats {
         &self.stats
@@ -165,12 +160,6 @@ impl BankedDram {
     /// Per-fill total latency (queue wait + bank + bus) histogram.
     pub fn hist(&self) -> &Histogram {
         &self.hist
-    }
-
-    /// Aggregate service bandwidth in lines per cycle — the load the
-    /// channel buses can sustain; applied loads are fractions of it.
-    pub fn peak_lines_per_cycle(&self) -> f64 {
-        self.cfg.channels as f64 / self.cfg.channel_cycles as f64
     }
 
     /// Address mapping `row : bank : column : channel` over line
@@ -291,7 +280,7 @@ mod tests {
     #[test]
     fn idle_requests_pay_conflict_then_hits_within_a_row() {
         let mut d = dram();
-        let cfg = *d.config();
+        let cfg = DramConfig::default();
         // First touch of a bank: closed row, conflict timing.
         let first = d.fetch(line(0), 0).unwrap();
         assert_eq!(first, cfg.t_row_conflict + cfg.channel_cycles);
@@ -305,7 +294,7 @@ mod tests {
     #[test]
     fn far_apart_rows_conflict_every_time() {
         let mut d = dram();
-        let cfg = *d.config();
+        let cfg = DramConfig::default();
         // Same bank, alternating rows: every access precharges.
         let row_stride = (cfg.channels * cfg.row_lines * cfg.banks) as u64;
         let mut t = 0;
@@ -320,7 +309,7 @@ mod tests {
     #[test]
     fn back_to_back_bursts_queue_behind_the_bus() {
         let mut d = dram();
-        let cfg = *d.config();
+        let cfg = DramConfig::default();
         // A burst of same-cycle requests to one channel: each waits for
         // every predecessor's transfer, so latency grows linearly.
         let lat: Vec<u64> = (0..6)
@@ -378,7 +367,7 @@ mod tests {
         assert_eq!(d.hist().count(), 1, "only reads enter the histogram");
         // The writeback occupied the bus first, delaying the read past
         // its unloaded hit time.
-        let cfg = *d.config();
+        let cfg = DramConfig::default();
         assert!(read > cfg.t_row_hit + cfg.channel_cycles);
     }
 

@@ -20,12 +20,12 @@ pub struct FlatLatency {
 
 impl FlatLatency {
     /// Defers every fill's cost to the caller's latency table.
-    pub fn deferred() -> Self {
+    pub(crate) fn deferred() -> Self {
         FlatLatency { latency: None }
     }
 
     /// Stamps every fill with a constant `cycles` cost.
-    pub fn fixed(cycles: u64) -> Self {
+    pub(crate) fn fixed(cycles: u64) -> Self {
         FlatLatency {
             latency: Some(cycles),
         }

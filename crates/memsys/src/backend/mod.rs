@@ -96,7 +96,7 @@ pub enum Backend {
 
 impl Backend {
     /// Builds the backend a validated [`MemoryConfig`] names.
-    pub fn from_config(cfg: &MemoryConfig) -> Self {
+    pub(crate) fn from_config(cfg: &MemoryConfig) -> Self {
         match cfg {
             MemoryConfig::Flat => Backend::Flat(FlatLatency::deferred()),
             MemoryConfig::FlatFixed(cycles) => Backend::Flat(FlatLatency::fixed(*cycles)),

@@ -34,12 +34,12 @@ pub struct BusStats {
 
 impl BusStats {
     /// Creates zeroed counters.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         BusStats::default()
     }
 
     /// Records a transaction and whether a remote cache supplied the data.
-    pub fn record(&mut self, op: BusOp, supplied_by_cache: bool) {
+    pub(crate) fn record(&mut self, op: BusOp, supplied_by_cache: bool) {
         match op {
             BusOp::GetS => self.gets += 1,
             BusOp::GetX => self.getx += 1,
@@ -51,13 +51,13 @@ impl BusStats {
     }
 
     /// Records a dirty-victim writeback.
-    pub fn record_writeback(&mut self) {
+    pub(crate) fn record_writeback(&mut self) {
         self.writebacks += 1;
     }
 
     /// Records one bus transaction's snoop fan-out: how many remote L2s
     /// were probed and how many the filter let skip.
-    pub fn record_snoops(&mut self, sent: u64, filtered: u64) {
+    pub(crate) fn record_snoops(&mut self, sent: u64, filtered: u64) {
         self.snoops_sent += sent;
         self.snoops_filtered += filtered;
     }
@@ -71,11 +71,6 @@ impl BusStats {
         } else {
             self.snoops_filtered as f64 / total as f64
         }
-    }
-
-    /// Total address transactions (data-carrying or not).
-    pub fn total_transactions(&self) -> u64 {
-        self.gets + self.getx + self.upgrades + self.writebacks
     }
 }
 
@@ -96,7 +91,6 @@ mod tests {
         assert_eq!(b.upgrades, 1);
         assert_eq!(b.snoop_copybacks, 2);
         assert_eq!(b.writebacks, 1);
-        assert_eq!(b.total_transactions(), 5);
     }
 
     #[test]

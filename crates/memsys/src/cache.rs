@@ -16,7 +16,7 @@
 //! The hot-path contract is *decompose once, reuse everywhere*: callers
 //! split an address into its `(set, tag)` key with [`Cache::locate`] and
 //! thread that key through [`Cache::touch_at`], [`Cache::insert_at`],
-//! [`Cache::set_state_at`] and friends, so a multi-step protocol action
+//! `Cache::update_at` and friends, so a multi-step protocol action
 //! (touch, then upgrade; miss, then fill) never re-derives the index and
 //! never walks a set twice where one walk suffices.
 //!
@@ -32,7 +32,7 @@
 //! whole row branch-free and answers which partitions hold a line valid —
 //! the snooping bus's "who has it?" in one pass over adjacent words.
 //!
-//! Caches built with [`Cache::with_presence`] additionally carry a per-line
+//! Caches built with `Cache::with_presence` additionally carry a per-line
 //! presence bitmask maintained by the level above (the memory system uses
 //! it to remember which L1s above an inclusive L2 may hold each line, so
 //! inclusion invalidations skip processors that never touched it).
@@ -48,7 +48,7 @@ pub struct Evicted {
     pub line: LineAddr,
     /// Its state at eviction (dirty states require a writeback).
     pub state: LineState,
-    /// The presence mask tracked for the victim ([`Cache::with_presence`]);
+    /// The presence mask tracked for the victim (`Cache::with_presence`);
     /// `u64::MAX` ("assume everywhere") when tracking is disabled.
     pub presence: u64,
 }
@@ -79,7 +79,6 @@ fn word_tag(word: u64) -> u64 {
 /// more same-geometry partitions in one set-major table.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    cfg: CacheConfig,
     block_bits: u32,
     /// Log2 of the set count, precomputed so `locate`/`line_addr` never
     /// pay a `count_ones` per reference.
@@ -121,7 +120,6 @@ impl Cache {
         let sets = cfg.sets() as usize;
         let ways = cfg.ways as usize;
         Cache {
-            cfg,
             block_bits: cfg.block_bits(),
             index_bits: (sets as u64).trailing_zeros(),
             set_mask: (sets as u64) - 1,
@@ -135,18 +133,13 @@ impl Cache {
 
     /// Adds a per-line presence mask to every partition (see
     /// [`Cache::or_presence_mru`]).
-    pub fn with_presence(mut self) -> Self {
+    pub(crate) fn with_presence(mut self) -> Self {
         self.presence = Some(vec![0; self.meta.len()].into_boxed_slice());
         self
     }
 
-    /// The geometry of each partition.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
-    }
-
     /// Number of partitions.
-    pub fn parts(&self) -> usize {
+    pub(crate) fn parts(&self) -> usize {
         self.parts
     }
 
@@ -224,12 +217,12 @@ impl Cache {
     /// Looks up `addr` without disturbing LRU order.
     ///
     /// Returns the line's state if present and valid.
-    pub fn probe(&self, addr: Addr) -> Option<LineState> {
+    pub(crate) fn probe(&self, addr: Addr) -> Option<LineState> {
         let (set, tag) = self.key(addr);
         self.probe_at(set, tag)
     }
 
-    /// Keyed [`Cache::probe`].
+    /// Keyed `Cache::probe`.
     #[inline]
     pub fn probe_at(&self, set: usize, tag: u64) -> Option<LineState> {
         self.find(set, tag).map(|slot| word_state(self.meta[slot]))
@@ -242,7 +235,7 @@ impl Cache {
     }
 
     /// Keyed [`Cache::touch`]. After a hit the line occupies the set's
-    /// MRU way, which is what makes [`Cache::set_state_mru`] O(1).
+    /// MRU way, which is what makes `Cache::set_state_mru` O(1).
     #[inline]
     pub fn touch_at(&mut self, set: usize, tag: u64) -> Option<LineState> {
         let slot = self.find(set, tag)?;
@@ -317,27 +310,6 @@ impl Cache {
         evicted
     }
 
-    /// Overwrites the state of a present line; returns the old state, or
-    /// `None` if the line is not cached.
-    pub fn set_state(&mut self, addr: Addr, state: LineState) -> Option<LineState> {
-        let (set, tag) = self.key(addr);
-        self.set_state_at(set, tag, state)
-    }
-
-    /// Keyed [`Cache::set_state`]. Setting [`LineState::Invalid`] clears
-    /// the line's presence mask.
-    pub fn set_state_at(&mut self, set: usize, tag: u64, state: LineState) -> Option<LineState> {
-        let slot = self.find(set, tag)?;
-        let old = word_state(self.meta[slot]);
-        self.meta[slot] = pack(tag, state);
-        if !state.is_valid() {
-            if let Some(p) = &mut self.presence {
-                p[slot] = 0;
-            }
-        }
-        Some(old)
-    }
-
     /// Rewrites the state of the line a [`Cache::touch_at`] hit just
     /// promoted to MRU — the O(1) second half of a touch-then-upgrade
     /// (the store path's E→M and S/O→M transitions), replacing what used
@@ -347,7 +319,7 @@ impl Cache {
     ///
     /// Panics in debug builds if the MRU way does not hold `(set, tag)`.
     #[inline]
-    pub fn set_state_mru(&mut self, set: usize, tag: u64, state: LineState) {
+    pub(crate) fn set_state_mru(&mut self, set: usize, tag: u64, state: LineState) {
         let base = set * self.ways;
         debug_assert!(
             word_state(self.meta[base]).is_valid() && word_tag(self.meta[base]) == tag,
@@ -362,7 +334,7 @@ impl Cache {
     /// (use [`Cache::invalidate_at`] for that, which also harvests the
     /// presence mask).
     #[inline]
-    pub fn update_at(
+    pub(crate) fn update_at(
         &mut self,
         set: usize,
         tag: u64,
@@ -378,16 +350,10 @@ impl Cache {
         Some(old)
     }
 
-    /// Invalidates a line if present; returns its prior state.
-    pub fn invalidate(&mut self, addr: Addr) -> Option<LineState> {
-        let (set, tag) = self.key(addr);
-        self.invalidate_at(set, tag).map(|(state, _)| state)
-    }
-
     /// Keyed [`Cache::invalidate`] that also harvests the line's presence
     /// mask (`u64::MAX` when tracking is disabled) — one walk gives the
     /// snoop-write path the old state *and* which upper caches to purge.
-    pub fn invalidate_at(&mut self, set: usize, tag: u64) -> Option<(LineState, u64)> {
+    pub(crate) fn invalidate_at(&mut self, set: usize, tag: u64) -> Option<(LineState, u64)> {
         let slot = self.find(set, tag)?;
         let old = word_state(self.meta[slot]);
         self.meta[slot] = 0;
@@ -402,7 +368,7 @@ impl Cache {
     /// does not track presence). The caller must have just touched or
     /// inserted `(set, tag)` so it occupies the MRU way.
     #[inline]
-    pub fn or_presence_mru(&mut self, set: usize, tag: u64, bits: u64) {
+    pub(crate) fn or_presence_mru(&mut self, set: usize, tag: u64, bits: u64) {
         let base = set * self.ways;
         let _ = tag;
         if let Some(p) = &mut self.presence {
@@ -411,28 +377,6 @@ impl Cache {
                 "or_presence_mru without a preceding touch or fill"
             );
             p[base] |= bits;
-        }
-    }
-
-    /// The presence mask tracked for `addr`, if the cache tracks presence
-    /// and holds the line (tests and diagnostics).
-    pub fn presence_of(&self, addr: Addr) -> Option<u64> {
-        let p = self.presence.as_ref()?;
-        let (set, tag) = self.key(addr);
-        self.find(set, tag).map(|slot| p[slot])
-    }
-
-    /// Number of valid lines currently resident (O(capacity); for tests and
-    /// diagnostics).
-    pub fn resident_lines(&self) -> usize {
-        self.meta.iter().filter(|w| *w & STATE_MASK != 0).count()
-    }
-
-    /// Clears the cache to the empty state.
-    pub fn clear(&mut self) {
-        self.meta.fill(0);
-        if let Some(p) = &mut self.presence {
-            p.fill(0);
         }
     }
 }
@@ -475,14 +419,6 @@ mod tests {
         assert_eq!(b.insert(addr, LineState::Exclusive), None);
         assert_eq!(a.probe_at(set, tag), b.probe(addr));
         assert_eq!(a.touch_at(set, tag), b.touch(addr));
-        assert_eq!(
-            a.set_state_at(set, tag, LineState::Owned),
-            b.set_state(addr, LineState::Owned)
-        );
-        assert_eq!(
-            a.invalidate_at(set, tag).map(|(s, _)| s),
-            b.invalidate(addr)
-        );
     }
 
     #[test]
@@ -515,21 +451,20 @@ mod tests {
         let mut c = small();
         c.insert(Addr(0), LineState::Shared);
         assert_eq!(c.insert(Addr(128), LineState::Shared), None);
-        assert_eq!(c.resident_lines(), 2);
+        assert_eq!(c.probe(Addr(0)), Some(LineState::Shared));
     }
 
     #[test]
-    fn set_state_and_invalidate() {
+    fn invalidate_at_clears_the_line() {
         let mut c = small();
-        c.insert(Addr(0), LineState::Exclusive);
+        c.insert(Addr(0), LineState::Modified);
+        let (set, tag) = c.locate(Addr(0));
         assert_eq!(
-            c.set_state(Addr(0), LineState::Modified),
-            Some(LineState::Exclusive)
+            c.invalidate_at(set, tag),
+            Some((LineState::Modified, u64::MAX))
         );
-        assert_eq!(c.probe(Addr(0)), Some(LineState::Modified));
-        assert_eq!(c.invalidate(Addr(0)), Some(LineState::Modified));
         assert_eq!(c.probe(Addr(0)), None);
-        assert_eq!(c.invalidate(Addr(0)), None);
+        assert_eq!(c.invalidate_at(set, tag), None);
     }
 
     #[test]
@@ -561,17 +496,17 @@ mod tests {
         let (set, tag) = c.locate(Addr(0));
         c.insert_at(set, tag, LineState::Exclusive);
         c.or_presence_mru(set, tag, 0b101);
-        assert_eq!(c.presence_of(Addr(0)), Some(0b101));
-        // A second fill pushes line 0 off MRU; its mask must move with it.
+        // A second fill pushes line 0 off MRU; its mask must move with it,
+        // and the new line starts with an empty mask.
         c.insert(Addr(128), LineState::Shared);
-        assert_eq!(c.presence_of(Addr(0)), Some(0b101));
-        assert_eq!(c.presence_of(Addr(128)), Some(0));
+        let (set2, tag2) = c.locate(Addr(128));
+        assert_eq!(c.invalidate_at(set2, tag2), Some((LineState::Shared, 0)));
         // Invalidation harvests and clears the mask.
         assert_eq!(
             c.invalidate_at(set, tag),
             Some((LineState::Exclusive, 0b101))
         );
-        assert_eq!(c.presence_of(Addr(0)), None);
+        assert_eq!(c.invalidate_at(set, tag), None);
     }
 
     #[test]
@@ -597,11 +532,12 @@ mod tests {
 
     #[test]
     fn evicted_line_address_reconstructed() {
-        let mut c = Cache::new(CacheConfig::new(1 << 14, 4, 64).unwrap());
+        let cfg = CacheConfig::new(1 << 14, 4, 64).unwrap();
+        let mut c = Cache::new(cfg);
         let addr = Addr(0xdead_b000);
         c.insert(addr, LineState::Owned);
         // Fill the same set with conflicting lines to force eviction.
-        let sets = c.config().sets();
+        let sets = cfg.sets();
         let stride = sets * 64;
         let mut evicted = None;
         for i in 1..=4 {
@@ -636,13 +572,5 @@ mod tests {
             Some((LineState::Shared, 0))
         );
         assert_eq!(c.holders(set, tag), 0);
-    }
-
-    #[test]
-    fn clear_empties_cache() {
-        let mut c = small();
-        c.insert(Addr(0), LineState::Modified);
-        c.clear();
-        assert_eq!(c.resident_lines(), 0);
     }
 }

@@ -98,16 +98,6 @@ impl CacheConfig {
         Ok(cfg)
     }
 
-    /// A `capacity`-byte cache with the paper's 4-way/64-B geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is smaller than one 4-way set of 64-B blocks
-    /// or not a power of two.
-    pub fn paper_geometry(capacity: u64) -> Self {
-        CacheConfig::new(capacity, 4, LINE_BYTES).expect("invalid paper-geometry capacity")
-    }
-
     fn validate(&self) -> Result<(), ConfigError> {
         for (what, value) in [
             ("capacity", self.capacity),

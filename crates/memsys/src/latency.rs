@@ -38,16 +38,6 @@ impl LatencyTable {
         }
     }
 
-    /// A directory-protocol NUMA machine where a dirty remote fetch costs
-    /// 2.5x memory (the 200–300% penalty quoted in Section 4.3) — used by
-    /// the cache-to-cache-latency sensitivity ablation.
-    pub fn numa() -> Self {
-        LatencyTable {
-            cache_to_cache: 75 * 5 / 2,
-            ..LatencyTable::e6000()
-        }
-    }
-
     /// A copy of this table with the cache-to-cache latency scaled by
     /// `factor` relative to memory latency.
     pub fn with_c2c_factor(self, factor: f64) -> Self {
@@ -97,13 +87,6 @@ mod tests {
         let t = LatencyTable::e6000();
         let ratio = t.cache_to_cache as f64 / t.memory as f64;
         assert!((ratio - 1.4).abs() < 0.01, "paper Section 4.3: ~40% longer");
-    }
-
-    #[test]
-    fn numa_c2c_penalty_in_cited_range() {
-        let t = LatencyTable::numa();
-        let ratio = t.cache_to_cache as f64 / t.memory as f64;
-        assert!((2.0..=3.0).contains(&ratio));
     }
 
     #[test]

@@ -51,11 +51,6 @@ pub struct LineStats {
 }
 
 impl LineStats {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        LineStats::default()
-    }
-
     /// Records that `line` was referenced.
     #[inline]
     pub fn record_touch(&mut self, line: LineAddr) {
@@ -81,18 +76,6 @@ impl LineStats {
     /// Total cache-to-cache transfers recorded.
     pub fn total_c2c(&self) -> u64 {
         self.c2c.values().sum()
-    }
-
-    /// The `n` hottest lines with their transfer counts, descending.
-    pub fn top_lines(&self, n: usize) -> Vec<(crate::addr::LineAddr, u64)> {
-        let mut v: Vec<(crate::addr::LineAddr, u64)> = self
-            .c2c
-            .iter()
-            .map(|(&l, &c)| (crate::addr::LineAddr(l), c))
-            .collect();
-        v.sort_unstable_by_key(|&(_, c)| std::cmp::Reverse(c));
-        v.truncate(n);
-        v
     }
 
     /// Per-line transfer counts, sorted descending — the raw series behind
@@ -148,7 +131,7 @@ mod tests {
     use super::*;
 
     fn stats_with(counts: &[(u64, u64)], touched_extra: u64) -> LineStats {
-        let mut s = LineStats::new();
+        let mut s = LineStats::default();
         for &(line, n) in counts {
             s.record_touch(LineAddr(line));
             for _ in 0..n {
@@ -163,7 +146,7 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let s = LineStats::new();
+        let s = LineStats::default();
         assert_eq!(s.touched_lines(), 0);
         assert_eq!(s.total_c2c(), 0);
         assert_eq!(s.hottest_line_share(), 0.0);
@@ -211,7 +194,7 @@ mod tests {
 
     #[test]
     fn duplicate_touches_count_once() {
-        let mut s = LineStats::new();
+        let mut s = LineStats::default();
         for _ in 0..100 {
             s.record_touch(LineAddr(7));
         }

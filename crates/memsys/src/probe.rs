@@ -1,7 +1,7 @@
 //! Counter-registry descriptors for the memory-system stats structs.
 //!
 //! Each implementation destructures its struct exhaustively, so adding
-//! a field to [`SystemStats`]/[`BusStats`]/[`LineStats`] without
+//! a field to [`SystemStats`]/[`BusStats`]/[`DramStats`] without
 //! registering it here is a compile error — the registry cannot drift
 //! from the structs it describes. Descriptor tables are `'static`; the
 //! hot access path is untouched (sampling only *reads* the counters).
@@ -9,14 +9,12 @@
 //! Name schema (dot-separated, `cpustat`-style):
 //! - `mem.{ifetch,load,store}.*` and `mem.writebacks` — [`SystemStats`];
 //! - `bus.*` — [`BusStats`] (the paper's `EC_snoop_cb` is `bus.snoop_cb`);
-//! - `lines.*` — [`LineStats`] window summaries;
 //! - `dram.*` — [`DramStats`], present only with the banked-DRAM backend.
 
 use probes::registry::{ratio_ppm, CounterDesc, CounterKind, CounterSet, DriftClass, Snapshot};
 
 use crate::backend::DramStats;
 use crate::bus::BusStats;
-use crate::linestats::LineStats;
 use crate::stats::{KindCounters, SystemStats};
 use crate::system::MemorySystem;
 
@@ -138,29 +136,6 @@ impl CounterSet for BusStats {
     }
 }
 
-static LINE_STATS_DESCS: [CounterDesc; 3] = [
-    count("lines.touched"),
-    count("lines.communicating"),
-    count("lines.c2c_total"),
-];
-
-impl CounterSet for LineStats {
-    fn descriptors(&self) -> &'static [CounterDesc] {
-        &LINE_STATS_DESCS
-    }
-
-    // Window summaries of the per-line maps; the maps themselves stay
-    // behind the Figures 14/15 accessors. These reset with the window,
-    // so diff within a window only.
-    fn values(&self, out: &mut Vec<u64>) {
-        out.extend([
-            self.touched_lines(),
-            self.communicating_lines(),
-            self.total_c2c(),
-        ]);
-    }
-}
-
 // Event counts (reads, writebacks, row hits/conflicts) are functions
 // of the deterministic access stream: Exact. Queue pressure is timing
 // model territory — stall episodes and occupancy integrals shift when
@@ -217,24 +192,15 @@ impl CounterSet for DramStats {
 /// the gate reads tolerance bands from the same tables the counters
 /// are sampled through.
 pub fn descriptor_tables() -> Vec<&'static [CounterDesc]> {
-    vec![
-        &SYSTEM_STATS_DESCS,
-        &BUS_STATS_DESCS,
-        &LINE_STATS_DESCS,
-        &DRAM_STATS_DESCS,
-    ]
+    vec![&SYSTEM_STATS_DESCS, &BUS_STATS_DESCS, &DRAM_STATS_DESCS]
 }
 
 impl MemorySystem {
-    /// Appends this system's counters (stats, bus, per-line summaries
-    /// when tracking is enabled, DRAM events when that backend is
-    /// configured) to a snapshot under construction.
+    /// Appends this system's counters (stats, bus, DRAM events when that
+    /// backend is configured) to a snapshot under construction.
     pub fn record_counters(&self, snap: &mut Snapshot) {
         snap.record(self.stats());
         snap.record(self.bus_stats());
-        if let Some(lines) = self.line_stats() {
-            snap.record(lines);
-        }
         if let Some(dram) = self.dram_stats() {
             snap.record(dram);
         }

@@ -39,18 +39,12 @@ impl LineState {
         matches!(self, LineState::Modified | LineState::Owned)
     }
 
-    /// Whether a store can proceed without a bus transaction.
-    #[inline]
-    pub fn can_write_silently(self) -> bool {
-        matches!(self, LineState::Modified | LineState::Exclusive)
-    }
-
     /// State after a snooped read (`GetS`) from another cache.
     ///
     /// Dirty owners retain ownership as [`LineState::Owned`] and supply the
     /// data (a snoop copyback); clean holders fall to [`LineState::Shared`].
     #[inline]
-    pub fn after_remote_read(self) -> LineState {
+    pub(crate) fn after_remote_read(self) -> LineState {
         match self {
             LineState::Invalid => LineState::Invalid,
             LineState::Shared => LineState::Shared,
@@ -62,7 +56,7 @@ impl LineState {
     /// Whether responding to a remote read from this state puts the data on
     /// the bus from this cache (a snoop copyback / cache-to-cache transfer).
     #[inline]
-    pub fn supplies_data(self) -> bool {
+    pub(crate) fn supplies_data(self) -> bool {
         self.is_dirty()
     }
 
@@ -140,14 +134,6 @@ mod tests {
         assert_eq!(LineState::Exclusive.after_remote_read(), LineState::Shared);
         assert_eq!(LineState::Shared.after_remote_read(), LineState::Shared);
         assert_eq!(LineState::Invalid.after_remote_read(), LineState::Invalid);
-    }
-
-    #[test]
-    fn silent_write_only_from_m_or_e() {
-        assert!(LineState::Modified.can_write_silently());
-        assert!(LineState::Exclusive.can_write_silently());
-        assert!(!LineState::Owned.can_write_silently());
-        assert!(!LineState::Shared.can_write_silently());
     }
 
     #[test]

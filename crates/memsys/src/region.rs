@@ -59,21 +59,6 @@ impl RegionMap {
             _ => OTHER_REGION,
         }
     }
-
-    /// Number of registered regions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no regions are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The registered regions in address order.
-    pub fn entries(&self) -> &[(AddrRange, &'static str)] {
-        &self.entries
-    }
 }
 
 #[cfg(test)]
@@ -107,18 +92,14 @@ mod tests {
     }
 
     #[test]
-    fn entries_are_kept_sorted() {
-        let m = map();
-        let starts: Vec<u64> = m.entries().iter().map(|(r, _)| r.start().0).collect();
-        assert_eq!(starts, vec![0x1000, 0x2000, 0x4000]);
-    }
-
-    #[test]
     fn empty_ranges_are_ignored() {
         let mut m = RegionMap::new();
         m.insert(AddrRange::new(Addr(0x1000), 0), "nothing");
-        assert!(m.is_empty());
         assert_eq!(m.classify(Addr(0x1000)), OTHER_REGION);
+        // An ignored empty range cannot collide with a later region
+        // spanning its address.
+        m.insert(AddrRange::new(Addr(0x800), 0x1000), "code");
+        assert_eq!(m.classify(Addr(0x1000)), "code");
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl CountingSink {
     pub fn new() -> Self {
         CountingSink::default()
     }
-
-    /// Total references of all kinds.
-    pub fn refs(&self) -> u64 {
-        self.loads + self.stores + self.ifetches
-    }
 }
 
 impl MemSink for CountingSink {
@@ -140,7 +135,7 @@ mod tests {
         assert_eq!(s.loads, 1);
         assert_eq!(s.stores, 1);
         assert_eq!(s.ifetches, 2);
-        assert_eq!(s.refs(), 4);
+        assert_eq!(s.loads + s.stores + s.ifetches, 4);
     }
 
     #[test]
@@ -155,7 +150,7 @@ mod tests {
     fn sweep_of_empty_range_is_noop() {
         let mut s = CountingSink::new();
         s.sweep(AccessKind::Load, AddrRange::new(Addr(0), 0));
-        assert_eq!(s.refs(), 0);
+        assert_eq!(s.loads + s.stores + s.ifetches, 0);
     }
 
     #[test]

@@ -204,7 +204,7 @@ impl SystemStats {
     }
 
     /// Resets all counters while keeping per-cpu vector sizes.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         let cpus = self.l2_misses_by_cpu.len();
         *self = SystemStats::new(cpus);
     }

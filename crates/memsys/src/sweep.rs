@@ -34,15 +34,6 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// Misses per reference.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Misses per 1000 *instructions* — the paper's y-axis — given the
     /// total instruction count of the measurement window.
     pub fn misses_per_kilo_instr(&self, instructions: u64) -> f64 {
@@ -133,9 +124,10 @@ mod tests {
             }
         }
         let r = sweep.results();
-        let small = r[0].1.miss_rate();
-        let mid = r[1].1.miss_rate();
-        let big = r[2].1.miss_rate();
+        let miss_rate = |p: &SweepPoint| p.misses as f64 / p.accesses as f64;
+        let small = miss_rate(&r[0].1);
+        let mid = miss_rate(&r[1].1);
+        let big = miss_rate(&r[2].1);
         assert!(small > 0.9, "64 KB thrashes on a 128 KB loop: {small}");
         assert_eq!(mid, 0.0, "256 KB holds the loop");
         assert_eq!(big, 0.0);

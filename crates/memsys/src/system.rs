@@ -41,7 +41,6 @@ use crate::bus::BusStats;
 use crate::cache::Cache;
 use crate::config::{ConfigError, HierarchyConfig};
 use crate::latency::LatencyTable;
-use crate::linestats::LineStats;
 use crate::protocol::{BusOp, LineState};
 use crate::stats::{AccessKind, AccessOutcome, HitLevel, SystemStats};
 
@@ -60,7 +59,6 @@ pub struct MemorySystem {
     filtered: bool,
     stats: SystemStats,
     bus: BusStats,
-    linestats: Option<LineStats>,
     /// Access-latency histogram (costs supplied by the caller); `None`
     /// until [`MemorySystem::enable_latency_hist`].
     lat_hist: Option<(LatencyTable, Histogram)>,
@@ -114,7 +112,6 @@ impl MemorySystem {
             filtered: filtered && l2_count > 1 && l2_count <= Cache::MAX_HOLDER_PARTS,
             stats: SystemStats::new(cfg.cpus),
             bus: BusStats::new(),
-            linestats: None,
             lat_hist: None,
             backend: Backend::from_config(&cfg.memory),
             now: 0,
@@ -148,19 +145,6 @@ impl MemorySystem {
     /// Bus transaction statistics.
     pub fn bus_stats(&self) -> &BusStats {
         &self.bus
-    }
-
-    /// Enables per-line communication tracking (Figures 14/15). Costs one
-    /// hash update per reference.
-    pub fn enable_line_stats(&mut self) {
-        if self.linestats.is_none() {
-            self.linestats = Some(LineStats::new());
-        }
-    }
-
-    /// The per-line tracker, if enabled.
-    pub fn line_stats(&self) -> Option<&LineStats> {
-        self.linestats.as_ref()
     }
 
     /// Enables access-latency histogramming: every reference records its
@@ -213,9 +197,6 @@ impl MemorySystem {
     pub fn reset_stats(&mut self) {
         self.stats.reset();
         self.bus = BusStats::new();
-        if let Some(ls) = &mut self.linestats {
-            ls.reset();
-        }
         if let Some((_, h)) = &mut self.lat_hist {
             *h = Histogram::new();
         }
@@ -235,9 +216,6 @@ impl MemorySystem {
     /// Panics if `cpu` is out of range.
     pub fn access(&mut self, cpu: usize, kind: AccessKind, addr: Addr) -> AccessOutcome {
         assert!(cpu < self.cfg.cpus, "cpu {cpu} out of range");
-        if let Some(ls) = &mut self.linestats {
-            ls.record_touch(addr.line());
-        }
         let outcome = match kind {
             AccessKind::Ifetch => self.access_through(cpu, addr, /* store: */ false, true),
             AccessKind::Load => self.access_through(cpu, addr, false, false),
@@ -246,11 +224,6 @@ impl MemorySystem {
         self.stats.record(cpu, kind, &outcome);
         if let Some((costs, h)) = &mut self.lat_hist {
             h.record(costs.cost_of(&outcome));
-        }
-        if outcome.c2c {
-            if let Some(ls) = &mut self.linestats {
-                ls.record_c2c(addr.line());
-            }
         }
         outcome
     }
@@ -476,11 +449,6 @@ impl MemorySystem {
         true
     }
 
-    /// Total bytes of L2 capacity in the system (for reporting).
-    pub fn total_l2_capacity(&self) -> u64 {
-        self.cfg.l2.capacity * self.l2.parts() as u64
-    }
-
     /// The coherence state of `addr` in every L2, by group — diagnostics
     /// and invariant checking (e.g. the single-writer property).
     pub fn l2_states(&self, addr: Addr) -> Vec<LineState> {
@@ -604,10 +572,10 @@ mod tests {
     fn silent_e_to_m_upgrade_costs_no_bus_transaction() {
         let mut m = sys(2);
         m.access(0, AccessKind::Load, Addr(0x40)); // E
-        let before = m.bus_stats().total_transactions();
+        let before = *m.bus_stats();
         let o = m.access(0, AccessKind::Store, Addr(0x40));
         assert_ne!(o.level, HitLevel::Upgrade);
-        assert_eq!(m.bus_stats().total_transactions(), before);
+        assert_eq!(*m.bus_stats(), before);
     }
 
     #[test]
@@ -683,18 +651,6 @@ mod tests {
         // cannot be an L1 hit.
         let o = m.access(0, AccessKind::Load, Addr(0));
         assert_ne!(o.level, HitLevel::L1, "inclusion violated");
-    }
-
-    #[test]
-    fn line_stats_track_touches_and_c2c() {
-        let mut m = sys(2);
-        m.enable_line_stats();
-        m.access(0, AccessKind::Store, Addr(0x1000));
-        m.access(1, AccessKind::Load, Addr(0x1000));
-        m.access(0, AccessKind::Load, Addr(0x2000));
-        let ls = m.line_stats().unwrap();
-        assert_eq!(ls.touched_lines(), 2);
-        assert_eq!(ls.total_c2c(), 1);
     }
 
     #[test]

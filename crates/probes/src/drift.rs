@@ -40,7 +40,7 @@ impl DriftPolicy {
     /// The drift class for `name`. Counters absent from every table
     /// (older logs, ad-hoc probes) fall back by convention: `_ppm`
     /// ratios get a 1% band, everything else is `Exact`.
-    pub fn class_of(&self, name: &str) -> DriftClass {
+    pub(crate) fn class_of(&self, name: &str) -> DriftClass {
         for table in &self.tables {
             if let Some(d) = table.iter().find(|d| d.name == name) {
                 return d.drift;

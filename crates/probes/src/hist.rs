@@ -50,7 +50,7 @@ impl Histogram {
     }
 
     /// The bucket index a value lands in.
-    pub fn bucket_of(value: u64) -> usize {
+    pub(crate) fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -61,7 +61,7 @@ impl Histogram {
     /// The largest value bucket `i` can hold (used as the quantile
     /// representative). The saturating top bucket reports its lower
     /// bound — an honest "at least this much" rather than `u64::MAX`.
-    pub fn bucket_bound(i: usize) -> u64 {
+    pub(crate) fn bucket_bound(i: usize) -> u64 {
         match i {
             0 => 0,
             i if i < Histogram::BUCKETS - 1 => (1u64 << i) - 1,
@@ -74,13 +74,6 @@ impl Histogram {
         self.buckets[Histogram::bucket_of(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-    }
-
-    /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        self.buckets[Histogram::bucket_of(value)] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(value.saturating_mul(n));
     }
 
     /// Number of recorded samples.
@@ -146,7 +139,7 @@ impl Histogram {
     }
 
     /// 90th percentile.
-    pub fn p90(&self) -> u64 {
+    pub(crate) fn p90(&self) -> u64 {
         self.quantile(0.90)
     }
 
@@ -338,7 +331,9 @@ mod tests {
         // All mass in one bucket: every quantile is that bucket's upper
         // bound, regardless of rank.
         let mut h = Histogram::new();
-        h.record_n(10, 1_000); // bucket [8..15]
+        for _ in 0..1_000 {
+            h.record(10); // bucket [8..15]
+        }
         for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(q), 15, "quantile({q})");
         }

@@ -65,7 +65,7 @@ impl Json {
     }
 
     /// The value as a bool, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,

@@ -12,7 +12,8 @@ use crate::runlog::{Codec, Fields};
 /// Where and when a result was produced.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Provenance {
-    /// Short git revision of the working tree, or `"unknown"`.
+    /// Short git revision of the working tree, suffixed `-dirty` when
+    /// tracked files differ from it, or `"unknown"`.
     pub git_rev: String,
     /// Host the run executed on, or `"unknown"`.
     pub hostname: String,
@@ -95,19 +96,47 @@ impl Fields for Provenance {
 }
 
 fn git_rev() -> Option<String> {
-    let out = Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()?;
+    let rev = git(&["rev-parse", "--short=12", "HEAD"]).filter(|r| !r.is_empty())?;
+    // Only source edits make a result's producer differ from HEAD: result
+    // files the tools rewrite themselves (BENCH_*.json, RunLogs) do not.
+    // `--no-optional-locks` keeps the index refresh from taking
+    // `.git/index.lock` under a concurrent git command.
+    let status = git(&[
+        "--no-optional-locks",
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+        "--",
+        ":(top)crates",
+        ":(top)src",
+        ":(top)tests",
+        ":(top)examples",
+        ":(top)Cargo.toml",
+        ":(top)Cargo.lock",
+    ]);
+    Some(stamp_rev(rev, status.as_deref()))
+}
+
+/// `rev` suffixed `-dirty` when `git status --porcelain` printed
+/// anything, as `git describe --dirty` does: a result produced from
+/// uncommitted edits must not name the commit those edits started from.
+/// A failed status (`None`) cannot vouch for a clean tree, so it stamps
+/// `-unknown`.
+fn stamp_rev(rev: String, porcelain: Option<&str>) -> String {
+    match porcelain {
+        Some(p) if p.trim().is_empty() => rev,
+        Some(_) => format!("{rev}-dirty"),
+        None => format!("{rev}-unknown"),
+    }
+}
+
+/// The trimmed stdout of a successful `git` invocation.
+fn git(args: &[&str]) -> Option<String> {
+    let out = Command::new("git").args(args).output().ok()?;
     if !out.status.success() {
         return None;
     }
-    let rev = String::from_utf8(out.stdout).ok()?.trim().to_string();
-    if rev.is_empty() {
-        None
-    } else {
-        Some(rev)
-    }
+    Some(String::from_utf8(out.stdout).ok()?.trim().to_string())
 }
 
 fn hostname() -> Option<String> {
@@ -159,6 +188,28 @@ mod tests {
         assert!(line.get("workers").is_none());
         assert!(line.get("effort").is_none());
         assert!(line.get("sim_mode").is_none());
+    }
+
+    #[test]
+    fn clean_tree_stamps_the_bare_revision() {
+        assert_eq!(stamp_rev("4dccf4f78e12".into(), Some("")), "4dccf4f78e12");
+    }
+
+    #[test]
+    fn dirty_tree_stamps_a_dirty_suffix() {
+        let porcelain = " M crates/probes/src/provenance.rs\n";
+        assert_eq!(
+            stamp_rev("4dccf4f78e12".into(), Some(porcelain)),
+            "4dccf4f78e12-dirty"
+        );
+    }
+
+    #[test]
+    fn failed_status_stamps_an_unknown_suffix() {
+        assert_eq!(
+            stamp_rev("4dccf4f78e12".into(), None),
+            "4dccf4f78e12-unknown"
+        );
     }
 
     #[test]

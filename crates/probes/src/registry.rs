@@ -36,7 +36,7 @@ pub enum CounterKind {
 impl CounterKind {
     /// Short unit suffix used by renderers (`cpustat` prints raw
     /// numbers; we annotate).
-    pub fn unit(self) -> &'static str {
+    pub(crate) fn unit(self) -> &'static str {
         match self {
             CounterKind::Count => "events",
             CounterKind::Cycles => "cycles",
@@ -162,16 +162,6 @@ impl Snapshot {
         s
     }
 
-    /// Number of counters in the snapshot.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the snapshot holds no counters.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// Iterates `(name, kind, value)` in registration order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, CounterKind, u64)> + '_ {
         self.names
@@ -234,7 +224,7 @@ impl Snapshot {
 
     /// Renders the snapshot as a JSON object (`{"name": value, ...}`)
     /// in registration order.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::from("{");
         for (i, (name, _, v)) in self.iter().enumerate() {
             if i > 0 {
@@ -288,7 +278,7 @@ mod tests {
     #[test]
     fn snapshot_records_in_order() {
         let s = Snapshot::of(&Fake { a: 3, b: 9 });
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.iter().count(), 2);
         assert_eq!(s.get("fake.a"), Some(3));
         assert_eq!(s.get("fake.b"), Some(9));
         assert!(s.names_unique());

@@ -1286,7 +1286,6 @@ mod tests {
                 weight_ppm: 500_000,
             },
         ]);
-        assert_eq!(log.sample_unit_count(), 2);
         let jsonl = log.to_jsonl(&Provenance {
             git_rev: "abc123".into(),
             hostname: "h".into(),

@@ -298,7 +298,7 @@ pub fn write_object<F: Fields>(value: &mut F, ev: Option<&str>) -> String {
 /// Reads a JSON object into a declaration: every required key present,
 /// every present key declared (bar `extra`) and well-typed, no key
 /// twice, then the value's own [`Fields::validate`] rules.
-pub fn read_object<F: Fields>(v: &Json, extra: Option<&str>) -> Result<F, String> {
+pub(crate) fn read_object<F: Fields>(v: &Json, extra: Option<&str>) -> Result<F, String> {
     let members = v.members().ok_or("not a JSON object")?;
     let mut value = F::default();
     let mut reader = Reader {
@@ -705,8 +705,8 @@ impl Record for AttribRecord {
 
 /// A thread-safe sink for run metadata and job spans.
 ///
-/// One log may span several plan runs (bench_plan logs its serial and
-/// parallel passes into the same file). Interior mutability keeps the
+/// One log may span several plan runs (the committed `RUNLOG_plan.jsonl`
+/// holds a serial and a parallel pass of one batch). Interior mutability keeps the
 /// runner's signature simple: workers share `&RunLog`.
 #[derive(Debug, Default)]
 pub struct RunLog {
@@ -797,19 +797,9 @@ impl RunLog {
         self.lock().hists.len()
     }
 
-    /// Number of sample-unit records captured so far.
-    pub fn sample_unit_count(&self) -> usize {
-        self.lock().sample_units.len()
-    }
-
     /// Number of event records captured so far.
     pub fn event_count(&self) -> usize {
         self.lock().events.len()
-    }
-
-    /// Number of attribution records captured so far.
-    pub fn attrib_count(&self) -> usize {
-        self.lock().attribs.len()
     }
 
     /// Serializes the log as JSONL: one `provenance` line, then the
@@ -1120,8 +1110,6 @@ mod tests {
                 cycles: 105,
             },
         ]);
-        assert_eq!(log.attrib_count(), 2);
-
         let text = log.to_jsonl(&test_prov());
         let lines: Vec<&str> = text.lines().collect();
         // prov + run + span + 2 attribs.

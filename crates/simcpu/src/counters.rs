@@ -4,9 +4,8 @@
 //! counters through Solaris's `cpustat`: cycle and instruction counts, and
 //! the "snoop copyback" event used to derive the cache-to-cache transfer
 //! ratio (Section 4.3). This module is a thin veneer exposing the
-//! simulator's numbers under the same event names, with interval snapshots
-//! so experiments can sample the counters every 100 ms as the paper does
-//! for Figure 10.
+//! simulator's numbers under the same event names; the engine's interval
+//! sampler turns them into the Figure 10 time series.
 
 use std::fmt;
 
@@ -23,47 +22,6 @@ pub struct CounterSample {
     pub ec_misses: u64,
 }
 
-impl CounterSample {
-    /// Counter deltas between `self` (later) and an earlier sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is not actually earlier (any counter larger).
-    pub fn since(&self, earlier: &CounterSample) -> CounterSample {
-        assert!(
-            self.cycle_cnt >= earlier.cycle_cnt
-                && self.instr_cnt >= earlier.instr_cnt
-                && self.ec_snoop_cb >= earlier.ec_snoop_cb
-                && self.ec_misses >= earlier.ec_misses,
-            "counter snapshot taken out of order"
-        );
-        CounterSample {
-            cycle_cnt: self.cycle_cnt - earlier.cycle_cnt,
-            instr_cnt: self.instr_cnt - earlier.instr_cnt,
-            ec_snoop_cb: self.ec_snoop_cb - earlier.ec_snoop_cb,
-            ec_misses: self.ec_misses - earlier.ec_misses,
-        }
-    }
-
-    /// CPI over the sample.
-    pub fn cpi(&self) -> f64 {
-        if self.instr_cnt == 0 {
-            0.0
-        } else {
-            self.cycle_cnt as f64 / self.instr_cnt as f64
-        }
-    }
-
-    /// Snoop copybacks as a fraction of L2 misses — the Figure 8 ratio.
-    pub fn copyback_ratio(&self) -> f64 {
-        if self.ec_misses == 0 {
-            0.0
-        } else {
-            self.ec_snoop_cb as f64 / self.ec_misses as f64
-        }
-    }
-}
-
 impl fmt::Display for CounterSample {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -71,88 +29,5 @@ impl fmt::Display for CounterSample {
             "Cycle_cnt={} Instr_cnt={} EC_snoop_cb={} EC_misses={}",
             self.cycle_cnt, self.instr_cnt, self.ec_snoop_cb, self.ec_misses
         )
-    }
-}
-
-/// An interval sampler that turns cumulative samples into per-interval
-/// deltas (the Figure 10 time series).
-#[derive(Debug, Clone, Default)]
-pub struct IntervalSampler {
-    last: CounterSample,
-    intervals: Vec<CounterSample>,
-}
-
-impl IntervalSampler {
-    /// Creates a sampler with the counters at zero.
-    pub fn new() -> Self {
-        IntervalSampler::default()
-    }
-
-    /// Records the end of an interval given the cumulative counters.
-    pub fn sample(&mut self, cumulative: CounterSample) {
-        self.intervals.push(cumulative.since(&self.last));
-        self.last = cumulative;
-    }
-
-    /// The recorded per-interval deltas.
-    pub fn intervals(&self) -> &[CounterSample] {
-        &self.intervals
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn since_computes_deltas() {
-        let a = CounterSample {
-            cycle_cnt: 100,
-            instr_cnt: 50,
-            ec_snoop_cb: 5,
-            ec_misses: 10,
-        };
-        let b = CounterSample {
-            cycle_cnt: 300,
-            instr_cnt: 150,
-            ec_snoop_cb: 11,
-            ec_misses: 30,
-        };
-        let d = b.since(&a);
-        assert_eq!(d.cycle_cnt, 200);
-        assert_eq!(d.instr_cnt, 100);
-        assert_eq!(d.ec_snoop_cb, 6);
-        assert_eq!(d.ec_misses, 20);
-        assert!((d.cpi() - 2.0).abs() < 1e-12);
-        assert!((d.copyback_ratio() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn out_of_order_sample_panics() {
-        let a = CounterSample {
-            cycle_cnt: 100,
-            ..Default::default()
-        };
-        let _ = CounterSample::default().since(&a);
-    }
-
-    #[test]
-    fn interval_sampler_produces_series() {
-        let mut s = IntervalSampler::new();
-        s.sample(CounterSample {
-            ec_snoop_cb: 10,
-            ..Default::default()
-        });
-        s.sample(CounterSample {
-            ec_snoop_cb: 10,
-            ..Default::default()
-        });
-        s.sample(CounterSample {
-            ec_snoop_cb: 25,
-            ..Default::default()
-        });
-        let copybacks: Vec<u64> = s.intervals().iter().map(|i| i.ec_snoop_cb).collect();
-        assert_eq!(copybacks, vec![10, 0, 15]);
     }
 }

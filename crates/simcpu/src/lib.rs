@@ -8,8 +8,8 @@
 //! - [`pipeline::CpuTimer`] — per-processor cycle accounting with the
 //!   paper's breakdown (other / instruction stall / data stall by cause);
 //! - [`storebuf::StoreBuffer`] — stores stall only when the buffer fills;
-//! - [`counters`] — `cpustat`-style counter sampling for the Figure 10
-//!   time series.
+//! - [`counters`] — `cpustat`-style counter samples, the events of the
+//!   Figure 10 time series.
 //!
 //! ## Example
 //!
@@ -38,7 +38,7 @@ pub mod pipeline;
 pub mod probe;
 pub mod storebuf;
 
-pub use counters::{CounterSample, IntervalSampler};
-pub use latency::{cycles_to_seconds, LatencyTable, CLOCK_HZ};
+pub use counters::CounterSample;
+pub use latency::{LatencyTable, CLOCK_HZ};
 pub use pipeline::{CpiReport, CpuTimer, DataStall, PipelineParams, StallCharge};
 pub use storebuf::{StoreBuffer, DEFAULT_DEPTH};

@@ -124,11 +124,6 @@ impl CpuTimer {
         CpuTimer::new(PipelineParams::default(), LatencyTable::e6000())
     }
 
-    /// The latency table in use.
-    pub fn latencies(&self) -> &LatencyTable {
-        &self.lat
-    }
-
     /// Retires `n` instructions (charging base CPI).
     #[inline]
     pub fn retire(&mut self, n: u64) {
@@ -433,7 +428,7 @@ mod tests {
         let h = t.drain_hist().unwrap();
         assert_eq!(h.count(), 32);
         // Every store carries at least its own write latency.
-        let lat = t.latencies().stall_for(HitLevel::Memory);
+        let lat = LatencyTable::e6000().stall_for(HitLevel::Memory);
         assert!(h.sum() >= 32 * lat);
         // The burst filled the buffer, so the tail includes stall time.
         assert!(h.sum() > 32 * lat, "burst must add buffer-full stalls");

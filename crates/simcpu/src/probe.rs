@@ -123,7 +123,7 @@ mod tests {
         };
         let snap = Snapshot::of(&report);
         assert!(snap.names_unique());
-        assert_eq!(snap.len(), 10);
+        assert_eq!(snap.iter().count(), 10);
         assert_eq!(snap.get("cpu.stall.c2c"), Some(4));
         // The snapshot's cycle counters reproduce the report's total.
         let total: u64 = ["cpu.base_cycles", "cpu.instr_stall"]

@@ -27,19 +27,13 @@ impl StoreBuffer {
     /// # Panics
     ///
     /// Panics if `depth` is zero.
-    pub fn new(depth: usize) -> Self {
+    pub(crate) fn new(depth: usize) -> Self {
         assert!(depth > 0, "store buffer depth must be positive");
         StoreBuffer {
             slots: vec![0; depth],
             head: 0,
             len: 0,
         }
-    }
-
-    /// Number of stores currently in flight at time `now`.
-    pub fn occupancy(&mut self, now: u64) -> usize {
-        self.drain(now);
-        self.len
     }
 
     fn drain(&mut self, now: u64) {
@@ -52,7 +46,7 @@ impl StoreBuffer {
     /// Enqueues a store issued at cycle `now` whose memory operation takes
     /// `latency` cycles. Returns the stall cycles suffered by the pipeline
     /// (non-zero only when the buffer was full).
-    pub fn push(&mut self, now: u64, latency: u64) -> u64 {
+    pub(crate) fn push(&mut self, now: u64, latency: u64) -> u64 {
         self.drain(now);
         let cap = self.slots.len();
         let (start, stall) = if self.len == cap {
@@ -71,7 +65,7 @@ impl StoreBuffer {
     }
 
     /// Empties the buffer (context switch / barrier).
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.len = 0;
     }
 }
@@ -92,7 +86,8 @@ mod tests {
         for i in 0..4 {
             assert_eq!(sb.push(i, 100), 0);
         }
-        assert_eq!(sb.occupancy(3), 4);
+        // All four are still in flight: a fifth waits for the oldest.
+        assert_eq!(sb.push(3, 100), 97);
     }
 
     #[test]
@@ -109,8 +104,8 @@ mod tests {
         let mut sb = StoreBuffer::new(2);
         sb.push(0, 10);
         sb.push(0, 10);
-        assert_eq!(sb.occupancy(10), 0);
         assert_eq!(sb.push(10, 10), 0);
+        assert_eq!(sb.push(10, 10), 0, "both slots drained by time 10");
     }
 
     #[test]
@@ -127,7 +122,8 @@ mod tests {
         sb.push(0, 1000);
         sb.push(0, 1000);
         sb.flush();
-        assert_eq!(sb.occupancy(0), 0);
+        assert_eq!(sb.push(0, 1000), 0);
+        assert_eq!(sb.push(0, 1000), 0);
     }
 
     #[test]

@@ -38,16 +38,6 @@ impl Cdf {
         Cdf { cumulative, total }
     }
 
-    /// Number of contributing lines.
-    pub fn lines(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Total events.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Share contributed by the hottest `n` lines.
     pub fn share_of_hottest(&self, n: usize) -> f64 {
         if n == 0 || self.cumulative.is_empty() {
@@ -105,7 +95,7 @@ mod tests {
     #[test]
     fn empty_cdf_is_harmless() {
         let cdf = Cdf::from_counts_desc(&[]);
-        assert_eq!(cdf.lines(), 0);
+        assert!(cdf.cumulative.is_empty());
         assert_eq!(cdf.share_of_hottest(5), 0.0);
         assert!(cdf.log_spaced_series(10).is_empty());
     }

@@ -64,45 +64,8 @@ pub struct Estimate {
     pub measured_strata: usize,
 }
 
-impl Estimate {
-    /// Lower edge of the 95% interval.
-    pub fn lo(&self) -> f64 {
-        self.mean - self.ci_half
-    }
-
-    /// Upper edge of the 95% interval.
-    pub fn hi(&self) -> f64 {
-        self.mean + self.ci_half
-    }
-
-    /// CI half-width relative to the mean (0 when the mean is 0).
-    pub fn relative_ci(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.ci_half / self.mean.abs()
-        }
-    }
-}
-
 /// z-score of the two-sided 95% normal interval.
 const Z95: f64 = 1.96;
-
-/// Weighted mean of `(weight, value)` pairs, in input order. Returns 0
-/// when the total weight is 0.
-pub fn weighted_mean(pairs: &[(f64, f64)]) -> f64 {
-    let mut wsum = 0.0;
-    let mut acc = 0.0;
-    for &(w, v) in pairs {
-        wsum += w;
-        acc += w * v;
-    }
-    if wsum == 0.0 {
-        0.0
-    } else {
-        acc / wsum
-    }
-}
 
 /// The stratified estimator.
 ///
@@ -204,13 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_matches_hand_computation() {
-        let pairs = [(1.0, 10.0), (3.0, 20.0)];
-        assert!((weighted_mean(&pairs) - 17.5).abs() < 1e-12);
-        assert_eq!(weighted_mean(&[]), 0.0);
-    }
-
-    #[test]
     fn stratified_mean_weights_clusters_by_population() {
         // Two strata with exactly known means: 80% of the window at
         // 2.0, 20% at 10.0 -> 3.6.
@@ -267,8 +223,8 @@ mod tests {
         let e = stratified(&[Stratum::new(1.0, vals)]);
         assert!((e.mean - plain).abs() < 1e-12);
         assert!(e.ci_half > 0.0);
-        assert!(e.relative_ci() < 0.25);
-        assert!(e.lo() < plain && plain < e.hi());
+        assert!(e.ci_half / e.mean < 0.25);
+        assert!(e.mean - e.ci_half < plain && plain < e.mean + e.ci_half);
     }
 
     #[test]

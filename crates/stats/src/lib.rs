@@ -15,6 +15,6 @@ pub mod summary;
 pub mod table;
 
 pub use cdf::Cdf;
-pub use extrapolate::{stratified, weighted_mean, Estimate, Stratum};
+pub use extrapolate::{stratified, Estimate, Stratum};
 pub use summary::Summary;
 pub use table::{fbytes, fnum, Table};

@@ -14,7 +14,7 @@ pub struct Summary {
 
 impl Summary {
     /// Creates an empty summary.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Summary {
             n: 0,
             mean: 0.0,
@@ -25,18 +25,13 @@ impl Summary {
     }
 
     /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
+    pub(crate) fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn n(&self) -> u64 {
-        self.n
     }
 
     /// Sample mean (0 when empty).
@@ -109,7 +104,7 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.n(), 0);
+        assert_eq!(s.n, 0);
     }
 
     #[test]

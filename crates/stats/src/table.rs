@@ -41,22 +41,6 @@ impl Table {
         self.rows.push(cells.to_vec());
         self
     }
-
-    /// Convenience: appends a row of displayable cells.
-    pub fn row_of(&mut self, cells: &[&dyn fmt::Display]) -> &mut Self {
-        let rendered: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&rendered)
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
 }
 
 impl fmt::Display for Table {
@@ -127,7 +111,7 @@ mod tests {
         assert!(s.contains("## Figure X"));
         assert!(s.contains("|  P | speedup |"));
         assert!(s.contains("| 16 |    9.75 |"));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

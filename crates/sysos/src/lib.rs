@@ -21,9 +21,10 @@
 //! use sysos::sched::ProcessorSet;
 //!
 //! let pset = ProcessorSet::first_n(4, 16);
-//! let mut modes = ModeAccount::new(pset.machine_cpus());
-//! modes.add(0, ExecMode::User, 90);
-//! modes.add(0, ExecMode::System, 10);
+//! let mut modes = ModeAccount::new(16);
+//! let cpu = pset.cpus()[0];
+//! modes.add(cpu, ExecMode::User, 90);
+//! modes.add(cpu, ExecMode::System, 10);
 //! assert!((modes.breakdown().user - 0.9).abs() < 1e-12);
 //! ```
 
@@ -33,6 +34,6 @@ pub mod sched;
 pub mod tlb;
 
 pub use modes::{ExecMode, ModeAccount, ModeBreakdown, ALL_MODES};
-pub use net::{NetConfig, NetStack, NetStats};
-pub use sched::{ProcessorSet, RunQueue};
+pub use net::{NetConfig, NetStack};
+pub use sched::ProcessorSet;
 pub use tlb::{Tlb, TlbConfig};

@@ -73,11 +73,6 @@ impl ModeAccount {
         }
     }
 
-    /// Number of processors tracked.
-    pub fn cpus(&self) -> usize {
-        self.per_cpu.len()
-    }
-
     /// Adds `cycles` of `mode` time on processor `cpu`.
     ///
     /// # Panics
@@ -98,7 +93,7 @@ impl ModeAccount {
     }
 
     /// All cycles across all processors and modes.
-    pub fn grand_total(&self) -> u64 {
+    pub(crate) fn grand_total(&self) -> u64 {
         self.per_cpu.iter().flatten().sum()
     }
 

@@ -14,7 +14,7 @@
 //! scheduler's lock facility), and copies the payload through a
 //! per-connection socket buffer ring (the parallel part).
 
-use memsys::{AccessKind, Addr, AddrRange, MemSink, LINE_BYTES};
+use memsys::{Addr, AddrRange, MemSink, LINE_BYTES};
 
 /// Kernel network-path parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,15 +44,6 @@ impl Default for NetConfig {
     }
 }
 
-/// Statistics for a network stack.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Messages processed.
-    pub messages: u64,
-    /// Payload bytes moved.
-    pub bytes: u64,
-}
-
 /// One machine's kernel network stack.
 #[derive(Debug, Clone)]
 pub struct NetStack {
@@ -62,7 +53,6 @@ pub struct NetStack {
     sockbufs: Vec<AddrRange>,
     cursors: Vec<u64>,
     text_cursor: u64,
-    stats: NetStats,
 }
 
 impl NetStack {
@@ -93,23 +83,7 @@ impl NetStack {
             cursors: vec![0; connections],
             sockbufs,
             text_cursor: 0,
-            stats: NetStats::default(),
         }
-    }
-
-    /// The stack's configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
-    /// Message statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// Number of connections.
-    pub fn connections(&self) -> usize {
-        self.sockbufs.len()
     }
 
     /// Address of global protocol lock `i` (for scheduler-level
@@ -118,7 +92,7 @@ impl NetStack {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn lock_addr(&self, i: u32) -> Addr {
+    pub(crate) fn lock_addr(&self, i: u32) -> Addr {
         assert!(i < self.cfg.global_locks, "lock index {i} out of range");
         Addr(self.locks.start().0 + i as u64 * LINE_BYTES)
     }
@@ -150,8 +124,6 @@ impl NetStack {
     ///
     /// Panics if `conn` is out of range.
     pub fn emit_transfer(&mut self, conn: usize, bytes: u64, sink: &mut (impl MemSink + ?Sized)) {
-        self.stats.messages += 1;
-        self.stats.bytes += bytes;
         sink.instructions(self.cfg.overhead_instructions);
 
         // Kernel text walk: a rotating window over the hot text, so the
@@ -180,22 +152,6 @@ impl NetStack {
         *cursor = (*cursor + copy_lines) % buf_lines;
         sink.instructions(bytes / 8);
     }
-
-    /// Convenience: a whole message (protocol + transfer) using lock
-    /// `conn % global_locks`. For contention-aware runs, call the parts
-    /// separately under the scheduler's lock.
-    pub fn emit_message(&mut self, conn: usize, bytes: u64, sink: &mut (impl MemSink + ?Sized)) {
-        let lock = (conn as u32) % self.cfg.global_locks;
-        self.emit_protocol(lock, sink);
-        self.emit_transfer(conn, bytes, sink);
-    }
-
-    /// Touches the whole hot kernel text once (boot / warm-up), returning
-    /// the instruction-footprint size.
-    pub fn warm_text(&mut self, sink: &mut (impl MemSink + ?Sized)) -> u64 {
-        sink.sweep(AccessKind::Ifetch, self.text);
-        self.text.len()
-    }
 }
 
 #[cfg(test)]
@@ -215,12 +171,11 @@ mod tests {
     fn message_emits_code_locks_and_copies() {
         let mut s = stack(2);
         let mut sink = CountingSink::new();
-        s.emit_message(0, 1024, &mut sink);
+        s.emit_protocol(0, &mut sink);
+        s.emit_transfer(0, 1024, &mut sink);
         assert!(sink.ifetches >= (NetConfig::default().text_walk_bytes / 64));
         assert!(sink.stores >= 1024 / 64);
         assert!(sink.instructions > 500);
-        assert_eq!(s.stats().messages, 1);
-        assert_eq!(s.stats().bytes, 1024);
     }
 
     #[test]
@@ -280,15 +235,6 @@ mod tests {
             seen.len(),
             total
         );
-    }
-
-    #[test]
-    fn warm_text_touches_full_footprint() {
-        let mut s = stack(1);
-        let mut sink = CountingSink::new();
-        let bytes = s.warm_text(&mut sink);
-        assert_eq!(bytes, NetConfig::default().hot_text_bytes);
-        assert_eq!(sink.ifetches, bytes / 64);
     }
 
     #[test]

@@ -1,19 +1,16 @@
-//! Processor sets and run queues.
+//! Processor sets.
 //!
 //! The paper binds the benchmark to a subset of the E6000's sixteen
 //! processors with Solaris's `psrset` (Section 3): the application may only
 //! run inside the set, other processes are kept out of it, and the
 //! operating system still runs everywhere (which is why Figure 8 shows
 //! cache-to-cache transfers even at "1 processor"). [`ProcessorSet`]
-//! models the binding and [`RunQueue`] a simple FIFO dispatcher over it.
-
-use std::collections::VecDeque;
+//! models the binding.
 
 /// A `psrset`-style binding: the processors the workload may use.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessorSet {
     cpus: Vec<usize>,
-    machine_cpus: usize,
 }
 
 impl ProcessorSet {
@@ -30,78 +27,12 @@ impl ProcessorSet {
         );
         ProcessorSet {
             cpus: (0..bound).collect(),
-            machine_cpus,
         }
     }
 
     /// The processors in the set.
     pub fn cpus(&self) -> &[usize] {
         &self.cpus
-    }
-
-    /// Number of processors in the set.
-    pub fn len(&self) -> usize {
-        self.cpus.len()
-    }
-
-    /// Whether the set is empty (never true for a constructed set).
-    pub fn is_empty(&self) -> bool {
-        self.cpus.is_empty()
-    }
-
-    /// Whether `cpu` belongs to the set.
-    pub fn contains(&self, cpu: usize) -> bool {
-        self.cpus.contains(&cpu)
-    }
-
-    /// Processors of the machine *outside* the set (where the OS and other
-    /// processes still run).
-    pub fn outside(&self) -> Vec<usize> {
-        (0..self.machine_cpus)
-            .filter(|c| !self.contains(*c))
-            .collect()
-    }
-
-    /// Total processors on the machine.
-    pub fn machine_cpus(&self) -> usize {
-        self.machine_cpus
-    }
-}
-
-/// A FIFO run queue of thread indices.
-#[derive(Debug, Clone, Default)]
-pub struct RunQueue {
-    queue: VecDeque<usize>,
-}
-
-impl RunQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        RunQueue::default()
-    }
-
-    /// Enqueues a runnable thread.
-    pub fn push(&mut self, thread: usize) {
-        debug_assert!(
-            !self.queue.contains(&thread),
-            "thread {thread} queued twice"
-        );
-        self.queue.push_back(thread);
-    }
-
-    /// Dequeues the next runnable thread.
-    pub fn pop(&mut self) -> Option<usize> {
-        self.queue.pop_front()
-    }
-
-    /// Number of runnable threads waiting.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no thread is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 
@@ -112,16 +43,7 @@ mod tests {
     #[test]
     fn first_n_binds_prefix() {
         let p = ProcessorSet::first_n(4, 16);
-        assert_eq!(p.len(), 4);
-        assert!(p.contains(0) && p.contains(3));
-        assert!(!p.contains(4));
-        assert_eq!(p.outside().len(), 12);
-    }
-
-    #[test]
-    fn full_machine_has_no_outside() {
-        let p = ProcessorSet::first_n(16, 16);
-        assert!(p.outside().is_empty());
+        assert_eq!(p.cpus(), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -134,17 +56,5 @@ mod tests {
     #[should_panic(expected = "processor set")]
     fn empty_set_panics() {
         let _ = ProcessorSet::first_n(0, 16);
-    }
-
-    #[test]
-    fn run_queue_is_fifo() {
-        let mut q = RunQueue::new();
-        q.push(3);
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
     }
 }

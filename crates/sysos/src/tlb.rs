@@ -43,11 +43,6 @@ impl TlbConfig {
             ..TlbConfig::base_pages()
         }
     }
-
-    /// Bytes covered by a full TLB ("TLB reach").
-    pub fn reach(&self) -> u64 {
-        (self.entries as u64) << self.page_bits
-    }
 }
 
 /// A fully associative, LRU translation lookaside buffer.
@@ -56,8 +51,6 @@ pub struct Tlb {
     cfg: TlbConfig,
     /// Resident page numbers, MRU first.
     pages: Vec<u64>,
-    hits: u64,
-    misses: u64,
 }
 
 impl Tlb {
@@ -66,14 +59,7 @@ impl Tlb {
         Tlb {
             cfg,
             pages: Vec::with_capacity(cfg.entries),
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &TlbConfig {
-        &self.cfg
     }
 
     /// Translates `addr`; returns the stall cycles (0 on a hit,
@@ -81,12 +67,10 @@ impl Tlb {
     pub fn access(&mut self, addr: Addr) -> u64 {
         let page = addr.0 >> self.cfg.page_bits;
         if let Some(pos) = self.pages.iter().position(|&p| p == page) {
-            self.hits += 1;
             // Move to front (true LRU).
             self.pages[..=pos].rotate_right(1);
             0
         } else {
-            self.misses += 1;
             if self.pages.len() == self.cfg.entries {
                 self.pages.pop();
             }
@@ -94,43 +78,31 @@ impl Tlb {
             self.cfg.miss_penalty
         }
     }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Miss ratio.
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-
-    /// Resets statistics, keeping residency.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Stall cycles of a second cyclic lap over `pages` pages of
+    /// `1 << page_bits` bytes (the first lap fills the TLB).
+    fn second_lap_stall(cfg: TlbConfig, pages: u64) -> u64 {
+        let mut t = Tlb::new(cfg);
+        let lap = |t: &mut Tlb| (0..pages).map(|i| t.access(Addr(i << cfg.page_bits))).sum();
+        let _: u64 = lap(&mut t);
+        lap(&mut t)
+    }
+
     #[test]
     fn ism_reach_covers_the_heap() {
-        assert_eq!(TlbConfig::base_pages().reach(), 64 * 8 * 1024);
-        assert_eq!(TlbConfig::ism_pages().reach(), 64 << 22); // 256 MB
-        assert!(TlbConfig::ism_pages().reach() >= (256 << 20));
+        // 64 entries reach 512 KB with 8 KB pages and 256 MB with 4 MB
+        // pages: a lap over exactly that many pages hits throughout, one
+        // page more thrashes the LRU.
+        for cfg in [TlbConfig::base_pages(), TlbConfig::ism_pages()] {
+            assert_eq!(second_lap_stall(cfg, 64), 0);
+            assert_eq!(second_lap_stall(cfg, 65), 65 * cfg.miss_penalty);
+        }
+        assert_eq!(64u64 << TlbConfig::ism_pages().page_bits, 256 << 20);
     }
 
     #[test]
@@ -138,8 +110,6 @@ mod tests {
         let mut t = Tlb::new(TlbConfig::base_pages());
         assert_eq!(t.access(Addr(0x1000)), 700);
         assert_eq!(t.access(Addr(0x1fff)), 0, "same page");
-        assert_eq!(t.hits(), 1);
-        assert_eq!(t.misses(), 1);
     }
 
     #[test]
@@ -161,30 +131,24 @@ mod tests {
     fn big_pages_eliminate_thrashing_on_wide_strides() {
         // Touch 128 pages' worth of 8 KB-page addresses cyclically:
         // thrashes a 64-entry TLB with base pages, fits easily with ISM.
+        // Misses are counted after a warm-up lap.
         let mut small = Tlb::new(TlbConfig::base_pages());
         let mut big = Tlb::new(TlbConfig::ism_pages());
+        let (mut small_misses, mut big_misses) = (0, 0);
         for lap in 0..4 {
             for i in 0..128u64 {
                 let a = Addr(i * (8 << 10));
-                small.access(a);
-                big.access(a);
-            }
-            if lap == 0 {
-                small.reset_stats();
-                big.reset_stats();
+                let (s, b) = (small.access(a), big.access(a));
+                if lap > 0 {
+                    small_misses += u64::from(s > 0);
+                    big_misses += u64::from(b > 0);
+                }
             }
         }
         assert!(
-            small.miss_rate() > 0.9,
-            "8 KB pages thrash: {}",
-            small.miss_rate()
+            small_misses > 3 * 128 * 9 / 10,
+            "8 KB pages thrash: {small_misses} misses"
         );
-        assert_eq!(big.miss_rate(), 0.0, "4 MB pages cover the whole range");
-    }
-
-    #[test]
-    fn empty_tlb_reports_zero_miss_rate() {
-        let t = Tlb::new(TlbConfig::base_pages());
-        assert_eq!(t.miss_rate(), 0.0);
+        assert_eq!(big_misses, 0, "4 MB pages cover the whole range");
     }
 }

@@ -7,20 +7,7 @@
 //! the Corporate domain (customers, suppliers and parts master data).
 //! The EJB components operate on *entity beans* — persistent objects with
 //! container-managed state — which this module enumerates together with
-//! their domain, keyspace, size and cacheability.
-
-/// The four ECperf business domains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Domain {
-    /// Order entry and customer interactions.
-    Customer,
-    /// Just-in-time manufacturing.
-    Manufacturing,
-    /// Interactions with external suppliers.
-    Supplier,
-    /// Master data: customers, suppliers, parts.
-    Corporate,
-}
+//! their keyspace, size and cacheability.
 
 /// Entity bean types used by the BBop mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +39,7 @@ pub const ALL_BEAN_TYPES: [BeanType; 6] = [
 
 impl BeanType {
     /// Stable tag for cache-key packing.
-    pub fn tag(self) -> u8 {
+    pub(crate) fn tag(self) -> u8 {
         match self {
             BeanType::Customer => 0,
             BeanType::Order => 1,
@@ -63,23 +50,11 @@ impl BeanType {
         }
     }
 
-    /// The domain owning this entity.
-    pub fn domain(self) -> Domain {
-        match self {
-            BeanType::Customer => Domain::Corporate,
-            BeanType::Order => Domain::Customer,
-            BeanType::Item => Domain::Customer,
-            BeanType::Part => Domain::Corporate,
-            BeanType::WorkOrder => Domain::Manufacturing,
-            BeanType::PurchaseOrder => Domain::Supplier,
-        }
-    }
-
     /// Keyspace size (distinct primary keys) at scale 1. ECperf's data is
     /// sized by the Orders Injection Rate *on the database side*; the
     /// middle tier only ever materializes the beans it touches, which is
     /// why its footprint stays roughly constant (Figure 11).
-    pub fn keyspace(self) -> u64 {
+    pub(crate) fn keyspace(self) -> u64 {
         match self {
             BeanType::Customer => 15_000,
             BeanType::Order => 20_000,
@@ -91,7 +66,7 @@ impl BeanType {
     }
 
     /// Bean instance size in bytes (state + container bookkeeping).
-    pub fn bytes(self) -> u32 {
+    pub(crate) fn bytes(self) -> u32 {
         match self {
             BeanType::Customer => 1536,
             BeanType::Order => 1536,
@@ -103,13 +78,13 @@ impl BeanType {
     }
 
     /// Whether the container caches instances of this bean.
-    pub fn cacheable(self) -> bool {
+    pub(crate) fn cacheable(self) -> bool {
         !matches!(self, BeanType::PurchaseOrder)
     }
 
     /// Whether loading this entity talks to the supplier emulator instead
     /// of the database (XML document exchange).
-    pub fn uses_supplier_emulator(self) -> bool {
+    pub(crate) fn uses_supplier_emulator(self) -> bool {
         matches!(self, BeanType::PurchaseOrder)
     }
 }
@@ -147,7 +122,7 @@ pub enum BBop {
 impl BBop {
     /// Samples the BBop mix: the customer and manufacturing domains
     /// dominate, as in ECperf's workload definition.
-    pub fn sample(rng: &mut prng::SimRng) -> BBop {
+    pub(crate) fn sample(rng: &mut prng::SimRng) -> BBop {
         match rng.gen_range(0..100u32) {
             0..=39 => BBop::NewOrder,
             40..=49 => BBop::OrderStatus,
@@ -173,7 +148,6 @@ mod tests {
     fn purchase_orders_are_uncacheable_supplier_documents() {
         assert!(!BeanType::PurchaseOrder.cacheable());
         assert!(BeanType::PurchaseOrder.uses_supplier_emulator());
-        assert_eq!(BeanType::PurchaseOrder.domain(), Domain::Supplier);
         for t in ALL_BEAN_TYPES {
             if t != BeanType::PurchaseOrder {
                 assert!(t.cacheable(), "{t:?} should be cacheable");

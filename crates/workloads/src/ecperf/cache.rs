@@ -123,11 +123,6 @@ impl ObjectCache {
         self.map.is_empty()
     }
 
-    /// Capacity in beans.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats

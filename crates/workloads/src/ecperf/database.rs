@@ -43,15 +43,6 @@ impl Default for DatabaseConfig {
     }
 }
 
-/// Per-query statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DatabaseStats {
-    /// SELECT-like queries served.
-    pub reads: u64,
-    /// UPDATE/INSERT-like statements served.
-    pub writes: u64,
-}
-
 /// One table: a clustered B-tree of row objects.
 #[derive(Debug, Clone)]
 struct Table {
@@ -65,7 +56,6 @@ pub struct Database {
     pool: Heap,
     tables: Vec<Table>,
     cfg: DatabaseConfig,
-    stats: DatabaseStats,
     /// The transaction log tail (sequential writes, one hot line each).
     log_cursor: u64,
     log: AddrRange,
@@ -110,20 +100,9 @@ impl Database {
             pool,
             tables,
             cfg,
-            stats: DatabaseStats::default(),
             log_cursor: 0,
             log,
         }
-    }
-
-    /// Query statistics.
-    pub fn stats(&self) -> &DatabaseStats {
-        &self.stats
-    }
-
-    /// Total resident rows across tables.
-    pub fn rows(&self) -> usize {
-        self.tables.iter().map(|t| t.index.len()).sum()
     }
 
     /// Buffer-pool bytes in use.
@@ -143,7 +122,6 @@ impl Database {
         key: u64,
         sink: &mut (impl MemSink + ?Sized),
     ) -> Option<ObjectId> {
-        self.stats.reads += 1;
         sink.instructions(self.cfg.statement_instructions);
         let idx = self.table_mut(ty)?;
         let rows = self.tables[idx].next_row.max(1);
@@ -153,7 +131,6 @@ impl Database {
     /// Serves an UPDATE by primary key: index descent, row write, and a
     /// sequential log append.
     pub fn update(&mut self, ty: BeanType, key: u64, sink: &mut (impl MemSink + ?Sized)) -> bool {
-        self.stats.writes += 1;
         sink.instructions(self.cfg.statement_instructions);
         let Some(idx) = self.table_mut(ty) else {
             return false;
@@ -172,7 +149,6 @@ impl Database {
     /// Serves an INSERT: allocate a row in the pool, insert into the
     /// index, log.
     pub fn insert(&mut self, ty: BeanType, sink: &mut (impl MemSink + ?Sized)) -> Option<u64> {
-        self.stats.writes += 1;
         sink.instructions(self.cfg.statement_instructions);
         let row_bytes = ty.bytes() + self.cfg.row_overhead;
         let idx = self.table_mut(ty)?;
@@ -209,11 +185,16 @@ mod tests {
         )
     }
 
+    /// Resident rows across all tables.
+    fn rows(d: &Database) -> usize {
+        d.tables.iter().map(|t| t.index.len()).sum()
+    }
+
     #[test]
     fn tables_are_populated_for_every_persistent_entity() {
         let d = db();
         assert_eq!(d.tables.len(), 5, "every cacheable entity has a table");
-        assert!(d.rows() > 500);
+        assert!(rows(&d) > 500);
         assert!(d.pool_bytes() > 0);
     }
 
@@ -225,7 +206,6 @@ mod tests {
         assert!(row.is_some());
         assert!(sink.loads >= 4, "descent + row read: {}", sink.loads);
         assert!(sink.instructions >= 2_500);
-        assert_eq!(d.stats().reads, 1);
     }
 
     #[test]
@@ -234,16 +214,15 @@ mod tests {
         let mut sink = CountingSink::new();
         assert!(d.update(BeanType::Part, 7, &mut sink));
         assert!(sink.stores >= 2, "row write + log append");
-        assert_eq!(d.stats().writes, 1);
     }
 
     #[test]
     fn insert_grows_the_table_and_is_selectable() {
         let mut d = db();
         let mut sink = CountingSink::new();
-        let before = d.rows();
+        let before = rows(&d);
         let key = d.insert(BeanType::Order, &mut sink).expect("insert");
-        assert_eq!(d.rows(), before + 1);
+        assert_eq!(rows(&d), before + 1);
         assert!(d.select(BeanType::Order, key, &mut sink).is_some());
     }
 

@@ -261,7 +261,6 @@ pub struct Ecperf {
     resp_hist: Histogram,
     gc_count: u64,
     db_roundtrips: u64,
-    supplier_roundtrips: u64,
     /// Per-thread permanent workspace objects (kept live).
     _workspaces: Vec<ObjectId>,
     /// JVM-internal shared structures (see the SPECjbb equivalent).
@@ -346,7 +345,6 @@ impl Ecperf {
             resp_hist: Histogram::new(),
             gc_count: 0,
             db_roundtrips: 0,
-            supplier_roundtrips: 0,
             next_order: 0,
             next_po: 0,
             samplers,
@@ -364,24 +362,9 @@ impl Ecperf {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &EcperfConfig {
-        &self.cfg
-    }
-
-    /// The simulated heap.
-    pub fn heap(&self) -> &Heap {
-        &self.heap
-    }
-
     /// The bean cache (hit-rate inspection).
     pub fn cache(&self) -> &ObjectCache {
         &self.cache
-    }
-
-    /// Completed BBops per thread.
-    pub fn tx_done(&self) -> &[u64] {
-        &self.tx_done
     }
 
     /// Total completed BBops.
@@ -391,28 +374,18 @@ impl Ecperf {
 
     /// Per-BBop response-time histogram (cycles from `Begin` to
     /// `TxDone`, including waits and absorbed GC pauses).
-    pub fn response_hist(&self) -> &Histogram {
+    pub(crate) fn response_hist(&self) -> &Histogram {
         &self.resp_hist
     }
 
     /// Discards accumulated response times (e.g. at the end of warm-up).
-    pub fn reset_response_hist(&mut self) {
+    pub(crate) fn reset_response_hist(&mut self) {
         self.resp_hist = Histogram::new();
     }
 
     /// Database round trips performed (path-length diagnostics).
     pub fn db_roundtrips(&self) -> u64 {
         self.db_roundtrips
-    }
-
-    /// Supplier-emulator round trips performed.
-    pub fn supplier_roundtrips(&self) -> u64 {
-        self.supplier_roundtrips
-    }
-
-    /// Collections run so far.
-    pub fn gc_count(&self) -> u64 {
-        self.gc_count
     }
 
     /// Drains the logged database queries (empty unless
@@ -574,11 +547,6 @@ impl Ecperf {
     fn db_latency_and_count(&mut self) -> u64 {
         self.db_roundtrips += 1;
         self.cfg.db_latency
-    }
-
-    fn supplier_latency_and_count(&mut self) -> u64 {
-        self.supplier_roundtrips += 1;
-        self.cfg.supplier_latency
     }
 }
 
@@ -760,7 +728,7 @@ impl Workload for Ecperf {
                     .pending
                     .is_some_and(|n| n.ty.uses_supplier_emulator());
                 let base = if supplier {
-                    self.supplier_latency_and_count()
+                    self.cfg.supplier_latency
                 } else {
                     self.db_latency_and_count()
                 };
@@ -1006,13 +974,15 @@ mod tests {
     }
 
     /// A permissive driver: grants all locks, sleeps through IoWaits,
-    /// collects on demand, and advances a fake clock.
-    fn drive(ec: &mut Ecperf, thread: usize, steps: usize) -> (u64, u64) {
+    /// collects on demand, and advances a fake clock. Returns the
+    /// completed BBops, the collections and the longest IoWait.
+    fn drive(ec: &mut Ecperf, thread: usize, steps: usize) -> (u64, u64, u64) {
         let mut rng = SimRng::seed_from_u64(9);
         let mut sink = CountingSink::new();
         let mut now = 0u64;
         let mut txs = 0;
         let mut gcs = 0;
+        let mut longest_wait = 0;
         for _ in 0..steps {
             let mut ctx = StepCtx {
                 sink: &mut sink,
@@ -1025,17 +995,20 @@ mod tests {
                     ec.collect(&mut sink);
                     gcs += 1;
                 }
-                Control::IoWait(c) => now += c,
+                Control::IoWait(c) => {
+                    longest_wait = longest_wait.max(c);
+                    now += c;
+                }
                 _ => now += 1_000,
             }
         }
-        (txs, gcs)
+        (txs, gcs, longest_wait)
     }
 
     #[test]
     fn bbops_complete_and_collections_run() {
         let mut ec = small();
-        let (txs, gcs) = drive(&mut ec, 0, 60_000);
+        let (txs, gcs, _) = drive(&mut ec, 0, 60_000);
         assert!(txs > 500, "BBops must flow: {txs}");
         assert!(gcs > 0, "the scaled eden must fill: {gcs}");
         assert_eq!(ec.total_tx(), txs);
@@ -1061,11 +1034,15 @@ mod tests {
 
     #[test]
     fn supplier_cycles_reach_the_emulator() {
+        // A supplier reply waits at least `supplier_latency`; a database
+        // reply (`db_latency` plus under 25% jitter) never does.
         let mut ec = small();
-        drive(&mut ec, 0, 80_000);
+        let supplier = ec.cfg.supplier_latency;
+        assert!(ec.cfg.db_latency * 5 / 4 < supplier);
+        let (_, _, longest_wait) = drive(&mut ec, 0, 80_000);
         assert!(
-            ec.supplier_roundtrips() > 0,
-            "the BBop mix includes supplier cycles"
+            longest_wait >= supplier,
+            "the BBop mix includes supplier cycles: longest wait {longest_wait}"
         );
     }
 

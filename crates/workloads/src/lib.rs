@@ -27,5 +27,5 @@ pub mod zipf;
 
 pub use methodset::MethodSet;
 pub use model::{Control, LockDesc, SchedLock, StepCtx, StepResult, WaitKind, Workload};
-pub use objtree::{build_table, ObjTree};
+pub use objtree::ObjTree;
 pub use zipf::ZipfSampler;

@@ -28,7 +28,7 @@ impl MethodSet {
     /// # Panics
     ///
     /// Panics if `count` is zero or `zipf_s` is not finite and positive.
-    pub fn install(code: &mut CodeCache, count: usize, avg_bytes: u64, zipf_s: f64) -> Self {
+    pub(crate) fn install(code: &mut CodeCache, count: usize, avg_bytes: u64, zipf_s: f64) -> Self {
         assert!(count > 0, "a method set needs at least one method");
         assert!(
             zipf_s.is_finite() && zipf_s > 0.0,
@@ -63,39 +63,20 @@ impl MethodSet {
         }
     }
 
-    /// Number of methods.
-    pub fn len(&self) -> usize {
-        self.methods.len()
-    }
-
-    /// Whether the set is empty (never true once constructed).
-    pub fn is_empty(&self) -> bool {
-        self.methods.is_empty()
-    }
-
     /// Total installed code bytes of this set.
-    pub fn footprint(&self, code: &CodeCache) -> u64 {
+    pub(crate) fn footprint(&self, code: &CodeCache) -> u64 {
         self.methods.iter().map(|&m| code.range(m).len()).sum()
     }
 
-    /// The `i`-th hottest method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn hot(&self, i: usize) -> MethodId {
-        self.methods[i]
-    }
-
     /// Samples a method by popularity.
-    pub fn sample(&self, rng: &mut SimRng) -> MethodId {
+    pub(crate) fn sample(&self, rng: &mut SimRng) -> MethodId {
         let u = rng.gen_f64();
         let idx = self.cumulative.partition_point(|&c| c < u);
         self.methods[idx.min(self.methods.len() - 1)]
     }
 
     /// Executes `calls` sampled method bodies (a transaction's call path).
-    pub fn exec_path(
+    pub(crate) fn exec_path(
         &self,
         code: &CodeCache,
         calls: usize,
@@ -130,7 +111,7 @@ mod tests {
         let mut c = code();
         let set = MethodSet::install(&mut c, 100, 256, 1.1);
         let mut rng = SimRng::seed_from_u64(1);
-        let hottest = set.hot(0);
+        let hottest = set.methods[0];
         let mut hot_hits = 0;
         const N: usize = 10_000;
         for _ in 0..N {

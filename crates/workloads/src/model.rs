@@ -56,7 +56,7 @@ pub struct LockDesc {
 
 impl LockDesc {
     /// A Java monitor: adaptive spin-then-park.
-    pub fn mutex() -> Self {
+    pub(crate) fn mutex() -> Self {
         LockDesc {
             capacity: 1,
             wait: WaitKind::Adaptive,
@@ -139,7 +139,7 @@ impl StepResult {
     }
 
     /// A system-mode (kernel) step with the given control.
-    pub fn system(control: Control) -> Self {
+    pub(crate) fn system(control: Control) -> Self {
         StepResult {
             mode: ExecMode::System,
             control,

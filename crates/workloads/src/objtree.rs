@@ -76,11 +76,6 @@ impl ObjTree {
         self.len == 0
     }
 
-    /// Number of B-tree nodes (interior + leaf).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Walks from the root to the leaf responsible for `key`, emitting a
     /// read of the first line of every node object visited. Returns the
     /// leaf index.
@@ -294,7 +289,7 @@ impl ObjTree {
 
 /// Builds a tree pre-populated with `count` records of `record_bytes`
 /// each, keyed 0..count (bulk database construction).
-pub fn build_table(
+pub(crate) fn build_table(
     heap: &mut Heap,
     count: u64,
     record_bytes: u32,
@@ -350,7 +345,7 @@ mod tests {
             assert!(t.lookup(key, &h, &mut sink).is_some(), "missing {key}");
         }
         assert!(t.lookup(5000, &h, &mut sink).is_none());
-        assert!(t.node_count() > 100, "tree must actually branch");
+        assert!(t.nodes.len() > 100, "tree must actually branch");
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl JbbDbConfig {
     /// # Panics
     ///
     /// Panics if `divisor` is zero.
-    pub fn scaled(divisor: u64) -> Self {
+    pub(crate) fn scaled(divisor: u64) -> Self {
         assert!(divisor > 0, "scale divisor must be positive");
         let d = JbbDbConfig::default();
         JbbDbConfig {
@@ -88,14 +88,6 @@ impl JbbDbConfig {
             history_capacity: ((d.history_capacity as u64 / divisor).max(16)) as usize,
             ..d
         }
-    }
-
-    /// Approximate live bytes contributed per warehouse.
-    pub fn bytes_per_warehouse(&self) -> u64 {
-        self.stock_per_wh * self.stock_bytes as u64
-            + self.customers_per_wh * self.customer_bytes as u64
-            + self.districts_per_wh * self.district_bytes as u64
-            + self.history_capacity as u64 * self.history_bytes as u64
     }
 }
 
@@ -121,7 +113,6 @@ pub struct Warehouse {
 /// The whole emulated database.
 #[derive(Debug, Clone)]
 pub struct JbbDb {
-    cfg: JbbDbConfig,
     /// The global, read-only item catalog.
     pub items: ObjTree,
     /// Per-warehouse data.
@@ -145,7 +136,7 @@ impl JbbDb {
     /// the old generation. Construction emits no references (setup happens
     /// before the measurement window); `sink` only receives the tree
     /// bookkeeping writes, which callers typically discard.
-    pub fn build(
+    pub(crate) fn build(
         cfg: JbbDbConfig,
         warehouse_count: usize,
         heap: &mut Heap,
@@ -170,7 +161,6 @@ impl JbbDb {
         JbbDb {
             item_keys: ZipfSampler::new(cfg.items as usize, cfg.item_skew),
             customer_keys: ZipfSampler::new(cfg.customers_per_wh as usize, cfg.customer_skew),
-            cfg,
             items,
             warehouses,
             company,
@@ -178,13 +168,8 @@ impl JbbDb {
         }
     }
 
-    /// The database sizing in effect.
-    pub fn config(&self) -> &JbbDbConfig {
-        &self.cfg
-    }
-
     /// Number of warehouses.
-    pub fn warehouse_count(&self) -> usize {
+    pub(crate) fn warehouse_count(&self) -> usize {
         self.warehouses.len()
     }
 }
@@ -214,14 +199,15 @@ mod tests {
     fn build_populates_all_tables() {
         let mut h = heap();
         let mut sink = CountingSink::new();
-        let db = JbbDb::build(JbbDbConfig::scaled(20), 3, &mut h, &mut sink);
+        let cfg = JbbDbConfig::scaled(20);
+        let db = JbbDb::build(cfg, 3, &mut h, &mut sink);
         assert_eq!(db.warehouse_count(), 3);
-        assert_eq!(db.items.len() as u64, JbbDbConfig::scaled(20).items);
+        assert_eq!(db.items.len() as u64, cfg.items);
         for w in &db.warehouses {
-            assert_eq!(w.stock.len() as u64, db.config().stock_per_wh);
-            assert_eq!(w.customers.len() as u64, db.config().customers_per_wh);
-            assert_eq!(w.districts.len() as u64, db.config().districts_per_wh);
-            assert!(w.orders.is_empty());
+            assert_eq!(w.stock.len() as u64, cfg.stock_per_wh);
+            assert_eq!(w.customers.len() as u64, cfg.customers_per_wh);
+            assert_eq!(w.districts.len() as u64, cfg.districts_per_wh);
+            assert_eq!(w.orders.len(), 0);
         }
     }
 
@@ -248,7 +234,11 @@ mod tests {
 
     #[test]
     fn full_size_database_is_about_14_mb_per_warehouse() {
-        let per = JbbDbConfig::default().bytes_per_warehouse();
+        let c = JbbDbConfig::default();
+        let per = c.stock_per_wh * c.stock_bytes as u64
+            + c.customers_per_wh * c.customer_bytes as u64
+            + c.districts_per_wh * c.district_bytes as u64
+            + c.history_capacity as u64 * c.history_bytes as u64;
         assert!(
             (12 << 20..=17 << 20).contains(&per),
             "paper Figure 11 slope ~15 MB/warehouse, got {} MB",

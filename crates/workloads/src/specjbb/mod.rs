@@ -190,7 +190,6 @@ pub struct SpecJbb {
     phases: Vec<Phase>,
     cur: Vec<CurTx>,
     db: JbbDb,
-    tx_done: Vec<u64>,
     /// Per-thread start time of the transaction in flight (set at
     /// `Phase::Begin`, consumed at `TxDone`).
     tx_begin: Vec<Option<u64>>,
@@ -242,7 +241,6 @@ impl SpecJbb {
         SpecJbb {
             phases: vec![Phase::Begin; cfg.warehouses],
             cur: vec![CurTx::default(); cfg.warehouses],
-            tx_done: vec![0; cfg.warehouses],
             tx_begin: vec![None; cfg.warehouses],
             resp_hist: Histogram::new(),
             gc_count: 0,
@@ -256,39 +254,14 @@ impl SpecJbb {
         }
     }
 
-    /// The configuration in effect.
-    pub fn config(&self) -> &SpecJbbConfig {
-        &self.cfg
-    }
-
-    /// The simulated heap (for experiment inspection).
-    pub fn heap(&self) -> &Heap {
-        &self.heap
-    }
-
-    /// Completed transactions per thread.
-    pub fn tx_done(&self) -> &[u64] {
-        &self.tx_done
-    }
-
-    /// Total completed transactions.
-    pub fn total_tx(&self) -> u64 {
-        self.tx_done.iter().sum()
-    }
-
-    /// Collections run so far.
-    pub fn gc_count(&self) -> u64 {
-        self.gc_count
-    }
-
     /// Per-transaction response-time histogram (cycles from `Begin` to
     /// `TxDone`, including lock waits and absorbed GC pauses).
-    pub fn response_hist(&self) -> &Histogram {
+    pub(crate) fn response_hist(&self) -> &Histogram {
         &self.resp_hist
     }
 
     /// Discards accumulated response times (e.g. at the end of warm-up).
-    pub fn reset_response_hist(&mut self) {
+    pub(crate) fn reset_response_hist(&mut self) {
         self.resp_hist = Histogram::new();
     }
 
@@ -536,7 +509,6 @@ impl Workload for SpecJbb {
                 self.threads[thread].unwind();
                 sink.instructions(self.cfg.pad_instructions / 2);
                 self.heap.advance_epoch(1);
-                self.tx_done[thread] += 1;
                 if let Some(begin) = self.tx_begin[thread].take() {
                     self.resp_hist.record(ctx.now.saturating_sub(begin));
                 }
@@ -621,7 +593,6 @@ mod tests {
         let (txs, gcs) = drive(&mut jbb, 0, 30_000);
         assert!(txs > 1000, "transactions must flow: {txs}");
         assert!(gcs > 0, "the scaled eden must fill: {gcs}");
-        assert_eq!(jbb.total_tx(), txs);
     }
 
     #[test]

@@ -37,16 +37,6 @@ impl ZipfSampler {
         ZipfSampler { cumulative }
     }
 
-    /// Domain size.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Whether the domain is empty (never true once constructed).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
     /// Draws an index; `0` is the most popular.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.gen_f64();

@@ -76,6 +76,7 @@ fn objtree_matches_btreemap() {
                 }
             }
             assert_eq!(tree.len(), reference.len());
+            assert_eq!(tree.is_empty(), reference.is_empty());
         }
         // Full agreement at the end, via scan.
         let mut scanned = BTreeMap::new();
@@ -141,6 +142,7 @@ fn bean_cache_is_an_lru_with_ttl() {
             }
             assert!(cache.len() <= capacity);
             assert_eq!(cache.len(), reference.len());
+            assert_eq!(cache.is_empty(), reference.is_empty());
         }
     }
 }

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
-# Offline bench smoke: time one Standard-effort experiment-plan batch at
-# 1 worker vs all cores (BENCH_plan.json + RUNLOG_plan.jsonl), then the
-# MemorySystem::access throughput bench on captured SPECjbb streams
-# across CPU-count shapes (BENCH_memsys.json). Both BENCH jsons carry host/commit provenance;
-# the RunLog is schema-checked and rendered with simreport.
+# Offline bench smoke: the MemorySystem::access throughput bench on
+# captured SPECjbb streams across CPU-count shapes (BENCH_memsys.json,
+# with host/commit provenance).
 #
 # Usage: scripts/bench_smoke.sh [quick|standard|full] [--gate]
 #
 # Pass `quick` for a fast sanity run (CI-sized); the default Standard
-# batch is the number the ROADMAP's bench item tracks.
+# run is the number the ROADMAP's bench item tracks.
 #
-# After the fresh run, both BENCH jsons are diffed against the versions
+# After the fresh run, BENCH_memsys.json is diffed against the version
 # committed at HEAD. The diff only engages when the provenance block says
 # the baseline came from the same host class (hostname + cpu_count);
 # numbers from a different machine are not comparable and are skipped
@@ -37,21 +35,8 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> building the bench examples and simreport (offline, release)"
-cargo build --release --offline --example bench_plan --example bench_memsys
-cargo build --release --offline -p middlesim --bin simreport
-
-echo "==> running the plan bench at effort: ${effort}"
-./target/release/examples/bench_plan "${effort}"
-
-echo "==> BENCH_plan.json"
-cat BENCH_plan.json
-
-echo "==> simreport --check RUNLOG_plan.jsonl"
-./target/release/simreport --check RUNLOG_plan.jsonl
-
-echo "==> simreport RUNLOG_plan.jsonl"
-./target/release/simreport RUNLOG_plan.jsonl
+echo "==> building the bench example (offline, release)"
+cargo build --release --offline --example bench_memsys
 
 echo "==> running the memsys access bench at effort: ${effort}"
 ./target/release/examples/bench_memsys "${effort}"
@@ -59,7 +44,7 @@ echo "==> running the memsys access bench at effort: ${effort}"
 echo "==> BENCH_memsys.json"
 cat BENCH_memsys.json
 
-echo "==> diffing fresh BENCH jsons against the baselines committed at HEAD"
+echo "==> diffing the fresh BENCH_memsys.json against the baseline committed at HEAD"
 mkdir -p target/bench-baseline
 warn_log="target/bench-baseline/warnings.txt"
 : > "${warn_log}"
@@ -87,50 +72,29 @@ host_class() {
     ' "$1"
 }
 
-for f in BENCH_memsys.json BENCH_plan.json; do
-    base="target/bench-baseline/${f}"
-    if ! git show "HEAD:${f}" > "${base}" 2>/dev/null; then
-        echo "    no committed baseline for ${f} — skipping its diff"
-        continue
-    fi
-    if [ "$(host_class "${base}")" != "$(host_class "${f}")" ]; then
-        echo "    ${f}: baseline class ($(host_class "${base}")) differs from" \
-             "this run ($(host_class "${f}")) — numbers not comparable, skipping"
-        continue
-    fi
-    case "${f}" in
-    BENCH_memsys.json)
-        # Per-shape throughput: each shape is one line carrying both the
-        # name and its refs_per_sec, in both files.
-        awk '
-            FNR == 1 { file++ }
-            /"refs_per_sec"/ {
-                match($0, /"name": "[^"]*"/)
-                name = substr($0, RSTART + 9, RLENGTH - 10)
-                match($0, /"refs_per_sec": [0-9]+/)
-                rps = substr($0, RSTART + 16, RLENGTH - 16) + 0
-                if (file == 1) base[name] = rps
-                else if (name in base && rps < 0.8 * base[name])
-                    printf "memsys %s: %d refs/s vs baseline %d (-%.0f%%)\n",
-                           name, rps, base[name], (1 - rps / base[name]) * 100
-            }' "${base}" "${f}" >> "${warn_log}"
-        ;;
-    BENCH_plan.json)
-        # Whole-batch serial wall time: lower is better, so a regression
-        # is the fresh run taking >20% longer.
-        awk '
-            FNR == 1 { file++ }
-            /"serial_secs"/ {
-                match($0, /[0-9.]+/)
-                v = substr($0, RSTART, RLENGTH) + 0
-                if (file == 1) base = v
-                else if (base > 0 && v > 1.2 * base)
-                    printf "plan serial_secs: %.3fs vs baseline %.3fs (+%.0f%%)\n",
-                           v, base, (v / base - 1) * 100
-            }' "${base}" "${f}" >> "${warn_log}"
-        ;;
-    esac
-done
+f=BENCH_memsys.json
+base="target/bench-baseline/${f}"
+if ! git show "HEAD:${f}" > "${base}" 2>/dev/null; then
+    echo "    no committed baseline for ${f} — skipping its diff"
+elif [ "$(host_class "${base}")" != "$(host_class "${f}")" ]; then
+    echo "    ${f}: baseline class ($(host_class "${base}")) differs from" \
+         "this run ($(host_class "${f}")) — numbers not comparable, skipping"
+else
+    # Per-shape throughput: each shape is one line carrying both the
+    # name and its refs_per_sec, in both files.
+    awk '
+        FNR == 1 { file++ }
+        /"refs_per_sec"/ {
+            match($0, /"name": "[^"]*"/)
+            name = substr($0, RSTART + 9, RLENGTH - 10)
+            match($0, /"refs_per_sec": [0-9]+/)
+            rps = substr($0, RSTART + 16, RLENGTH - 16) + 0
+            if (file == 1) base[name] = rps
+            else if (name in base && rps < 0.8 * base[name])
+                printf "memsys %s: %d refs/s vs baseline %d (-%.0f%%)\n",
+                       name, rps, base[name], (1 - rps / base[name]) * 100
+        }' "${base}" "${f}" >> "${warn_log}"
+fi
 
 if [ -s "${warn_log}" ]; then
     echo
@@ -138,7 +102,7 @@ if [ -s "${warn_log}" ]; then
     echo "!!! BENCH REGRESSION WARNING: >20% worse than the committed baseline"
     sed 's/^/!!!   /' "${warn_log}"
     echo "!!! Re-run scripts/bench_smoke.sh standard on a quiet host to"
-    echo "!!! confirm, then recommit the BENCH jsons if the change is real"
+    echo "!!! confirm, then recommit BENCH_memsys.json if the change is real"
     echo "!!! and intended."
     echo "!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!"
     if [ "${gate}" = 1 ]; then
@@ -146,5 +110,5 @@ if [ -s "${warn_log}" ]; then
         exit 1
     fi
 else
-    echo "    fresh numbers are within 20% of the committed baselines."
+    echo "    fresh numbers are within 20% of the committed baseline."
 fi

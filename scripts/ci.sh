@@ -5,12 +5,20 @@
 #
 # The workspace has no benchmark targets: host time is gated by the
 # separate hostbench package (BENCHMARK.json), and bench_smoke.sh below
-# builds and runs the two advisory bench examples at quick effort.
+# builds and runs the advisory bench example at quick effort.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+# Lints are errors. Clippy also keeps unused `pub(crate)` items out:
+# rustc's dead_code lint names them, and `-D warnings` fails on it.
+echo "==> cargo clippy -D warnings (offline)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc -D warnings (offline)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> cargo build --release (offline)"
 cargo build --release --offline --workspace
@@ -31,18 +39,19 @@ echo "==> cargo test -q hostbench (the host-time benchmark package, offline)"
 cargo test -q --offline --manifest-path hostbench/Cargo.toml
 
 # The committed RunLogs must pass the schema check as they sit on disk,
-# before bench_smoke.sh and the figures runs below regenerate them.
+# before the figures runs below regenerate RUNLOG_figures.jsonl.
 echo "==> simreport --check over the committed RunLogs"
 for log in RUNLOG_plan.jsonl RUNLOG_figures.jsonl RUNLOG_gc_timeline.jsonl; do
     ./target/release/simreport --check "$log"
 done
 
-echo "==> bench smoke (quick) + simreport over its RunLog"
+echo "==> bench smoke (quick)"
 scripts/bench_smoke.sh quick
 
-# bench_smoke already ran `simreport --check`; render the machine-readable
-# artifact CI uploads next to the BENCH jsons and prove the mpstat-style
-# table renders from a real RunLog.
+# RUNLOG_plan.jsonl is the committed two-pass, multi-worker fixture:
+# render the machine-readable artifact CI uploads and prove the
+# mpstat-style worker table renders from a real RunLog.
+echo "==> simreport over RUNLOG_plan.jsonl"
 ./target/release/simreport --csv RUNLOG_plan.jsonl > SIMREPORT_plan.csv
 ./target/release/simreport RUNLOG_plan.jsonl | grep -q "worker   jobs" \
     || { echo "simreport text report is missing the worker table"; exit 1; }

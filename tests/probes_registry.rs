@@ -19,7 +19,7 @@ fn machine_panel_names_are_unique() {
     let mut m = jbb_machine(2, 4, 1, effort);
     let _ = measure(&mut m, effort);
     let snap = m.counters();
-    assert!(snap.len() > 30, "panel should cover all layers");
+    assert!(snap.iter().count() > 30, "panel should cover all layers");
     assert!(
         snap.names_unique(),
         "machine-wide counter names must be unique"
@@ -123,7 +123,7 @@ fn values_follow_descriptor_order() {
     sys.access(0, AccessKind::Load, Addr(0x40));
     let descs = sys.stats().descriptors();
     let snap = Snapshot::of(sys.stats());
-    assert_eq!(snap.len(), descs.len());
+    assert_eq!(snap.iter().count(), descs.len());
     for (d, (name, kind, _)) in descs.iter().zip(snap.iter()) {
         assert_eq!(d.name, name);
         assert_eq!(d.kind, kind);

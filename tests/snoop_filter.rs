@@ -305,13 +305,13 @@ fn default_shape_filters_most_snoops() {
     for _ in 0..200_000 {
         let r = rng.next_u64();
         let cpu = (r % 16) as usize;
-        let kind = if (r >> 8) % 4 == 0 {
+        let kind = if (r >> 8).is_multiple_of(4) {
             AccessKind::Store
         } else {
             AccessKind::Load
         };
         // 1/16 of traffic shared, the rest private.
-        let addr = if (r >> 16) % 16 == 0 {
+        let addr = if (r >> 16).is_multiple_of(16) {
             0x2000 + ((r >> 32) % 512) * 64
         } else {
             0x100_0000 + (cpu as u64) * 0x10_0000 + ((r >> 32) % 8192) * 64

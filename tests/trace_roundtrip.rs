@@ -58,7 +58,7 @@ fn replay_reproduces_live_window_statistics() {
 #[test]
 fn replay_is_deterministic_and_plan_routable() {
     let (m, trace) = captured_run(1, 3);
-    let hierarchy = m.memory().config().clone();
+    let hierarchy = *m.memory().config();
     let a = replay_trace(&trace, &hierarchy);
     let b = replay_trace(&trace, &hierarchy);
     assert_eq!(a, b);
