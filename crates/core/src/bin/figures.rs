@@ -1,7 +1,7 @@
 //! Regenerates every measured figure of the paper and reports whether the
 //! published shapes hold.
 //!
-//! Usage: `figures [--sampled] <quick|standard|full>
+//! Usage: `figures <quick|standard|full>
 //!                 [4|5|...|16|10dram|attrib|memcurve|ablations|validate-sampled|all]...`
 //!
 //! The effort is required. Several figure names may be given at once
@@ -12,13 +12,9 @@
 //! `validate-sampled`. An unknown effort or figure name prints this
 //! usage to stderr and exits with status 2.
 //!
-//! `--sampled` routes every plan-run experiment through the
-//! signature-picked sampling path (one seed per point, fast-forward
-//! between sample units) instead of every-cycle simulation; the unit
-//! schedules land in the run log. The ablations always measure in full
-//! detail. `validate-sampled` runs the sampled-vs-full differential
-//! matrix, writes `SAMPLED_VALIDATION.csv`, and exits non-zero if any
-//! metric breaks the error bound.
+//! Every figure measures in full detail. `validate-sampled` runs the
+//! sampled-vs-full differential matrix, writes `SAMPLED_VALIDATION.csv`,
+//! and exits non-zero if any metric breaks the error bound.
 //!
 //! Every experiment runs on the one plan with a `RunLog` attached; the
 //! log is written to `RUNLOG_figures.jsonl` on exit (render it with
@@ -35,7 +31,7 @@ use probes::{Provenance, RunLog};
 const NAMES: &str =
     "4 5 6 7 8 9 10 10dram 11 12 13 14 15 16 attrib memcurve ablations validate-sampled all";
 
-const USAGE: &str = "usage: figures [--sampled] <quick|standard|full> \
+const USAGE: &str = "usage: figures <quick|standard|full> \
 [4|5|...|16|10dram|attrib|memcurve|ablations|validate-sampled|all]...";
 
 fn report(name: &str, table: impl std::fmt::Display, violations: Vec<String>) {
@@ -52,9 +48,7 @@ fn report(name: &str, table: impl std::fmt::Display, violations: Vec<String>) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let sampled = args.iter().any(|a| a == "--sampled");
-    args.retain(|a| a != "--sampled");
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let plan = args
         .first()
         .and_then(|a| Effort::parse(a))
@@ -71,10 +65,7 @@ fn main() {
     let has = |n: &str| whichs.contains(&n) || (all && n != "10dram" && n != "validate-sampled");
     let ps = processor_axis(effort);
     let log = Arc::new(RunLog::new());
-    let mut plan = plan.with_run_log(Arc::clone(&log), "figures");
-    if sampled {
-        plan = plan.with_mode(effort.sampled_mode());
-    }
+    let plan = plan.with_run_log(Arc::clone(&log), "figures");
 
     let scaling_figs = ["4", "5", "6", "7", "8", "9"];
     if scaling_figs.iter().any(|f| has(f)) {
@@ -218,7 +209,7 @@ fn main() {
     let prov = Provenance::capture()
         .with_workers(plan.threads())
         .with_effort(effort.name())
-        .with_sim_mode(if sampled { "sampled" } else { "full" });
+        .with_sim_mode("full");
     let file = std::fs::File::create("RUNLOG_figures.jsonl").expect("create RUNLOG_figures.jsonl");
     log.write_to(file, &prov)
         .expect("write RUNLOG_figures.jsonl");

@@ -24,9 +24,6 @@ pub struct SchedParams {
     pub quantum: u64,
     /// Kernel cycles charged per context switch.
     pub ctx_switch_cost: u64,
-    /// Affinity rechoose interval: a ready thread is only migrated to a
-    /// foreign processor after waiting this long.
-    pub rechoose: u64,
 }
 
 /// What a thread is doing, from the scheduler's point of view.
@@ -156,8 +153,8 @@ impl Scheduler {
     /// short monitor block would migrate the thread and needlessly turn
     /// its whole cache footprint into coherence traffic).
     pub(crate) fn dispatch(&mut self, acct: &mut Accounting) {
-        // Virtual "now" for rechoose eligibility: an idle processor's own
-        // clock is stale, so compare against global progress too.
+        // Virtual "now" for migration eligibility: an idle processor's
+        // own clock is stale, so compare against global progress too.
         let now_global = self.time(acct);
         let mut progressed = true;
         while progressed && !self.ready.is_empty() {
@@ -175,7 +172,7 @@ impl Scheduler {
                 }
                 // Anti-starvation first: once the queue head has waited a
                 // full quantum it runs next, wherever. Then home
-                // processor; then any thread past its rechoose interval.
+                // processor; then any thread already ready by `now`.
                 let now = acct.clock(cpu).max(now_global);
                 let head_wait = now.saturating_sub(self.threads[self.ready[0]].ready_at);
                 let pick = if head_wait > self.params.quantum {
@@ -187,7 +184,7 @@ impl Scheduler {
                         .or_else(|| {
                             self.ready.iter().position(|&t| {
                                 let ts = &self.threads[t];
-                                ts.last_cpu.is_none() || ts.ready_at + self.params.rechoose <= now
+                                ts.last_cpu.is_none() || ts.ready_at <= now
                             })
                         })
                 };
@@ -356,7 +353,6 @@ mod tests {
         SchedParams {
             quantum: 1000,
             ctx_switch_cost: 10,
-            rechoose: 0,
         }
     }
 

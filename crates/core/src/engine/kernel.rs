@@ -54,11 +54,6 @@ pub struct MachineConfig {
     pub quantum: u64,
     /// Kernel cycles charged per context switch.
     pub ctx_switch_cost: u64,
-    /// Affinity rechoose interval: a ready thread is only migrated to a
-    /// foreign processor after waiting this long (Solaris
-    /// `rechoose_interval`); before that, a free foreign processor lets
-    /// it wait for its home processor.
-    pub rechoose: u64,
 }
 
 impl MachineConfig {
@@ -81,7 +76,6 @@ impl MachineConfig {
             sample_interval: 24_800_000, // 100 ms at 248 MHz
             quantum: 40_000_000,         // ~160 ms (compute-bound TS threads)
             ctx_switch_cost: 3_000,
-            rechoose: 0,
         }
     }
 
@@ -105,7 +99,6 @@ impl MachineConfig {
         SchedParams {
             quantum: self.quantum,
             ctx_switch_cost: self.ctx_switch_cost,
-            rechoose: self.rechoose,
         }
     }
 }

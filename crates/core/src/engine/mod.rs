@@ -46,7 +46,5 @@ pub use observer::{
     AccessEvent, AccessSource, IntervalSample, IntervalSampler, LineStatsObserver, ObserverHandle,
     ObserverSet, SimObserver, SweepObserver, TimelineCollector,
 };
-pub use sampling::{
-    measure_sampled, SampledRun, SamplingConfig, SimMode, UnitMeasurement, UnitRecord,
-};
+pub use sampling::{measure_sampled, SampledRun, SamplingConfig, UnitMeasurement, UnitRecord};
 pub use trace::{replay_trace, replay_traces, ReplayReport, TraceObserver};

@@ -1,7 +1,7 @@
 //! Experiment orchestration: workload factories, warm-up/measurement
 //! windows, and the parallel [`ExperimentPlan`] runner all figure
 //! experiments fan out through. The multi-seed variability methodology
-//! is `ExperimentPlan::seeds` fanned over [`ExperimentPlan::run`].
+//! is `Effort::seeds` fanned over [`ExperimentPlan::run`].
 //!
 //! Every figure experiment follows the paper's protocol: build the
 //! workload, warm it up (caches, JIT, bean cache, steady-state heap),
@@ -22,29 +22,26 @@ use memsys::{Addr, AddrRange};
 use probes::registry::Snapshot;
 use probes::runlog::{
     AttribRecord, EventRecord, HistRecord, IntervalRecord, JobSpan, RunLog, RunMeta,
-    SampleUnitRecord,
 };
 use probes::Histogram;
 use workloads::ecperf::{Ecperf, EcperfConfig};
 use workloads::model::Workload;
 use workloads::specjbb::{SpecJbb, SpecJbbConfig};
 
-use crate::engine::{
-    measure_sampled, IntervalSample, Machine, MachineConfig, SampledRun, SamplingConfig, SimMode,
-    WindowReport,
-};
+use crate::engine::{IntervalSample, Machine, MachineConfig, WindowReport};
 
 /// Base address of the workload's memory region: above the engine's
 /// reserved kernel-tick lines, below nothing else.
 pub const WORKLOAD_BASE: u64 = 0x2000_0000;
 
 /// How hard an experiment works: `Quick` for tests and smoke runs,
-/// `Standard` for the bench harness, `Full` for paper-strength windows.
+/// `Standard` for reference figure runs, `Full` for paper-strength
+/// windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
     /// Short windows, 1 seed.
     Quick,
-    /// Medium windows, 3 seeds (bench default).
+    /// Medium windows, 3 seeds.
     Standard,
     /// Long windows, 5 seeds.
     Full,
@@ -112,16 +109,6 @@ impl Effort {
             .into_iter()
             .find(|e| e.name() == name)
     }
-
-    /// The sampled-mode configuration scaled to this preset's window.
-    pub(crate) fn sampling(self) -> SamplingConfig {
-        SamplingConfig::for_window(self.window())
-    }
-
-    /// The sampled [`SimMode`] for this preset.
-    pub fn sampled_mode(self) -> SimMode {
-        SimMode::Sampled(self.sampling())
-    }
 }
 
 /// Telemetry one job can ship into the run log alongside its output:
@@ -136,17 +123,13 @@ pub struct JobTelemetry {
     pub intervals: Vec<IntervalSample>,
     /// Named histograms, e.g. `("mem.latency", h)`.
     pub hists: Vec<(String, Histogram)>,
-    /// The sampled-mode unit schedule, when the job ran sampled. The
-    /// job fills `unit`/`cluster`/`weight_ppm`; the runner stamps
-    /// `run`/`id` when the records land in the log.
-    pub samples: Vec<SampleUnitRecord>,
     /// Sim-time timeline events (GC pauses, window resets, sample-unit
-    /// strata, DRAM stall episodes). As with `samples`, the job fills
-    /// name and `[start, end]`; the runner stamps `run`/`id`.
+    /// strata, DRAM stall episodes). The job fills name and
+    /// `[start, end]`; the runner stamps `run`/`id`.
     pub events: Vec<EventRecord>,
     /// Cycle-attribution stacks from an
     /// [`AttribProfiler`](crate::engine::AttribProfiler). As with
-    /// `samples`, the job fills stack and cycles; the runner stamps
+    /// `events`, the job fills stack and cycles; the runner stamps
     /// `run`/`id`.
     pub attribs: Vec<AttribRecord>,
 }
@@ -160,25 +143,15 @@ impl JobTelemetry {
         }
     }
 
-    /// Attaches a sampled run's unit schedule (placeholder `run`/`id`;
-    /// the plan runner stamps the real ones at emission).
-    pub(crate) fn with_samples(mut self, sampled: Option<&SampledRun>) -> Self {
-        if let Some(s) = sampled {
-            self.samples = s.sample_units(0, 0);
-            self.events.extend(s.event_records(0, 0));
-        }
-        self
-    }
-
-    /// Appends timeline events (placeholder `run`/`id`, stamped at
-    /// emission like `samples`).
+    /// Appends timeline events (placeholder `run`/`id`, stamped by the
+    /// runner at emission).
     pub fn with_events(mut self, events: impl IntoIterator<Item = EventRecord>) -> Self {
         self.events.extend(events);
         self
     }
 
     /// Appends cycle-attribution stacks (placeholder `run`/`id`,
-    /// stamped at emission like `samples`).
+    /// stamped at emission like `events`).
     pub fn with_attribs(mut self, attribs: impl IntoIterator<Item = AttribRecord>) -> Self {
         self.attribs.extend(attribs);
         self
@@ -212,7 +185,6 @@ pub fn largest_first_order(costs: &[u64]) -> Vec<usize> {
 #[derive(Debug, Clone)]
 pub struct ExperimentPlan {
     effort: Effort,
-    mode: SimMode,
     threads: usize,
     log: Option<LogBinding>,
     job_labels: Option<Arc<Vec<String>>>,
@@ -233,7 +205,6 @@ impl ExperimentPlan {
             .unwrap_or(1);
         ExperimentPlan {
             effort,
-            mode: SimMode::Full,
             threads,
             log: None,
             job_labels: None,
@@ -269,20 +240,6 @@ impl ExperimentPlan {
         self
     }
 
-    /// The same plan in a different simulation mode. Sampled mode only
-    /// changes *how* each job's window is measured (fast-forward +
-    /// extrapolation); job fan-out, merge order and determinism are
-    /// untouched.
-    pub fn with_mode(mut self, mode: SimMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The plan's simulation mode.
-    pub(crate) fn mode(&self) -> &SimMode {
-        &self.mode
-    }
-
     /// The plan's effort level.
     pub fn effort(&self) -> Effort {
         self.effort
@@ -316,8 +273,8 @@ impl ExperimentPlan {
     /// dragging the tail. Jobs return `(output, JobTelemetry)`:
     /// everything in the telemetry lands in the run log under the job's
     /// `(run, id)` — the span's counter snapshot, `interval`, `hist`,
-    /// `sample_unit`, `event` and `attrib` records — and is dropped when
-    /// no log is attached. Outputs merge in input order, so results are
+    /// `event` and `attrib` records — and is dropped when no log is
+    /// attached. Outputs merge in input order, so results are
     /// bit-identical to [`ExperimentPlan::run`]'s.
     pub fn run_telemetry<I, O>(
         &self,
@@ -394,13 +351,6 @@ impl ExperimentPlan {
             }
             binding
                 .log
-                .record_sample_units(tele.samples.into_iter().map(|mut r| {
-                    r.run = run;
-                    r.id = id;
-                    r
-                }));
-            binding
-                .log
                 .record_events(tele.events.into_iter().map(|mut r| {
                     r.run = run;
                     r.id = id;
@@ -454,19 +404,6 @@ impl ExperimentPlan {
                     .expect("worker filled every claimed slot")
             })
             .collect()
-    }
-
-    /// Seeds this plan replicates over: the effort's seed count in full
-    /// mode, a single seed in sampled mode — there the within-run
-    /// stratified confidence interval replaces seed replication as the
-    /// variability estimate, and dropping the replicas is where most of
-    /// the sampled wall-clock win at a fixed effort comes from.
-    pub(crate) fn seeds(&self) -> u64 {
-        if self.mode.is_sampled() {
-            1
-        } else {
-            self.effort.seeds()
-        }
     }
 }
 
@@ -527,25 +464,6 @@ pub fn measure<W: Workload>(machine: &mut Machine<W>, effort: Effort) -> WindowR
     let start = machine.time();
     machine.run_until(start + effort.window());
     machine.window_report()
-}
-
-/// [`measure`] under an explicit [`SimMode`]: in `Full` the report is
-/// the machine's own; in `Sampled` the warm-up fast-forwards, only the
-/// signature-picked units run in detail, and the report's timing fields
-/// are the extrapolated estimates (the [`SampledRun`] rides along for
-/// CIs and the unit schedule). The machine must be freshly built.
-pub fn measure_in<W: Workload>(
-    machine: &mut Machine<W>,
-    effort: Effort,
-    mode: &SimMode,
-) -> (WindowReport, Option<SampledRun>) {
-    match mode {
-        SimMode::Full => (measure(machine, effort), None),
-        SimMode::Sampled(cfg) => {
-            let run = measure_sampled(machine, effort.warmup(), effort.window(), cfg);
-            (run.to_window_report(), Some(run))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -728,16 +646,6 @@ mod tests {
                     },
                 ],
                 hists: vec![("mem.latency".to_string(), hist)],
-                samples: vec![SampleUnitRecord {
-                    run: 0,
-                    id: 0,
-                    unit: 0,
-                    cluster: 0,
-                    start: 0,
-                    end: 200,
-                    detailed: true,
-                    weight_ppm: 1_000_000,
-                }],
                 events: vec![probes::runlog::EventRecord {
                     run: 0,
                     id: 0,

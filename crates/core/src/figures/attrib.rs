@@ -31,7 +31,7 @@ use crate::engine::{
     AccessEvent, AccessSource, AttribProfiler, Machine, MachineConfig, SimObserver, TraceObserver,
 };
 use crate::experiment::{
-    ecperf_machine, jbb_machine, measure_in, Effort, ExperimentPlan, JobTelemetry,
+    ecperf_machine, jbb_machine, measure, Effort, ExperimentPlan, JobTelemetry,
 };
 
 /// The capture horizon for the trace-replay arm, in cycles. Fixed
@@ -119,12 +119,9 @@ impl Arm {
 
 /// Runs all three arms as plan jobs: folds, span counters (machine
 /// counters plus `attrib.*`) and `attrib` records all land through the
-/// plan's run log. Live arms honor the plan's
-/// [`SimMode`](crate::SimMode) — a sampled run attributes the detailed
-/// sample units only.
+/// plan's run log.
 pub fn run(plan: &ExperimentPlan, p: usize) -> AttribFig {
     let effort = plan.effort();
-    let mode = plan.mode().clone();
     let arms = [Arm::Jbb, Arm::Ecperf, Arm::Replay];
     let labels = arms
         .iter()
@@ -137,8 +134,8 @@ pub fn run(plan: &ExperimentPlan, p: usize) -> AttribFig {
             _ => effort.cost_hint(p),
         },
         |&a| match a {
-            Arm::Jbb => profile_live(jbb_machine(p, 2 * p, 1, effort), effort, &mode),
-            Arm::Ecperf => profile_live(ecperf_machine(p, 1, effort), effort, &mode),
+            Arm::Jbb => profile_live(jbb_machine(p, 2 * p, 1, effort), effort),
+            Arm::Ecperf => profile_live(ecperf_machine(p, 1, effort), effort),
             Arm::Replay => profile_replay(effort),
         },
     );
@@ -160,20 +157,17 @@ pub fn run(plan: &ExperimentPlan, p: usize) -> AttribFig {
 fn profile_live<W: Workload>(
     mut m: Machine<W>,
     effort: Effort,
-    mode: &crate::SimMode,
 ) -> (Vec<(String, u64)>, JobTelemetry) {
     // The machine builders all start from `MachineConfig::e6000`, so the
     // default pipeline's base CPI is the one the timers charge.
     let base_cpi = MachineConfig::e6000(1).pipeline.base_cpi;
     let handle = m.attach_observer(AttribProfiler::new(m.workload().region_map(), base_cpi));
-    let (_report, sampled) = measure_in(&mut m, effort, mode);
+    measure(&mut m, effort);
     let prof = m.observer(handle);
     let folded = prof.folded();
     let mut counters = m.counters();
     counters.record(prof);
-    let tele = JobTelemetry::counters(Some(counters))
-        .with_samples(sampled.as_ref())
-        .with_attribs(prof.to_records(0, 0));
+    let tele = JobTelemetry::counters(Some(counters)).with_attribs(prof.to_records(0, 0));
     (folded, tele)
 }
 

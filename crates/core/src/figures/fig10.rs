@@ -18,10 +18,7 @@ use probes::runlog::{EventRecord, IntervalRecord};
 use simstats::Table;
 use workloads::specjbb::{SpecJbb, SpecJbbConfig};
 
-use crate::engine::{
-    measure_sampled, IntervalSample, IntervalSampler, Machine, MachineConfig, SamplingConfig,
-    TimelineCollector,
-};
+use crate::engine::{IntervalSample, IntervalSampler, Machine, MachineConfig, TimelineCollector};
 use crate::experiment::{jbb_machine_with, ExperimentPlan, JobTelemetry};
 use crate::Effort;
 
@@ -50,12 +47,14 @@ pub struct Fig10 {
     pub interval_cycles: u64,
     /// Number of collections in the trace.
     pub gc_count: u64,
-    /// Detailed unit spans when the trace ran sampled (empty for full
-    /// runs): counter deltas inside these spans are exact, while fast
-    /// spans only see the functional-warming subsample of references.
+    /// Detailed unit spans, set only by callers that build a `Fig10`
+    /// from a sampled run (empty otherwise): counter deltas inside these
+    /// spans are exact, while fast spans only see the functional-warming
+    /// subsample of references.
     pub detailed_spans: Vec<(u64, u64)>,
-    /// The warming subsample factor (1 for full runs): rates outside
-    /// `detailed_spans` are multiplied by this to undo the subsample.
+    /// The warming subsample factor of such a sampled run (1 otherwise):
+    /// rates outside `detailed_spans` are multiplied by this to undo the
+    /// subsample.
     pub warm_factor: u64,
     /// Run-observatory timeline events (GC pauses, window resets,
     /// sample-unit strata, DRAM stall episodes) with placeholder
@@ -70,16 +69,12 @@ pub struct Fig10 {
 /// `memory` picks the backend. Against the banked-DRAM backend each
 /// interval's counter tree also carries `dram.queue_occupancy` and
 /// `dram.queue_stalls`, so `simreport --simstat` renders DRAM pressure
-/// over time next to the c2c series. A sampled plan routes the trace
-/// through the sampled-execution spine: it fast-forwards between
-/// signature-picked units and the series is reconstructed by scaling
-/// fast-span intervals by the warming subsample factor.
+/// over time next to the c2c series.
 ///
 /// The job's span is labelled `fig10` (`fig10dram` off the flat
 /// backend) and carries the interval series and the timeline events.
 pub fn run(plan: &ExperimentPlan, pset: usize, memory: MemoryConfig) -> Fig10 {
     let effort = plan.effort();
-    let sampled = plan.mode().is_sampled();
     let label = match memory {
         MemoryConfig::Flat => "fig10",
         _ => "fig10dram",
@@ -90,7 +85,7 @@ pub fn run(plan: &ExperimentPlan, pset: usize, memory: MemoryConfig) -> Fig10 {
             &[memory],
             |_| effort.cost_hint(pset),
             |&memory| {
-                let f = trace(effort, pset, memory, sampled);
+                let f = trace(effort, pset, memory);
                 let tele = JobTelemetry {
                     intervals: f.intervals.clone(),
                     events: f.events.clone(),
@@ -103,38 +98,13 @@ pub fn run(plan: &ExperimentPlan, pset: usize, memory: MemoryConfig) -> Fig10 {
         .expect("one job, one trace")
 }
 
-fn trace(effort: Effort, pset: usize, memory: MemoryConfig, sampled: bool) -> Fig10 {
+fn trace(effort: Effort, pset: usize, memory: MemoryConfig) -> Fig10 {
     let mut mc = MachineConfig::e6000(pset);
     mc.sample_interval = BUCKET_CYCLES;
     mc.hierarchy.memory = memory;
     let mut m = jbb_machine_with(mc, SpecJbbConfig::scaled(2 * pset, SCALE_DIVISOR));
     let sampler = m.attach_observer(IntervalSampler::new(BUCKET_CYCLES));
     let timeline = m.attach_observer(TimelineCollector::new());
-    if sampled {
-        // The sampled spine owns the schedule, so the trace runs a
-        // fixed horizon instead of stopping at the third collection.
-        let window = effort.window() * 8;
-        let scfg = SamplingConfig::for_window(window);
-        let warm_factor = u64::from(scfg.warm_every);
-        let run = measure_sampled(&mut m, effort.warmup(), window, &scfg);
-        let detailed_spans = run
-            .units
-            .iter()
-            .filter(|u| u.detailed)
-            .map(|u| (u.start, u.end))
-            .collect();
-        let mut events = m.observer(timeline).to_records(0, 0);
-        events.extend(run.event_records(0, 0));
-        events.extend(dram_stall_events(&mut m));
-        return Fig10 {
-            intervals: m.observer(sampler).samples().to_vec(),
-            interval_cycles: BUCKET_CYCLES,
-            gc_count: m.gc_count(),
-            detailed_spans,
-            warm_factor,
-            events,
-        };
-    }
     m.run_until(effort.warmup());
     m.begin_measurement();
     let start = m.time();
@@ -174,10 +144,11 @@ fn dram_stall_events(m: &mut Machine<SpecJbb>) -> Vec<EventRecord> {
 
 impl Fig10 {
     /// One interval's snoop-copyback rate per million cycles. In a
-    /// sampled trace, intervals outside the detailed unit spans only
-    /// saw the warming subsample of references, so their raw rate is
-    /// multiplied back up by `warm_factor` (intervals straddling a
-    /// span boundary are treated as fast — a bounded overestimate).
+    /// trace built from a sampled run, intervals outside the detailed
+    /// unit spans only saw the warming subsample of references, so their
+    /// raw rate is multiplied back up by `warm_factor` (intervals
+    /// straddling a span boundary are treated as fast — a bounded
+    /// overestimate).
     fn c2c_rate(&self, s: &IntervalSample) -> f64 {
         let exact = self.warm_factor == 1
             || self

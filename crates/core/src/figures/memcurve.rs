@@ -140,13 +140,7 @@ fn drive(
 /// straight from `RUNLOG_figures.jsonl`.
 pub fn run(plan: &ExperimentPlan) -> MemCurve {
     let dram = DramConfig::default();
-    // The backend is driven open-loop (no machine to fast-forward), so
-    // sampled mode shortens the deterministic request stream instead —
-    // each point keeps the same seeded sequence, just truncated.
-    let n = match plan.mode() {
-        crate::engine::SimMode::Full => requests(plan.effort()),
-        crate::engine::SimMode::Sampled(_) => (requests(plan.effort()) / 16).max(5_000),
-    };
+    let n = requests(plan.effort());
     let jobs: Vec<(u32, u64)> = WRITE_MIXES
         .iter()
         .flat_map(|&w| LOAD_PERMILLE.iter().map(move |&l| (w, l)))

@@ -3,7 +3,7 @@
 //! derive its own series without re-simulating.
 
 use crate::engine::WindowReport;
-use crate::experiment::{ecperf_machine, jbb_machine, measure_in, ExperimentPlan, JobTelemetry};
+use crate::experiment::{ecperf_machine, jbb_machine, measure, ExperimentPlan, JobTelemetry};
 use crate::Effort;
 
 /// One processor count's worth of measurements (one report per seed).
@@ -50,7 +50,7 @@ impl ScalingData {
     }
 }
 
-/// Runs both workloads over `ps`, `ExperimentPlan::seeds` times each.
+/// Runs both workloads over `ps`, `Effort::seeds` times each.
 /// SPECjbb runs with 2P warehouses ("optimal warehouses at each system
 /// size", Section 2.1); ECperf's thread pool is tuned per processor count
 /// (Section 3.2).
@@ -59,13 +59,10 @@ impl ScalingData {
 /// worker pool; reports are regrouped in axis/seed order, so the result
 /// is bit-identical to a serial sweep. The sweep mixes system sizes, so
 /// jobs carry [`Effort::cost_hint`]s and the pool claims the 16-way
-/// points before the uniprocessor ones. Each job honors the plan's
-/// [`SimMode`](crate::SimMode): a sampled sweep runs one seed per point
-/// and its jobs stream their unit schedules into the run log.
+/// points before the uniprocessor ones.
 pub fn run_scaling(plan: &ExperimentPlan, ps: &[usize]) -> ScalingData {
     let effort = plan.effort();
-    let seeds = plan.seeds();
-    let mode = plan.mode().clone();
+    let seeds = effort.seeds();
     let jobs: Vec<(bool, usize, u64)> = [true, false]
         .iter()
         .flat_map(|&is_jbb| {
@@ -87,15 +84,12 @@ pub fn run_scaling(plan: &ExperimentPlan, ps: &[usize]) -> ScalingData {
             &jobs,
             |&(_, p, _)| effort.cost_hint(p),
             |&(is_jbb, p, seed)| {
-                let (report, sampled) = if is_jbb {
-                    let mut m = jbb_machine(p, 2 * p, seed, effort);
-                    measure_in(&mut m, effort, &mode)
+                let report = if is_jbb {
+                    measure(&mut jbb_machine(p, 2 * p, seed, effort), effort)
                 } else {
-                    let mut m = ecperf_machine(p, seed, effort);
-                    measure_in(&mut m, effort, &mode)
+                    measure(&mut ecperf_machine(p, seed, effort), effort)
                 };
-                let tele = JobTelemetry::default().with_samples(sampled.as_ref());
-                (report, tele)
+                (report, JobTelemetry::default())
             },
         )
         .into_iter();

@@ -11,7 +11,7 @@
 //! - [`experiment`] — warm-up / measurement-window orchestration and
 //!   the [`ExperimentPlan`] worker pool that fans seeds × configurations
 //!   over cores with bit-identical serial/parallel results (the
-//!   multi-seed variability methodology is `plan.seeds()` over
+//!   multi-seed variability methodology is `Effort::seeds` over
 //!   `plan.run`);
 //! - [`figures`] — one experiment per paper figure, each returning typed
 //!   series and rendering the same rows the figure plots.
@@ -26,11 +26,11 @@ pub use cluster::{run_cluster, ClusterReport};
 pub use engine::{
     measure_sampled, replay_trace, replay_traces, AccessSource, AttribProfiler, IntervalSample,
     IntervalSampler, LineStatsObserver, Machine, MachineConfig, ObserverHandle, ReplayReport,
-    SampledRun, SamplingConfig, SimMode, SimObserver, SweepObserver, TimelineCollector,
-    TraceObserver, WindowReport,
+    SampledRun, SamplingConfig, SimObserver, SweepObserver, TimelineCollector, TraceObserver,
+    WindowReport,
 };
 pub use experiment::{
     ecperf_machine, ecperf_machine_with, jbb_machine, jbb_machine_with, largest_first_order,
-    measure, measure_in, Effort, ExperimentPlan, JobTelemetry,
+    measure, Effort, ExperimentPlan, JobTelemetry,
 };
 pub use score::{official_run, JbbScore, RampPoint, RAMP_TOLERANCE};

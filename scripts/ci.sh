@@ -60,8 +60,9 @@ echo "==> SIMREPORT_plan.csv ($(wc -l < SIMREPORT_plan.csv) rows)"
 echo "==> bandwidth-latency curve figure (quick) + simreport over its RunLog"
 cargo build --release --offline -p middlesim --bin figures
 # Bad arguments fail before any simulation: a figure number is not an
-# effort, and an unknown figure name is an error, not a silent no-op.
-for bad in "10" "quick nosuchfig"; do
+# effort, an unknown figure name is an error, not a silent no-op, and
+# the deleted sampled-mode flag is rejected rather than ignored.
+for bad in "10" "quick nosuchfig" "--sampled quick 4"; do
     status=0
     ./target/release/figures $bad 2>/dev/null || status=$?
     test "$status" -eq 2 || { echo "figures $bad exited $status, expected 2"; exit 1; }
@@ -119,8 +120,8 @@ grep -q '"ok": true' DRIFT_figures.json || { echo "DRIFT_figures.json verdict is
 # The sampled spine's correctness claim is measured, not assumed: the
 # differential matrix runs each config every-cycle and sampled, and the
 # binary exits non-zero if any metric breaks the error bound. The
-# sampled unit schedules land in the RunLog, which must still pass the
-# simreport schema check (sample_unit records included).
+# matrix calls measure_sampled directly, so its RunLog holds no
+# sample_unit records; it must still pass the simreport schema check.
 echo "==> sampled-vs-full differential validation (quick)"
 ./target/release/figures quick validate-sampled
 test -s SAMPLED_VALIDATION.csv || { echo "figures validate-sampled did not write SAMPLED_VALIDATION.csv"; exit 1; }
