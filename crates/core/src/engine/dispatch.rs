@@ -17,14 +17,13 @@ use workloads::WaitKind;
 
 use super::accounting::Accounting;
 
-/// Scheduler tunables, lifted from the machine configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedParams {
-    /// Time quantum in cycles (preemption at the next step boundary).
-    pub quantum: u64,
-    /// Kernel cycles charged per context switch.
-    pub ctx_switch_cost: u64,
-}
+/// Time quantum in cycles (~160 ms at 248 MHz: Solaris TS-class
+/// preemption of compute-bound threads). A running thread is preempted
+/// at the next step boundary once its quantum expires and another
+/// thread is ready.
+const QUANTUM: u64 = 40_000_000;
+/// Kernel cycles charged per context switch.
+const CTX_SWITCH_COST: u64 = 3_000;
 
 /// What a thread is doing, from the scheduler's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +60,6 @@ struct LockState {
 /// processor set the benchmark is bound to.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
-    params: SchedParams,
     pset: ProcessorSet,
     threads: Vec<ThreadState>,
     locks: Vec<LockState>,
@@ -76,14 +74,12 @@ impl Scheduler {
     /// processors, bound to `pset`, with the given lock table. All
     /// threads start ready.
     pub(crate) fn new(
-        params: SchedParams,
         pset: ProcessorSet,
         cpus: usize,
         thread_count: usize,
         lock_table: Vec<LockDesc>,
     ) -> Self {
         Scheduler {
-            params,
             pset,
             threads: (0..thread_count)
                 .map(|_| ThreadState {
@@ -175,7 +171,7 @@ impl Scheduler {
                 // processor; then any thread already ready by `now`.
                 let now = acct.clock(cpu).max(now_global);
                 let head_wait = now.saturating_sub(self.threads[self.ready[0]].ready_at);
-                let pick = if head_wait > self.params.quantum {
+                let pick = if head_wait > QUANTUM {
                     Some(0)
                 } else {
                     self.ready
@@ -267,13 +263,13 @@ impl Scheduler {
         if self.ready.is_empty() {
             return;
         }
-        if acct.clock(cpu) - self.dispatched_at[cpu] < self.params.quantum {
+        if acct.clock(cpu) - self.dispatched_at[cpu] < QUANTUM {
             return;
         }
         let Some(thread) = self.running[cpu] else {
             return;
         };
-        acct.advance(cpu, ExecMode::System, self.params.ctx_switch_cost);
+        acct.advance(cpu, ExecMode::System, CTX_SWITCH_COST);
         self.threads[thread].status = Status::Ready;
         self.threads[thread].ready_at = acct.clock(cpu);
         self.ready.push_back(thread);
@@ -349,17 +345,9 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    fn params() -> SchedParams {
-        SchedParams {
-            quantum: 1000,
-            ctx_switch_cost: 10,
-        }
-    }
-
     fn sched(threads: usize, cpus: usize, pset: usize) -> (Scheduler, Accounting) {
         (
             Scheduler::new(
-                params(),
                 ProcessorSet::first_n(pset, cpus),
                 cpus,
                 threads,
@@ -429,9 +417,13 @@ mod tests {
         let (mut s, mut a) = sched(3, 1, 1);
         s.dispatch(&mut a);
         let first = s.thread_on(0).unwrap();
-        a.advance(0, ExecMode::User, 2000); // quantum is 1000
+        a.advance(0, ExecMode::User, QUANTUM - 1);
+        s.maybe_preempt(0, &mut a);
+        assert_eq!(s.thread_on(0), Some(first), "quantum not yet expired");
+        a.advance(0, ExecMode::User, 1);
         s.maybe_preempt(0, &mut a);
         assert_eq!(s.thread_on(0), None, "thread preempted");
+        assert_eq!(a.clock(0), QUANTUM + CTX_SWITCH_COST, "switch charged");
         s.dispatch(&mut a);
         assert_ne!(s.thread_on(0), Some(first), "another thread runs next");
     }

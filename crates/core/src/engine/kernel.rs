@@ -20,7 +20,7 @@ use sysos::tlb::{Tlb, TlbConfig};
 use workloads::model::{Control, StepCtx, StepResult, Workload};
 
 use super::accounting::{Accounting, WindowReport};
-use super::dispatch::{SchedParams, Scheduler};
+use super::dispatch::Scheduler;
 use super::gc_driver::GcDriver;
 use super::observer::{AccessEvent, AccessSource, ObserverHandle, ObserverSet, SimObserver};
 use super::sampling::{FastSink, SamplingState, SigCounts, SignatureCollector};
@@ -40,21 +40,15 @@ pub struct MachineConfig {
     pub tlb: Option<TlbConfig>,
     /// RNG seed for the run.
     pub seed: u64,
-    /// Cycles between OS clock ticks on each processor.
-    pub tick_period: u64,
-    /// Busy cycles charged per tick handler.
-    pub tick_cost: u64,
-    /// Default cycle width of one interval sample — what an attached
-    /// `IntervalSampler` should use unless an experiment picks its own
-    /// (Figure 10's "100 ms").
+    /// Nothing reads this: an `IntervalSampler` takes its own width.
+    /// It stays only because the host-time benchmark assigns it.
     pub sample_interval: u64,
-    /// Scheduler time quantum in cycles (Solaris TS-class preemption).
-    /// A running thread is preempted at the next step boundary once its
-    /// quantum expires and another thread is ready.
-    pub quantum: u64,
-    /// Kernel cycles charged per context switch.
-    pub ctx_switch_cost: u64,
 }
+
+/// Cycles between OS clock ticks on each processor (about 1 ms at 248 MHz).
+const TICK_PERIOD: u64 = 250_000;
+/// Busy cycles charged per tick handler.
+const TICK_COST: u64 = 1_500;
 
 impl MachineConfig {
     /// An E6000-like machine with the benchmark bound to `pset` of 16
@@ -71,11 +65,7 @@ impl MachineConfig {
             latency: LatencyTable::e6000(),
             tlb: None,
             seed: 1,
-            tick_period: 250_000,
-            tick_cost: 1_500,
             sample_interval: 24_800_000, // 100 ms at 248 MHz
-            quantum: 40_000_000,         // ~160 ms (compute-bound TS threads)
-            ctx_switch_cost: 3_000,
         }
     }
 
@@ -92,13 +82,6 @@ impl MachineConfig {
             hierarchy,
             pset: cpus,
             ..MachineConfig::e6000(1)
-        }
-    }
-
-    fn sched_params(&self) -> SchedParams {
-        SchedParams {
-            quantum: self.quantum,
-            ctx_switch_cost: self.ctx_switch_cost,
         }
     }
 }
@@ -208,7 +191,6 @@ impl<W: Workload> Machine<W> {
     pub fn new(cfg: MachineConfig, workload: W) -> Self {
         let cpus = cfg.hierarchy.cpus;
         let sched = Scheduler::new(
-            cfg.sched_params(),
             sysos::sched::ProcessorSet::first_n(cfg.pset, cpus),
             cpus,
             workload.thread_count(),
@@ -221,7 +203,7 @@ impl<W: Workload> Machine<W> {
                 .collect(),
             tlbs: cfg.tlb.map(|t| (0..cpus).map(|_| Tlb::new(t)).collect()),
             rng: SimRng::seed_from_u64(cfg.seed),
-            next_tick: cfg.tick_period,
+            next_tick: TICK_PERIOD,
             acct: Accounting::new(cpus),
             sched,
             gc: GcDriver::new(),
@@ -393,7 +375,7 @@ impl<W: Workload> Machine<W> {
                 }
             }
             // Tick handlers interrupt whatever the cpu is doing.
-            self.acct.advance(cpu, ExecMode::System, self.cfg.tick_cost);
+            self.acct.advance(cpu, ExecMode::System, TICK_COST);
         }
     }
 
@@ -564,7 +546,7 @@ impl<W: Workload> Machine<W> {
             while self.next_tick <= now {
                 let at = self.next_tick;
                 self.os_tick(at);
-                self.next_tick += self.cfg.tick_period;
+                self.next_tick += TICK_PERIOD;
             }
             // Interval sampling: when virtual time crossed a boundary,
             // snapshot the whole counter tree once and deliver it. The
@@ -653,12 +635,8 @@ impl<W: Workload> Machine<W> {
     /// reference, the calibrated short-stall share) plus the machine's
     /// own latency-table cost per warming-access outcome. The machine
     /// starts in detailed mode; flip with [`Machine::set_fast_forward`].
-    pub(crate) fn begin_sampling(&mut self, warm_every: u32, base_q8: u64) {
-        self.sampling = Some(Box::new(SamplingState::new(
-            warm_every,
-            base_q8,
-            self.cfg.latency,
-        )));
+    pub(crate) fn begin_sampling(&mut self, base_q8: u64) {
+        self.sampling = Some(Box::new(SamplingState::new(base_q8, self.cfg.latency)));
     }
 
     /// Tears the sampled-execution machinery down (detailed stepping
@@ -696,7 +674,7 @@ impl<W: Workload> Machine<W> {
     /// reference).
     pub(crate) fn set_warm_every(&mut self, n: u32) {
         if let Some(s) = self.sampling.as_deref_mut() {
-            s.warm_every = n.max(1);
+            s.warm_every = n;
         }
     }
 
@@ -741,6 +719,55 @@ impl<W: Workload> Machine<W> {
             gc_count: self.gc.window_gc_count(),
             c2c_ratio: self.mem.stats().c2c_ratio(),
             snoop_filter_rate: self.mem.bus_stats().snoop_filter_rate(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use workloads::model::LockDesc;
+
+    /// One thread that does no work: it naps in short I/O waits for the
+    /// whole run, so OS clock ticks are the only busy time.
+    struct Napper;
+
+    impl Workload for Napper {
+        fn thread_count(&self) -> usize {
+            1
+        }
+
+        fn lock_table(&self) -> Vec<LockDesc> {
+            Vec::new()
+        }
+
+        fn step(&mut self, _: usize, _: &mut StepCtx<'_>) -> StepResult {
+            StepResult::user(Control::IoWait(TICK_PERIOD / 10))
+        }
+
+        fn collect(&mut self, _: &mut dyn MemSink) {}
+
+        fn heap_after_last_gc(&self) -> Option<u64> {
+            None
+        }
+    }
+
+    #[test]
+    fn every_processor_pays_each_clock_tick_once() {
+        let horizon = 40 * TICK_PERIOD + TICK_PERIOD / 2;
+        let ticks = horizon / TICK_PERIOD;
+        let mut m = Machine::new(MachineConfig::e6000(1), Napper);
+        m.run_until(horizon);
+        let cpus = m.acct.cpus();
+        assert_eq!(
+            m.acct.mode_total(ExecMode::System),
+            cpus as u64 * ticks * TICK_COST,
+            "system time is the tick handlers alone"
+        );
+        // The processors outside the benchmark's set run nothing else:
+        // each clock is its own tick time, so processor 0 holds the rest.
+        for cpu in 1..cpus {
+            assert_eq!(m.acct.clock(cpu), ticks * TICK_COST, "cpu {cpu}");
         }
     }
 }

@@ -39,7 +39,7 @@ pub mod trace;
 
 pub use accounting::{Accounting, WindowReport};
 pub use attrib::AttribProfiler;
-pub use dispatch::{SchedParams, Scheduler};
+pub use dispatch::Scheduler;
 pub use gc_driver::GcDriver;
 pub use kernel::{Machine, MachineConfig};
 pub use observer::{

@@ -19,7 +19,7 @@
 //!    simulated in detail, each behind a detailed warming prefix;
 //! 4. the remaining units **fast-forward functionally**: the workload
 //!    executes every step (so heap, scheduler, locks and transaction
-//!    counts stay exact) and every `warm_every`-th reference runs as a
+//!    counts stay exact) and every `WARM_EVERY`-th reference runs as a
 //!    real, timing-discarded access so cache contents, MESI sharer
 //!    state and dirty lines keep evolving; time advances by
 //!    **outcome-weighted charging** — each warming access is charged
@@ -53,48 +53,25 @@ use workloads::model::Workload;
 use super::accounting::WindowReport;
 use super::kernel::Machine;
 
-/// Knobs of the sampled-execution path.
+/// The sampled-execution schedule, scaled to one measurement window.
 #[derive(Debug, Clone)]
 pub struct SamplingConfig {
     /// Cycle width of one sample unit.
-    pub unit_cycles: u64,
-    /// Detailed (unmeasured) warming prefix inside each measured unit,
-    /// letting cache/TLB recency recover from the fast-forward before
-    /// statistics count.
-    pub warm_cycles: u64,
+    unit_cycles: u64,
     /// Stratified floor: at least this many units are measured, spread
     /// across the window by stride.
-    pub min_units: usize,
+    min_units: usize,
     /// Soft ceiling on stride-selected measured units (newly discovered
     /// clusters may still claim detail past it).
-    pub max_units: usize,
-    /// Euclidean distance below which a unit joins an existing
-    /// signature cluster instead of founding a new one.
-    pub threshold: f64,
+    max_units: usize,
     /// Detailed calibration prefix at the start of warm-up, from which
     /// the fast path's short-stall (store-buffer + RAW-hazard)
     /// per-reference estimate is derived.
-    pub calibration_cycles: u64,
-    /// Every n-th fast-path reference executes as a real
-    /// (timing-discarded) access (1 = every reference). Subsampling
-    /// keeps the functional-warming cost bounded while cache contents,
-    /// sharer state and dirty lines still evolve; each warming access
-    /// charges its outcome's cost times this factor, standing in for
-    /// the skipped references.
-    pub warm_every: u32,
-    /// Units after a collection that are forced into detail and binned
-    /// as their own *recovery* stratum. The post-GC cold-cache
-    /// transient (the collector evicted the mutators' working set)
-    /// carries a miss rate far above steady state while its *behavior*
-    /// signature looks perfectly ordinary — left to signature
-    /// clustering, one measured recovery unit poisons the dominant
-    /// steady-state stratum's mean and biases every miss-rate estimate
-    /// high.
-    pub recovery_units: usize,
+    calibration_cycles: u64,
 }
 
 impl SamplingConfig {
-    /// Defaults scaled to a measurement window of `window` cycles. The
+    /// The schedule for a measurement window of `window` cycles. The
     /// floor matters at quick effort: units below ~1M cycles measure
     /// mostly their own warming transient and the error bound slips.
     pub fn for_window(window: u64) -> Self {
@@ -106,19 +83,31 @@ impl SamplingConfig {
         let min_units = 10.max(total_units / 4);
         SamplingConfig {
             unit_cycles,
-            warm_cycles: unit_cycles / 2,
             min_units,
             max_units: 2 * min_units,
-            threshold: 0.20,
             calibration_cycles: 2_000_000.min(window / 4).max(250_000),
-            warm_every: 4,
-            // The post-GC transient decays over a few Mcycles — a few
-            // units at any window length, since units scale with the
-            // window.
-            recovery_units: 3,
         }
     }
 }
+
+/// Euclidean distance below which a unit joins an existing signature
+/// cluster instead of founding a new one.
+const THRESHOLD: f64 = 0.20;
+/// Every n-th fast-path reference executes as a real (timing-discarded)
+/// access. Subsampling keeps the functional-warming cost bounded while
+/// cache contents, sharer state and dirty lines still evolve; each
+/// warming access charges its outcome's cost times this factor,
+/// standing in for the skipped references.
+const WARM_EVERY: u32 = 4;
+/// Units after a collection that are forced into detail and binned as
+/// their own *recovery* stratum. The post-GC cold-cache transient (the
+/// collector evicted the mutators' working set) carries a miss rate far
+/// above steady state while its *behavior* signature looks perfectly
+/// ordinary — left to signature clustering, one measured recovery unit
+/// poisons the dominant steady-state stratum's mean and biases every
+/// miss-rate estimate high. The transient decays over a few Mcycles — a
+/// few units at any window length, since units scale with the window.
+const RECOVERY_UNITS: usize = 3;
 
 /// Table slots in the signature working-set sketch (direct-mapped).
 const SIG_TABLE: usize = 4096;
@@ -269,7 +258,7 @@ impl Signature {
 }
 
 /// Online leader clustering: the first member of each cluster is its
-/// fixed leader, units join the nearest leader within the threshold.
+/// fixed leader, units join the nearest leader within [`THRESHOLD`].
 /// Deterministic (insertion order, no RNG) so sampled runs replay
 /// bit-for-bit.
 struct Leaders {
@@ -280,17 +269,15 @@ struct Leaders {
     /// invisible to signature assignment, their members are selected by
     /// *when* they run, not what their signature looks like.
     special: Vec<bool>,
-    threshold: f64,
 }
 
 impl Leaders {
-    fn new(threshold: f64) -> Self {
+    fn new() -> Self {
         Leaders {
             sigs: Vec::new(),
             pop: Vec::new(),
             measured: Vec::new(),
             special: Vec::new(),
-            threshold,
         }
     }
 
@@ -307,7 +294,7 @@ impl Leaders {
             }
         }
         match best {
-            Some((i, d)) if d <= self.threshold => {
+            Some((i, d)) if d <= THRESHOLD => {
                 self.pop[i] += 1;
                 i
             }
@@ -370,13 +357,13 @@ pub(crate) struct SamplingState {
 }
 
 impl SamplingState {
-    pub(crate) fn new(warm_every: u32, base_q8: u64, lat: LatencyTable) -> Self {
+    pub(crate) fn new(base_q8: u64, lat: LatencyTable) -> Self {
         SamplingState {
             fast: false,
             base_q8,
             lat,
             sig: SignatureCollector::new(),
-            warm_every: warm_every.max(1),
+            warm_every: WARM_EVERY,
             warm_tick: 0,
         }
     }
@@ -852,7 +839,7 @@ pub fn measure_sampled<W: Workload>(
         + d.get("mem.store.accesses").unwrap_or(0)
         + d.get("mem.ifetch.accesses").unwrap_or(0);
     let base_q8 = short_stall_q8(&cpi_delta(&c1.0, &c0.0), refs);
-    m.begin_sampling(cfg.warm_every, base_q8);
+    m.begin_sampling(base_q8);
 
     // 2. Functionally fast-forward the rest of the warm-up, closing
     // with a full-rate warming ramp so the first (always detailed)
@@ -868,9 +855,9 @@ pub fn measure_sampled<W: Workload>(
     m.begin_measurement();
     let start = m.time();
     let end_of_window = start + window;
-    let warm = cfg.warm_cycles.min(cfg.unit_cycles / 2);
+    let warm = cfg.unit_cycles / 2;
     let total_units = (window / cfg.unit_cycles).max(1) as usize;
-    let stride = (total_units / cfg.min_units.max(1)).max(1);
+    let stride = (total_units / cfg.min_units).max(1);
     // A fixed `u % stride == 0` schedule aliases: middleware behavior
     // is periodic (GC cycles, inventory rotation, timer-driven phases)
     // and whenever a phase period divides into the stride's cycle
@@ -887,7 +874,7 @@ pub fn measure_sampled<W: Workload>(
         u % stride == slot as usize
     };
 
-    let mut leaders = Leaders::new(cfg.threshold);
+    let mut leaders = Leaders::new();
     let mut units: Vec<UnitRecord> = Vec::with_capacity(total_units);
     let mut measurements: Vec<UnitMeasurement> = Vec::new();
     let mut last_cluster = usize::MAX;
@@ -933,7 +920,7 @@ pub fn measure_sampled<W: Workload>(
         // detail and pool them in a dedicated stratum (below) so the
         // transient is weighted by its true population instead of
         // leaking into a steady-state cluster's mean.
-        let recovering = since_gc < cfg.recovery_units;
+        let recovering = since_gc < RECOVERY_UNITS;
         let detailed = u == 0 || hungry || strided || gc_soon || recovering;
 
         let meas = if detailed {
@@ -965,7 +952,7 @@ pub fn measure_sampled<W: Workload>(
             // subsampled stream under-warms a large L2 and its extra
             // cold misses land directly in the measured span.
             let next_strided = strided_at(u + 1) && measurements.len() < cfg.max_units;
-            m.set_warm_every(if next_strided { 1 } else { cfg.warm_every });
+            m.set_warm_every(if next_strided { 1 } else { WARM_EVERY });
             m.run_until(unit_end);
             None
         };
@@ -1151,7 +1138,7 @@ mod tests {
 
     #[test]
     fn leader_clustering_is_deterministic_and_threshold_bound() {
-        let mut l = Leaders::new(0.2);
+        let mut l = Leaders::new();
         let base = Signature([0.5; SIG_DIMS]);
         let near = Signature([0.52, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]);
         let far = Signature([0.5, 0.5, 0.5, 0.5, 0.5, 1.0, 0.5]);

@@ -100,7 +100,6 @@ pub fn run(plan: &ExperimentPlan, pset: usize, memory: MemoryConfig) -> Fig10 {
 
 fn trace(effort: Effort, pset: usize, memory: MemoryConfig) -> Fig10 {
     let mut mc = MachineConfig::e6000(pset);
-    mc.sample_interval = BUCKET_CYCLES;
     mc.hierarchy.memory = memory;
     let mut m = jbb_machine_with(mc, SpecJbbConfig::scaled(2 * pset, SCALE_DIVISOR));
     let sampler = m.attach_observer(IntervalSampler::new(BUCKET_CYCLES));

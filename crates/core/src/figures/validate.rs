@@ -8,7 +8,10 @@
 //! (CPI, L1/L2 miss rates, response-time p50/p95) are compared under a
 //! relative-error bound. CI runs this at quick effort and fails the
 //! build when any metric drifts past [`ERROR_BOUND`]; the full
-//! comparison lands in `SAMPLED_VALIDATION.csv`.
+//! comparison lands in `SAMPLED_VALIDATION.csv`. Throughput and the
+//! system-mode share are compared and recorded too, but not bounded:
+//! the sampled run counts them over its own fast-forward trajectory,
+//! which is where it diverges from the full run.
 //!
 //! Both executions are bit-deterministic, so the recorded errors are
 //! properties of the *code*, not the machine or the run: a bound that
@@ -35,6 +38,13 @@ pub const METRICS: [&str; 5] = [
     "resp_p95",
 ];
 
+/// The recorded metrics, in row order after [`METRICS`]: compared and
+/// written out, but kept out of [`Validation::violations`].
+const RECORDED: [&str; 2] = ["throughput", "system_share"];
+
+/// Values per side: the validated metrics, then the recorded ones.
+const SIDE_VALUES: usize = METRICS.len() + RECORDED.len();
+
 /// The configuration matrix: `(label, is_jbb, pset, window_mult)`.
 /// Small psets keep the CI run short; the 8-way point exercises the
 /// coherence traffic the signature's sharing dimension exists for.
@@ -58,7 +68,8 @@ const CONFIGS: [(&str, bool, usize, u64); 3] = [
 pub struct ValidationRow {
     /// Configuration label (`jbb:p8`, ...).
     pub config: String,
-    /// Metric name (one of [`METRICS`], or `wall_speedup`).
+    /// Metric name (one of [`METRICS`], `throughput`, `system_share`
+    /// or `wall_speedup`).
     pub metric: &'static str,
     /// The every-cycle run's value.
     pub full: f64,
@@ -66,7 +77,8 @@ pub struct ValidationRow {
     pub sampled: f64,
     /// Half-width of the sampled estimate's 95% confidence interval
     /// (0 for the histogram quantiles, which extrapolate bucket mass
-    /// rather than averaging per-unit values).
+    /// rather than averaging per-unit values, and for the counted
+    /// throughput and system share).
     pub ci_half: f64,
     /// `|sampled - full| / full` — except on `wall_speedup` rows,
     /// where it holds `full_secs / sampled_secs` instead.
@@ -76,8 +88,9 @@ pub struct ValidationRow {
 /// The full differential comparison.
 #[derive(Debug, Clone)]
 pub struct Validation {
-    /// All rows, config-major in `CONFIGS` × [`METRICS`] order, each
-    /// config closed by its `wall_speedup` row.
+    /// All rows, config-major in `CONFIGS` × ([`METRICS`], then
+    /// `throughput` and `system_share`) order, each config closed by
+    /// its `wall_speedup` row.
     pub rows: Vec<ValidationRow>,
     /// The bound [`violations`](Self::violations) checks against.
     pub bound: f64,
@@ -85,8 +98,8 @@ pub struct Validation {
 
 /// Per-config result of one execution mode.
 struct Side {
-    values: [f64; METRICS.len()],
-    ci: [f64; METRICS.len()],
+    values: [f64; SIDE_VALUES],
+    ci: [f64; SIDE_VALUES],
     wall_secs: f64,
 }
 
@@ -116,8 +129,10 @@ fn full_side<W: Workload>(m: &mut Machine<W>, effort: Effort, mult: u64) -> Side
             sum("l2_misses") as f64 / acc as f64,
             p50,
             p95,
+            report.throughput(),
+            report.modes.system,
         ],
-        ci: [0.0; METRICS.len()],
+        ci: [0.0; SIDE_VALUES],
         wall_secs: t.elapsed().as_secs_f64(),
     }
 }
@@ -146,9 +161,18 @@ fn sampled_side<W: Workload>(m: &mut Machine<W>, effort: Effort, mult: u64) -> S
     let l1 = ratio("l1_misses");
     let l2 = ratio("l2_misses");
     let (p50, p95) = hist_quantiles(s.response_hist().as_ref());
+    let report = s.to_window_report();
     Side {
-        values: [cpi.mean, l1.mean, l2.mean, p50, p95],
-        ci: [cpi.ci_half, l1.ci_half, l2.ci_half, 0.0, 0.0],
+        values: [
+            cpi.mean,
+            l1.mean,
+            l2.mean,
+            p50,
+            p95,
+            report.throughput(),
+            report.modes.system,
+        ],
+        ci: [cpi.ci_half, l1.ci_half, l2.ci_half, 0.0, 0.0, 0.0, 0.0],
         wall_secs: t.elapsed().as_secs_f64(),
     }
 }
@@ -189,7 +213,7 @@ pub fn run(plan: &ExperimentPlan) -> Validation {
     for (c, pair) in sides.chunks(2).enumerate() {
         let (full, samp) = (&pair[0], &pair[1]);
         let config = CONFIGS[c].0.to_string();
-        for (i, &metric) in METRICS.iter().enumerate() {
+        for (i, &metric) in METRICS.iter().chain(&RECORDED).enumerate() {
             let f = full.values[i];
             rows.push(ValidationRow {
                 config: config.clone(),
@@ -216,12 +240,14 @@ pub fn run(plan: &ExperimentPlan) -> Validation {
 }
 
 impl Validation {
-    /// The metric rows (excluding the `wall_speedup` bookkeeping rows).
-    pub(crate) fn metric_rows(&self) -> impl Iterator<Item = &ValidationRow> {
-        self.rows.iter().filter(|r| r.metric != "wall_speedup")
+    /// The validated rows: [`METRICS`] only, without the recorded
+    /// and `wall_speedup` rows.
+    fn metric_rows(&self) -> impl Iterator<Item = &ValidationRow> {
+        self.rows.iter().filter(|r| METRICS.contains(&r.metric))
     }
 
-    /// Metrics outside the error bound — the CI failure condition.
+    /// Validated metrics outside the error bound — the CI failure
+    /// condition.
     pub fn violations(&self) -> Vec<String> {
         self.metric_rows()
             .filter(|r| r.rel_err > self.bound)
@@ -296,9 +322,19 @@ mod tests {
         let v = run(&ExperimentPlan::new(Effort::Quick));
         assert_eq!(
             v.rows.len(),
-            CONFIGS.len() * (METRICS.len() + 1),
+            CONFIGS.len() * (SIDE_VALUES + 1),
             "one row per config x metric plus wall"
         );
+        for config in CONFIGS.map(|c| c.0) {
+            for metric in RECORDED {
+                assert!(
+                    v.rows
+                        .iter()
+                        .any(|r| r.config == config && r.metric == metric),
+                    "{config} has no {metric} row"
+                );
+            }
+        }
         assert_eq!(v.violations(), Vec::<String>::new());
         assert!(v.csv().lines().count() == v.rows.len() + 1);
         // Every config saw responses: the quantile metrics are live.

@@ -139,7 +139,6 @@ mod tests {
                     survivor: 256 << 10,
                     old: 4 << 20,
                 },
-                tenure_age: 1,
                 tlab_bytes: 4096,
             },
             AddrRange::new(Addr(0x4000_0000), 16 << 20),

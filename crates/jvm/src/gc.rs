@@ -51,6 +51,9 @@ pub struct GcOutcome {
 /// Old-generation occupancy above which a major collection is triggered.
 pub const MAJOR_GC_THRESHOLD: f64 = 0.85;
 
+/// Minor collections an object must survive before promotion.
+const TENURE_AGE: u8 = 1;
+
 /// Collector instruction costs (charged through the sink).
 const GC_SETUP_INSTRUCTIONS: u64 = 20_000;
 const SCAN_INSTRUCTIONS_PER_OBJECT: u64 = 12;
@@ -71,9 +74,8 @@ impl Heap {
 
     /// Runs a minor (new-generation) collection, emitting collector
     /// references through `sink`. Live young objects are copied to the
-    /// to-survivor space; objects that have survived
-    /// [`tenure_age`](crate::heap::HeapConfig::tenure_age) collections, or
-    /// that overflow the survivor space, are promoted to the old
+    /// to-survivor space; objects that have survived `TENURE_AGE`
+    /// collections, or that overflow the survivor space, are promoted to the old
     /// generation. If promotion would overflow the old generation a major
     /// collection is run inline first.
     ///
@@ -112,8 +114,7 @@ impl Heap {
                 continue;
             }
             let size = rec.size as u64;
-            let promote =
-                rec.age >= self.cfg.tenure_age || to_top + size > self.survivors[to_space].len();
+            let promote = rec.age >= TENURE_AGE || to_top + size > self.survivors[to_space].len();
             let dest = if promote {
                 if self.old_used + size > self.old.len() {
                     let major = self.major_gc(sink);
@@ -235,7 +236,6 @@ mod tests {
                     survivor: 256 << 10,
                     old: 2 << 20,
                 },
-                tenure_age: 1,
                 tlab_bytes: 8 << 10,
             },
             AddrRange::new(Addr(0x4000_0000), 16 << 20),

@@ -62,8 +62,6 @@ impl HeapGeometry {
 pub struct HeapConfig {
     /// Space sizes.
     pub geometry: HeapGeometry,
-    /// Minor collections an object must survive before promotion.
-    pub tenure_age: u8,
     /// TLAB chunk size carved from eden per refill.
     pub tlab_bytes: u64,
 }
@@ -72,7 +70,6 @@ impl Default for HeapConfig {
     fn default() -> Self {
         HeapConfig {
             geometry: HeapGeometry::paper(),
-            tenure_age: 1,
             tlab_bytes: 64 << 10,
         }
     }
@@ -344,7 +341,6 @@ mod tests {
                 survivor: 1 << 20,
                 old: 32 << 20,
             },
-            tenure_age: 1,
             tlab_bytes: 64 << 10,
         }
     }

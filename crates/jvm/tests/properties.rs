@@ -15,7 +15,6 @@ fn small_heap() -> Heap {
                 survivor: 64 << 10,
                 old: 1 << 20,
             },
-            tenure_age: 1,
             tlab_bytes: 8 << 10,
         },
         AddrRange::new(Addr(0x4000_0000), 8 << 20),

@@ -41,4 +41,4 @@ pub mod storebuf;
 pub use counters::CounterSample;
 pub use latency::{LatencyTable, CLOCK_HZ};
 pub use pipeline::{CpiReport, CpuTimer, DataStall, PipelineParams, StallCharge};
-pub use storebuf::{StoreBuffer, DEFAULT_DEPTH};
+pub use storebuf::StoreBuffer;

@@ -19,34 +19,28 @@ use memsys::AccessOutcome;
 use probes::Histogram;
 
 use crate::latency::LatencyTable;
-use crate::storebuf::{StoreBuffer, DEFAULT_DEPTH};
+use crate::storebuf::StoreBuffer;
 
-/// Tunable pipeline parameters.
+/// Pipeline parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineParams {
     /// Base CPI covering execution and non-memory stalls (the "Other"
     /// slice; ~1.3 for these workloads on a 4-wide in-order core).
     pub base_cpi: f64,
-    /// One load in `raw_hazard_period` is not sufficiently separated from a
-    /// preceding store and suffers a short hazard stall (Section 4.2: ~1%
-    /// of execution time).
-    pub raw_hazard_period: u64,
-    /// Cycles lost to one read-after-write hazard.
-    pub raw_hazard_cycles: u64,
-    /// Store-buffer depth.
-    pub store_buffer_depth: usize,
 }
 
 impl Default for PipelineParams {
     fn default() -> Self {
-        PipelineParams {
-            base_cpi: 1.3,
-            raw_hazard_period: 40,
-            raw_hazard_cycles: 4,
-            store_buffer_depth: DEFAULT_DEPTH,
-        }
+        PipelineParams { base_cpi: 1.3 }
     }
 }
+
+/// One load in `RAW_HAZARD_PERIOD` is not sufficiently separated from a
+/// preceding store and suffers a short hazard stall (Section 4.2: ~1% of
+/// execution time).
+const RAW_HAZARD_PERIOD: u64 = 40;
+/// Cycles lost to one read-after-write hazard.
+const RAW_HAZARD_CYCLES: u64 = 4;
 
 /// The stall cycles one access charged the pipeline, returned from
 /// [`CpuTimer::ifetch`]/[`CpuTimer::load`]/[`CpuTimer::store`] so
@@ -106,7 +100,7 @@ impl CpuTimer {
     /// Creates a timer with the given parameters and latency table.
     pub fn new(params: PipelineParams, lat: LatencyTable) -> Self {
         CpuTimer {
-            storebuf: StoreBuffer::new(params.store_buffer_depth),
+            storebuf: StoreBuffer::default(),
             params,
             lat,
             instructions: 0,
@@ -160,9 +154,9 @@ impl CpuTimer {
             memsys::HitLevel::Memory => self.data_stall.memory += stall,
             memsys::HitLevel::Upgrade => self.data_stall.memory += stall,
         }
-        let raw = if self.loads.is_multiple_of(self.params.raw_hazard_period) {
-            self.data_stall.raw_hazard += self.params.raw_hazard_cycles;
-            self.params.raw_hazard_cycles
+        let raw = if self.loads.is_multiple_of(RAW_HAZARD_PERIOD) {
+            self.data_stall.raw_hazard += RAW_HAZARD_CYCLES;
+            RAW_HAZARD_CYCLES
         } else {
             0
         };

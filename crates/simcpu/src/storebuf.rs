@@ -9,36 +9,33 @@
 //! latency has elapsed; enqueueing into a full buffer stalls the processor
 //! until the oldest entry drains.
 
-/// A fixed-capacity store buffer tracked in processor cycles.
+/// UltraSPARC II store-buffer depth.
+const DEPTH: usize = 8;
+
+/// The UltraSPARC II's store buffer, tracked in processor cycles.
 #[derive(Debug, Clone)]
 pub struct StoreBuffer {
-    /// Completion times of in-flight stores (a ring; oldest first).
+    /// Completion times of in-flight stores (a ring of [`DEPTH`] slots;
+    /// oldest first).
     slots: Vec<u64>,
     head: usize,
     len: usize,
 }
 
-/// UltraSPARC II store-buffer depth.
-pub const DEFAULT_DEPTH: usize = 8;
-
-impl StoreBuffer {
-    /// Creates an empty buffer with `depth` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub(crate) fn new(depth: usize) -> Self {
-        assert!(depth > 0, "store buffer depth must be positive");
+impl Default for StoreBuffer {
+    fn default() -> Self {
         StoreBuffer {
-            slots: vec![0; depth],
+            slots: vec![0; DEPTH],
             head: 0,
             len: 0,
         }
     }
+}
 
+impl StoreBuffer {
     fn drain(&mut self, now: u64) {
         while self.len > 0 && self.slots[self.head] <= now {
-            self.head = (self.head + 1) % self.slots.len();
+            self.head = (self.head + 1) % DEPTH;
             self.len -= 1;
         }
     }
@@ -48,17 +45,16 @@ impl StoreBuffer {
     /// (non-zero only when the buffer was full).
     pub(crate) fn push(&mut self, now: u64, latency: u64) -> u64 {
         self.drain(now);
-        let cap = self.slots.len();
-        let (start, stall) = if self.len == cap {
+        let (start, stall) = if self.len == DEPTH {
             // Stall until the oldest entry completes.
             let free_at = self.slots[self.head];
-            self.head = (self.head + 1) % cap;
+            self.head = (self.head + 1) % DEPTH;
             self.len -= 1;
             (free_at, free_at - now)
         } else {
             (now, 0)
         };
-        let tail = (self.head + self.len) % cap;
+        let tail = (self.head + self.len) % DEPTH;
         self.slots[tail] = start + latency;
         self.len += 1;
         stall
@@ -70,65 +66,64 @@ impl StoreBuffer {
     }
 }
 
-impl Default for StoreBuffer {
-    fn default() -> Self {
-        StoreBuffer::new(DEFAULT_DEPTH)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const D: u64 = DEPTH as u64;
+
     #[test]
     fn stores_below_depth_never_stall() {
-        let mut sb = StoreBuffer::new(4);
-        for i in 0..4 {
+        let mut sb = StoreBuffer::default();
+        for i in 0..D {
             assert_eq!(sb.push(i, 100), 0);
         }
-        // All four are still in flight: a fifth waits for the oldest.
-        assert_eq!(sb.push(3, 100), 97);
+        // All are still in flight: one more waits for the oldest.
+        assert_eq!(sb.push(D - 1, 100), 100 - (D - 1));
     }
 
     #[test]
     fn full_buffer_stalls_until_oldest_drains() {
-        let mut sb = StoreBuffer::new(2);
-        assert_eq!(sb.push(0, 10), 0); // completes at 10
-        assert_eq!(sb.push(0, 10), 0); // completes at 10
+        let mut sb = StoreBuffer::default();
+        for _ in 0..D {
+            assert_eq!(sb.push(0, 10), 0); // completes at 10
+        }
         let stall = sb.push(0, 10);
         assert_eq!(stall, 10, "must wait for the first store");
     }
 
     #[test]
     fn buffer_drains_with_time() {
-        let mut sb = StoreBuffer::new(2);
-        sb.push(0, 10);
-        sb.push(0, 10);
-        assert_eq!(sb.push(10, 10), 0);
-        assert_eq!(sb.push(10, 10), 0, "both slots drained by time 10");
+        let mut sb = StoreBuffer::default();
+        for _ in 0..D {
+            sb.push(0, 10);
+        }
+        for _ in 0..D {
+            assert_eq!(sb.push(10, 10), 0, "every slot drained by time 10");
+        }
     }
 
     #[test]
     fn serialized_full_pushes_accumulate_completion_times() {
-        let mut sb = StoreBuffer::new(1);
-        assert_eq!(sb.push(0, 100), 0);
-        assert_eq!(sb.push(0, 100), 100); // waits to 100, completes at 200
+        let mut sb = StoreBuffer::default();
+        for _ in 0..D {
+            assert_eq!(sb.push(0, 100), 0); // completes at 100
+        }
+        for _ in 0..D {
+            assert_eq!(sb.push(0, 100), 100); // waits to 100, completes at 200
+        }
         assert_eq!(sb.push(0, 100), 200); // waits to 200
     }
 
     #[test]
     fn flush_empties() {
-        let mut sb = StoreBuffer::new(2);
-        sb.push(0, 1000);
-        sb.push(0, 1000);
+        let mut sb = StoreBuffer::default();
+        for _ in 0..D {
+            sb.push(0, 1000);
+        }
         sb.flush();
-        assert_eq!(sb.push(0, 1000), 0);
-        assert_eq!(sb.push(0, 1000), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_depth_panics() {
-        let _ = StoreBuffer::new(0);
+        for _ in 0..D {
+            assert_eq!(sb.push(0, 1000), 0);
+        }
     }
 }

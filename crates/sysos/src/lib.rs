@@ -34,6 +34,6 @@ pub mod sched;
 pub mod tlb;
 
 pub use modes::{ExecMode, ModeAccount, ModeBreakdown, ALL_MODES};
-pub use net::{NetConfig, NetStack};
+pub use net::NetStack;
 pub use sched::ProcessorSet;
 pub use tlb::{Tlb, TlbConfig};

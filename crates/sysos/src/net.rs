@@ -16,38 +16,21 @@
 
 use memsys::{Addr, AddrRange, MemSink, LINE_BYTES};
 
-/// Kernel network-path parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetConfig {
-    /// Hot kernel text bytes walked per message.
-    pub text_walk_bytes: u64,
-    /// Total hot kernel network text (the instruction footprint).
-    pub hot_text_bytes: u64,
-    /// Socket buffer ring size per connection.
-    pub sockbuf_bytes: u64,
-    /// Number of global protocol lock lines.
-    pub global_locks: u32,
-    /// Extra instructions per message beyond text execution (copies,
-    /// checksums).
-    pub overhead_instructions: u64,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            text_walk_bytes: 1024,
-            hot_text_bytes: 128 << 10,
-            sockbuf_bytes: 2 << 10,
-            global_locks: 4,
-            overhead_instructions: 150,
-        }
-    }
-}
+/// Hot kernel text bytes walked per message.
+const TEXT_WALK_BYTES: u64 = 1024;
+/// Total hot kernel network text (the instruction footprint).
+const HOT_TEXT_BYTES: u64 = 128 << 10;
+/// Socket buffer ring size per connection.
+const SOCKBUF_BYTES: u64 = 2 << 10;
+/// Number of global protocol lock lines.
+const GLOBAL_LOCKS: u32 = 4;
+/// Extra instructions per message beyond text execution (copies,
+/// checksums).
+const OVERHEAD_INSTRUCTIONS: u64 = 150;
 
 /// One machine's kernel network stack.
 #[derive(Debug, Clone)]
 pub struct NetStack {
-    cfg: NetConfig,
     text: AddrRange,
     locks: AddrRange,
     sockbufs: Vec<AddrRange>,
@@ -60,24 +43,23 @@ impl NetStack {
     ///
     /// # Panics
     ///
-    /// Panics if the region is too small for the configured text, locks
-    /// and socket buffers.
-    pub fn new(cfg: NetConfig, mut region: AddrRange, connections: usize) -> Self {
+    /// Panics if the region is too small for the text, locks and socket
+    /// buffers.
+    pub fn new(mut region: AddrRange, connections: usize) -> Self {
         let text = region
-            .take(cfg.hot_text_bytes)
+            .take(HOT_TEXT_BYTES)
             .expect("kernel region too small for network text");
         let locks = region
-            .take(cfg.global_locks as u64 * LINE_BYTES)
+            .take(GLOBAL_LOCKS as u64 * LINE_BYTES)
             .expect("kernel region too small for lock lines");
         let sockbufs: Vec<AddrRange> = (0..connections)
             .map(|_| {
                 region
-                    .take(cfg.sockbuf_bytes)
+                    .take(SOCKBUF_BYTES)
                     .expect("kernel region too small for socket buffers")
             })
             .collect();
         NetStack {
-            cfg,
             text,
             locks,
             cursors: vec![0; connections],
@@ -86,22 +68,24 @@ impl NetStack {
         }
     }
 
-    /// Address of global protocol lock `i` (for scheduler-level
-    /// serialization).
+    /// Address of global protocol lock line `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub(crate) fn lock_addr(&self, i: u32) -> Addr {
-        assert!(i < self.cfg.global_locks, "lock index {i} out of range");
+        assert!(i < GLOBAL_LOCKS, "lock index {i} out of range");
         Addr(self.locks.start().0 + i as u64 * LINE_BYTES)
     }
 
-    /// The serialized part of message processing: acquire-style RMW on a
-    /// global protocol lock line and updates of shared protocol state.
-    /// Callers hold the corresponding scheduler lock around this to model
-    /// kernel serialization.
-    pub fn emit_protocol(&mut self, lock: u32, sink: &mut (impl MemSink + ?Sized)) {
+    /// The serialized part of message processing on connection `conn`:
+    /// acquire-style RMW on the connection's global protocol lock line
+    /// (spread over the lock lines by connection, so no single kernel
+    /// line carries all of the communication) and updates of shared
+    /// protocol state. Callers hold a scheduler lock around this to
+    /// model kernel serialization.
+    pub fn emit_protocol(&mut self, conn: usize, sink: &mut (impl MemSink + ?Sized)) {
+        let lock = (conn as u32) % GLOBAL_LOCKS;
         let lock_line = self.lock_addr(lock);
         sink.instructions(80);
         sink.load(lock_line);
@@ -109,9 +93,7 @@ impl NetStack {
         // Shared protocol state next to the lock (connection hash chains,
         // timers): a couple of shared lines.
         for i in 0..2 {
-            let a = Addr(
-                self.locks.start().0 + ((lock + i) % self.cfg.global_locks) as u64 * LINE_BYTES,
-            );
+            let a = Addr(self.locks.start().0 + ((lock + i) % GLOBAL_LOCKS) as u64 * LINE_BYTES);
             sink.load(a);
         }
         sink.store(lock_line);
@@ -124,12 +106,12 @@ impl NetStack {
     ///
     /// Panics if `conn` is out of range.
     pub fn emit_transfer(&mut self, conn: usize, bytes: u64, sink: &mut (impl MemSink + ?Sized)) {
-        sink.instructions(self.cfg.overhead_instructions);
+        sink.instructions(OVERHEAD_INSTRUCTIONS);
 
         // Kernel text walk: a rotating window over the hot text, so the
         // whole footprint is exercised across messages.
         let text_lines = self.text.line_count();
-        let walk_lines = self.cfg.text_walk_bytes / LINE_BYTES;
+        let walk_lines = TEXT_WALK_BYTES / LINE_BYTES;
         for i in 0..walk_lines {
             let idx = (self.text_cursor + i) % text_lines;
             sink.ifetch(self.text.start().line().step(idx).base());
@@ -160,11 +142,7 @@ mod tests {
     use memsys::{CountingSink, RecordingSink};
 
     fn stack(conns: usize) -> NetStack {
-        NetStack::new(
-            NetConfig::default(),
-            AddrRange::new(Addr(0x0100_0000), 8 << 20),
-            conns,
-        )
+        NetStack::new(AddrRange::new(Addr(0x0100_0000), 8 << 20), conns)
     }
 
     #[test]
@@ -173,7 +151,7 @@ mod tests {
         let mut sink = CountingSink::new();
         s.emit_protocol(0, &mut sink);
         s.emit_transfer(0, 1024, &mut sink);
-        assert!(sink.ifetches >= (NetConfig::default().text_walk_bytes / 64));
+        assert!(sink.ifetches >= TEXT_WALK_BYTES / 64);
         assert!(sink.stores >= 1024 / 64);
         assert!(sink.instructions > 500);
     }
@@ -228,7 +206,7 @@ mod tests {
                 }
             }
         }
-        let total = NetConfig::default().hot_text_bytes / 64;
+        let total = HOT_TEXT_BYTES / 64;
         assert!(
             seen.len() as u64 > total / 2,
             "rotation must cover most of the hot text: {} of {}",

@@ -10,38 +10,31 @@
 
 use memsys::Addr;
 
+/// Entries in the UltraSPARC II dTLB.
+const ENTRIES: usize = 64;
+/// Cycles per software TLB-miss trap. A dTLB miss traps to the software
+/// handler; on a TSB miss the handler walks the hash chain, and those PTE
+/// loads themselves miss the caches — several hundred cycles on an
+/// UltraSPARC II under a heap far larger than the caches.
+const MISS_PENALTY: u64 = 700;
+
 /// TLB parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
-    /// Number of entries (UltraSPARC II dTLB: 64).
-    pub entries: usize,
     /// Log2 of the page size: 13 for Solaris's 8 KB base pages, 22 for
     /// 4 MB ISM pages.
     pub page_bits: u32,
-    /// Cycles per software TLB-miss trap.
-    pub miss_penalty: u64,
 }
 
 impl TlbConfig {
     /// 8 KB base pages (ISM off).
     pub fn base_pages() -> Self {
-        TlbConfig {
-            entries: 64,
-            page_bits: 13,
-            // A dTLB miss traps to the software handler; on a TSB miss
-            // the handler walks the hash chain, and those PTE loads
-            // themselves miss the caches — several hundred cycles on an
-            // UltraSPARC II under a heap far larger than the caches.
-            miss_penalty: 700,
-        }
+        TlbConfig { page_bits: 13 }
     }
 
     /// 4 MB ISM pages (the paper's tuned configuration).
     pub fn ism_pages() -> Self {
-        TlbConfig {
-            page_bits: 22,
-            ..TlbConfig::base_pages()
-        }
+        TlbConfig { page_bits: 22 }
     }
 }
 
@@ -58,12 +51,12 @@ impl Tlb {
     pub fn new(cfg: TlbConfig) -> Self {
         Tlb {
             cfg,
-            pages: Vec::with_capacity(cfg.entries),
+            pages: Vec::with_capacity(ENTRIES),
         }
     }
 
     /// Translates `addr`; returns the stall cycles (0 on a hit,
-    /// `miss_penalty` on a miss).
+    /// `MISS_PENALTY` on a miss).
     pub fn access(&mut self, addr: Addr) -> u64 {
         let page = addr.0 >> self.cfg.page_bits;
         if let Some(pos) = self.pages.iter().position(|&p| p == page) {
@@ -71,11 +64,11 @@ impl Tlb {
             self.pages[..=pos].rotate_right(1);
             0
         } else {
-            if self.pages.len() == self.cfg.entries {
+            if self.pages.len() == ENTRIES {
                 self.pages.pop();
             }
             self.pages.insert(0, page);
-            self.cfg.miss_penalty
+            MISS_PENALTY
         }
     }
 }
@@ -100,7 +93,7 @@ mod tests {
         // page more thrashes the LRU.
         for cfg in [TlbConfig::base_pages(), TlbConfig::ism_pages()] {
             assert_eq!(second_lap_stall(cfg, 64), 0);
-            assert_eq!(second_lap_stall(cfg, 65), 65 * cfg.miss_penalty);
+            assert_eq!(second_lap_stall(cfg, 65), 65 * MISS_PENALTY);
         }
         assert_eq!(64u64 << TlbConfig::ism_pages().page_bits, 256 << 20);
     }
@@ -108,23 +101,21 @@ mod tests {
     #[test]
     fn hit_after_fill() {
         let mut t = Tlb::new(TlbConfig::base_pages());
-        assert_eq!(t.access(Addr(0x1000)), 700);
+        assert_eq!(t.access(Addr(0x1000)), MISS_PENALTY);
         assert_eq!(t.access(Addr(0x1fff)), 0, "same page");
     }
 
     #[test]
     fn lru_eviction_on_overflow() {
-        let mut t = Tlb::new(TlbConfig {
-            entries: 2,
-            page_bits: 13,
-            miss_penalty: 50,
-        });
-        t.access(Addr(0 << 13));
-        t.access(Addr(1 << 13));
-        t.access(Addr(0 << 13)); // page 0 now MRU
-        t.access(Addr(2 << 13)); // evicts page 1
-        assert_eq!(t.access(Addr(0 << 13)), 0);
-        assert_eq!(t.access(Addr(1 << 13)), 50, "page 1 was the LRU victim");
+        let mut t = Tlb::new(TlbConfig::base_pages());
+        let page = |i: u64| Addr(i << 13);
+        for i in 0..ENTRIES as u64 {
+            t.access(page(i));
+        }
+        t.access(page(0)); // page 0 now MRU, page 1 the LRU
+        t.access(page(ENTRIES as u64)); // evicts page 1
+        assert_eq!(t.access(page(0)), 0);
+        assert_eq!(t.access(page(1)), MISS_PENALTY, "page 1 was the LRU victim");
     }
 
     #[test]

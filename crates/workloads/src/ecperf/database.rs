@@ -77,7 +77,6 @@ impl Database {
         let mut pool = Heap::new(
             HeapConfig {
                 geometry,
-                tenure_age: 1,
                 tlab_bytes: 64 << 10,
             },
             region,

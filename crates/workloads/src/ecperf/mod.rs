@@ -34,7 +34,7 @@ use jvm::object::{Lifetime, ObjectId};
 use jvm::thread::{carve_stacks, JavaThread};
 use memsys::{AddrRange, MemSink};
 use probes::Histogram;
-use sysos::net::{NetConfig, NetStack};
+use sysos::net::NetStack;
 
 use crate::ecperf::beans::{BBop, BeanNeed, BeanType};
 use crate::ecperf::cache::{BeanKey, CacheLookup, ObjectCache};
@@ -103,8 +103,6 @@ pub struct EcperfConfig {
     pub supplier_latency: u64,
     /// XML parse instructions per purchase order.
     pub xml_parse_instructions: u64,
-    /// Kernel network parameters.
-    pub net: NetConfig,
     /// Per-thread stack region size.
     pub stack_bytes: u64,
     /// Entity-key popularity skew.
@@ -143,7 +141,6 @@ impl EcperfConfig {
             db_latency: 60_000,
             supplier_latency: 150_000,
             xml_parse_instructions: 3000,
-            net: NetConfig::default(),
             stack_bytes: 64 << 10,
             key_skew: 1.1,
             log_queries: false,
@@ -162,7 +159,6 @@ impl EcperfConfig {
                 // Smaller TLAB chunks keep many-threaded runs from
                 // draining a scaled eden with half-empty buffers.
                 tlab_bytes: 32 << 10,
-                ..HeapConfig::default()
             },
             cache_capacity: ((f.cache_capacity as u64 / divisor).max(4000)) as usize,
             workspace_bytes: ((f.workspace_bytes as u64 / divisor).max(4096)) as u32,
@@ -318,7 +314,7 @@ impl Ecperf {
         }
         // Client connections [0, threads), database connections
         // [threads, 2*threads), supplier connections share the DB range.
-        let net = NetStack::new(cfg.net, kernel_region, cfg.threads * 2 + 4);
+        let net = NetStack::new(kernel_region, cfg.threads * 2 + 4);
         let threads = carve_stacks(stacks_region, cfg.threads, cfg.stack_bytes);
         let workspaces = (0..cfg.threads)
             .map(|_| heap.alloc_permanent_old(cfg.workspace_bytes))
@@ -406,16 +402,14 @@ impl Ecperf {
 
     /// The kernel path: scheduling serializes on [`KNET_LOCKS`] stream
     /// locks, while the lock-word *traffic* lives in the network stack's
-    /// protocol lines (touched by [`NetStack::emit_protocol`]); the
-    /// protocol index spreads per connection so no single kernel line
-    /// carries all of the communication.
-    fn knet(&self, conn: usize) -> (SchedLock, u32) {
+    /// protocol lines (touched by [`NetStack::emit_protocol`], which
+    /// spreads them per connection).
+    fn knet(&self, conn: usize) -> SchedLock {
         // KNET_LOCKS is 1 today (one serialized stream lock) but the
         // mapping is kept general for sensitivity studies.
         #[allow(clippy::modulo_one)]
         let sched = (conn as u32) % KNET_LOCKS;
-        let proto = (conn as u32) % self.cfg.net.global_locks;
-        (SchedLock(KNET_BASE + sched), proto)
+        SchedLock(KNET_BASE + sched)
     }
 
     fn sample_key(&self, ty: BeanType, rng: &mut prng::SimRng) -> u64 {
@@ -588,15 +582,15 @@ impl Workload for Ecperf {
                 StepResult::user(Control::Continue)
             }
             Phase::RecvAcq => {
-                let (lock, _) = self.knet(thread);
+                let lock = self.knet(thread);
                 ctx.sink.instructions(40); // mutex_enter path
                 self.workers[thread].phase = Phase::RecvMsg;
                 StepResult::system(Control::Acquire(lock))
             }
             Phase::RecvMsg => {
-                let (lock, proto) = self.knet(thread);
+                let lock = self.knet(thread);
                 let sink = &mut *ctx.sink;
-                self.net.emit_protocol(proto, sink);
+                self.net.emit_protocol(thread, sink);
                 self.net.emit_transfer(thread, 512, sink);
                 self.workers[thread].phase = Phase::Servlet;
                 StepResult::system(Control::Release(lock))
@@ -694,20 +688,20 @@ impl Workload for Ecperf {
             }
             Phase::SendAcq => {
                 let conn = self.cfg.threads + thread; // this worker's DB conn
-                let (lock, _) = self.knet(conn);
+                let lock = self.knet(conn);
                 ctx.sink.instructions(40);
                 self.workers[thread].phase = Phase::SendMsg;
                 StepResult::system(Control::Acquire(lock))
             }
             Phase::SendMsg => {
                 let conn = self.cfg.threads + thread;
-                let (lock, proto) = self.knet(conn);
+                let lock = self.knet(conn);
                 let supplier = self.workers[thread]
                     .pending
                     .is_some_and(|n| n.ty.uses_supplier_emulator());
                 let bytes = if supplier { 4096 } else { 256 };
                 let sink = &mut *ctx.sink;
-                self.net.emit_protocol(proto, sink);
+                self.net.emit_protocol(conn, sink);
                 self.net.emit_transfer(conn, bytes, sink);
                 self.workers[thread].phase = Phase::RemoteWait;
                 StepResult::system(Control::Release(lock))
@@ -738,20 +732,20 @@ impl Workload for Ecperf {
             }
             Phase::RespAcq => {
                 let conn = self.cfg.threads + thread;
-                let (lock, _) = self.knet(conn);
+                let lock = self.knet(conn);
                 ctx.sink.instructions(40);
                 self.workers[thread].phase = Phase::RespMsg;
                 StepResult::system(Control::Acquire(lock))
             }
             Phase::RespMsg => {
                 let conn = self.cfg.threads + thread;
-                let (lock, proto) = self.knet(conn);
+                let lock = self.knet(conn);
                 let supplier = self.workers[thread]
                     .pending
                     .is_some_and(|n| n.ty.uses_supplier_emulator());
                 let bytes = if supplier { 4096 } else { 2048 };
                 let sink = &mut *ctx.sink;
-                self.net.emit_protocol(proto, sink);
+                self.net.emit_protocol(conn, sink);
                 self.net.emit_transfer(conn, bytes, sink);
                 let transient = self.workers[thread]
                     .pending
@@ -889,15 +883,15 @@ impl Workload for Ecperf {
                 StepResult::user(Control::Continue)
             }
             Phase::ReplyAcq => {
-                let (lock, _) = self.knet(thread);
+                let lock = self.knet(thread);
                 ctx.sink.instructions(40);
                 self.workers[thread].phase = Phase::ReplyMsg;
                 StepResult::system(Control::Acquire(lock))
             }
             Phase::ReplyMsg => {
-                let (lock, proto) = self.knet(thread);
+                let lock = self.knet(thread);
                 let sink = &mut *ctx.sink;
-                self.net.emit_protocol(proto, sink);
+                self.net.emit_protocol(thread, sink);
                 self.net.emit_transfer(thread, 1024, sink);
                 self.workers[thread].phase = Phase::Finish;
                 StepResult::system(Control::Release(lock))

@@ -317,7 +317,6 @@ mod tests {
                     survivor: 256 << 10,
                     old: 64 << 20,
                 },
-                tenure_age: 1,
                 tlab_bytes: 8 << 10,
             },
             AddrRange::new(Addr(0x4000_0000), 128 << 20),

@@ -188,7 +188,6 @@ mod tests {
                     survivor: 256 << 10,
                     old: 128 << 20,
                 },
-                tenure_age: 1,
                 tlab_bytes: 8 << 10,
             },
             AddrRange::new(Addr(0x4000_0000), 256 << 20),

@@ -93,7 +93,6 @@ impl SpecJbbConfig {
                 geometry: HeapGeometry::paper_scaled(divisor),
                 // Smaller TLABs match the scaled eden.
                 tlab_bytes: 16 << 10,
-                ..HeapConfig::default()
             },
             db: JbbDbConfig::scaled(divisor),
             ..SpecJbbConfig::full(warehouses)

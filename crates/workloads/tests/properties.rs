@@ -21,7 +21,6 @@ fn heap() -> Heap {
                 survivor: 64 << 10,
                 old: 32 << 20,
             },
-            tenure_age: 1,
             tlab_bytes: 8 << 10,
         },
         AddrRange::new(Addr(0x4000_0000), 64 << 20),

@@ -127,6 +127,14 @@ echo "==> sampled-vs-full differential validation (quick)"
 test -s SAMPLED_VALIDATION.csv || { echo "figures validate-sampled did not write SAMPLED_VALIDATION.csv"; exit 1; }
 head -1 SAMPLED_VALIDATION.csv | grep -q "config,metric,full,sampled" \
     || { echo "SAMPLED_VALIDATION.csv is missing its header row"; exit 1; }
+# Throughput and the system share are recorded, not bounded: check
+# that their rows are there, so they cannot silently disappear.
+for config in jbb:p2 jbb:p8 ecperf:p2; do
+    for metric in throughput system_share; do
+        grep -q "^$config,$metric," SAMPLED_VALIDATION.csv \
+            || { echo "SAMPLED_VALIDATION.csv has no $config $metric row"; exit 1; }
+    done
+done
 ./target/release/simreport --check RUNLOG_figures.jsonl
 echo "==> SAMPLED_VALIDATION.csv ($(wc -l < SAMPLED_VALIDATION.csv) rows)"
 
