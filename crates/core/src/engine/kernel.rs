@@ -134,7 +134,7 @@ impl MemSink for StepSink<'_> {
         if let Some(sig) = &mut self.sig {
             sig.instructions(n);
         }
-        if !self.observers.is_empty() {
+        if self.observers.watches_refs() {
             self.observers.instructions(self.cpu, n, self.source);
         }
     }
@@ -163,7 +163,7 @@ impl MemSink for StepSink<'_> {
             AccessKind::Load => self.timer.load(&outcome),
             AccessKind::Store => self.timer.store(&outcome),
         };
-        if !self.observers.is_empty() {
+        if self.observers.watches_refs() {
             // The issuing processor's time: its clock at step start plus
             // the cycles the timer has charged since (including this
             // access's own latency, so a c2c lands in the bucket where
@@ -362,7 +362,7 @@ impl<W: Workload> Machine<W> {
             ];
             for (kind, addr) in refs {
                 let outcome = self.mem.access(cpu, kind, addr);
-                if !self.observers.is_empty() {
+                if self.observers.watches_refs() {
                     self.observers.access(&AccessEvent {
                         cpu,
                         kind,

@@ -57,6 +57,14 @@ pub trait SimObserver: Any {
     /// resolved it.
     fn on_access(&mut self, _event: &AccessEvent<'_>) {}
 
+    /// Whether this observer watches individual references through
+    /// [`SimObserver::on_access`] or [`SimObserver::on_instructions`].
+    /// Asked once at attach; an observer that overrides neither returns
+    /// `false` so the per-reference path never calls it.
+    fn watches_refs(&self) -> bool {
+        true
+    }
+
     /// Called when `cpu` retires `n` instructions that make no memory
     /// reference, tagged with the source of the executing step.
     fn on_instructions(&mut self, _cpu: usize, _n: u64, _source: AccessSource) {}
@@ -106,6 +114,9 @@ impl<T> Copy for ObserverHandle<T> {}
 #[derive(Default)]
 pub struct ObserverSet {
     observers: Vec<Box<dyn SimObserver>>,
+    /// Indices of the observers that watch references
+    /// ([`SimObserver::watches_refs`]), in attach order.
+    refs: Vec<usize>,
 }
 
 impl ObserverSet {
@@ -114,16 +125,19 @@ impl ObserverSet {
         ObserverSet::default()
     }
 
-    /// Whether any observer is attached (lets the hot path skip event
-    /// construction entirely).
+    /// Whether any attached observer watches references (lets the hot
+    /// path skip event construction entirely).
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.observers.is_empty()
+    pub(crate) fn watches_refs(&self) -> bool {
+        !self.refs.is_empty()
     }
 
     /// Attaches an observer, returning its typed handle.
     pub(crate) fn attach<T: SimObserver>(&mut self, observer: T) -> ObserverHandle<T> {
         let index = self.observers.len();
+        if observer.watches_refs() {
+            self.refs.push(index);
+        }
         self.observers.push(Box::new(observer));
         ObserverHandle {
             index,
@@ -155,15 +169,15 @@ impl ObserverSet {
 
     #[inline]
     pub(crate) fn access(&mut self, event: &AccessEvent<'_>) {
-        for o in &mut self.observers {
-            o.on_access(event);
+        for &i in &self.refs {
+            self.observers[i].on_access(event);
         }
     }
 
     #[inline]
     pub(crate) fn instructions(&mut self, cpu: usize, n: u64, source: AccessSource) {
-        for o in &mut self.observers {
-            o.on_instructions(cpu, n, source);
+        for &i in &self.refs {
+            self.observers[i].on_instructions(cpu, n, source);
         }
     }
 
@@ -277,6 +291,10 @@ impl IntervalSampler {
 }
 
 impl SimObserver for IntervalSampler {
+    fn watches_refs(&self) -> bool {
+        false
+    }
+
     fn interval_cycles(&self) -> Option<u64> {
         Some(self.width)
     }
@@ -451,6 +469,10 @@ impl TimelineCollector {
 }
 
 impl SimObserver for TimelineCollector {
+    fn watches_refs(&self) -> bool {
+        false
+    }
+
     fn on_gc_interval(&mut self, start: u64, end: u64) {
         self.gc_pauses.push((start, end));
     }

@@ -6,12 +6,24 @@
 //! kept in MRU-first order, so a hit is a short scan and an LRU update is a
 //! small rotate — fast enough to stream hundreds of millions of references.
 //!
-//! Each way is one packed `u64` word, `tag << 3 | state` ([`LineState`]
-//! discriminants fit in three bits and `Invalid` is 0, so an empty slot is
-//! simply 0). Splitting tags and states into parallel arrays reads more
-//! naturally but doubles the *random cache lines* a set walk touches, and
-//! on big-footprint shapes (16 L2s of metadata overflow a host L2) those
-//! line fetches — not instructions — are what a probe costs.
+//! Each way is one packed `u32` word, `tag << 3 | state` ([`LineState`]
+//! discriminants fit in three bits), so a tag has 29 bits. Simulated
+//! addresses stay below 2^32 (`MemorySystem::access` asserts it), which
+//! leaves the paper's 1 MB L2 a 14-bit tag. A fill asserts its tag fits;
+//! a lookup whose tag does not fit misses without comparing, so a
+//! truncated key can never alias a stored word. Splitting tags and states
+//! into parallel arrays reads more naturally but doubles the *random cache
+//! lines* a set walk touches, and on big-footprint shapes those line
+//! fetches — not instructions — are what a probe costs.
+//!
+//! **An invalid way is always stored as 0.** Fills never write
+//! [`LineState::Invalid`] and invalidation writes the whole word to 0, so
+//! "valid and tagged `tag`" is `(w | 7) == (tag << 3 | 7) && w != 0` —
+//! one compare of the word against a key, with no state decode. The set
+//! walk and the row scan both answer from one kernel, `slot_hits`, which
+//! tests four words per SSE2 compare on x86-64 (SSE2 is the baseline
+//! there, so no runtime detection) and the same predicate word by word
+//! elsewhere and on the tail below four words.
 //!
 //! The hot-path contract is *decompose once, reuse everywhere*: callers
 //! split an address into its `(set, tag)` key with [`Cache::locate`] and
@@ -29,8 +41,9 @@
 //! partition form one contiguous row. The keyed entry points address a
 //! partition's set by its *row* `set × parts + part` ([`Cache::row`]);
 //! with one partition the row is the set. [`Cache::holders`] scans a
-//! whole row branch-free and answers which partitions hold a line valid —
-//! the snooping bus's "who has it?" in one pass over adjacent words.
+//! whole row with `slot_hits` and answers which partitions hold a line
+//! valid — the snooping bus's "who has it?" in one pass over adjacent
+//! words (16 groups × 4 ways is a 256 B row, four host cache lines).
 //!
 //! Caches built with `Cache::with_presence` additionally carry a per-line
 //! presence bitmask maintained by the level above (the memory system uses
@@ -54,25 +67,98 @@ pub struct Evicted {
 }
 
 /// Bits of a packed way word holding the [`LineState`] discriminant.
-const STATE_BITS: u32 = 3;
-const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
+pub(crate) const STATE_BITS: u32 = 3;
+const STATE_MASK: u32 = (1 << STATE_BITS) - 1;
+/// Bits of a packed way word left for the tag.
+const TAG_BITS: u32 = u32::BITS - STATE_BITS;
 
-/// Packs a way word. The tag is the line address above the index bits, so
-/// even at the minimum 8-byte block size it fits the remaining 61 bits.
+/// Packs a valid way word (an invalid way is 0, never a packed word).
 #[inline]
-fn pack(tag: u64, state: LineState) -> u64 {
-    debug_assert!(tag >> (64 - STATE_BITS) == 0, "tag overflows packed word");
-    (tag << STATE_BITS) | state as u64
+fn pack(tag: u64, state: LineState) -> u32 {
+    debug_assert!(tag >> TAG_BITS == 0, "tag overflows packed word");
+    debug_assert!(state.is_valid(), "an invalid way is stored as 0");
+    ((tag as u32) << STATE_BITS) | state as u32
 }
 
 #[inline]
-fn word_state(word: u64) -> LineState {
+fn word_state(word: u32) -> LineState {
     LineState::from_code(word & STATE_MASK)
 }
 
 #[inline]
-fn word_tag(word: u64) -> u64 {
-    word >> STATE_BITS
+fn word_tag(word: u32) -> u64 {
+    u64::from(word >> STATE_BITS)
+}
+
+/// The key a valid way holding `tag` matches once its state bits are set
+/// (see `slot_hits`), or `None` when `tag` is too wide for a way word —
+/// no fill can have stored it, so the lookup misses.
+#[inline]
+fn match_key(tag: u64) -> Option<u32> {
+    (tag >> TAG_BITS == 0).then_some(((tag as u32) << STATE_BITS) | STATE_MASK)
+}
+
+/// Whether way word `w` holds a valid line whose key is `key`
+/// (`match_key`). Exact because an invalid way is 0: a nonzero word has
+/// a valid state.
+#[inline(always)]
+fn word_hits(w: u32, key: u32) -> bool {
+    (w | STATE_MASK) == key && w != 0
+}
+
+/// Bit `i` is set when `word_hits(words[i], key)`. On x86-64 it tests four
+/// words per SSE2 compare and the tail below four words one at a time;
+/// elsewhere every word goes one at a time.
+#[inline(always)]
+fn slot_hits(words: &[u32], key: u32) -> u64 {
+    debug_assert!(words.len() <= 64, "slot_hits answers 64 words at most");
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    {
+        use std::arch::x86_64::{
+            _mm_andnot_si128, _mm_castsi128_ps, _mm_cmpeq_epi32, _mm_loadu_si128, _mm_movemask_ps,
+            _mm_or_si128, _mm_set1_epi32, _mm_setzero_si128,
+        };
+        let quads = words.len() / 4;
+        let mut hits = 0u64;
+        // SAFETY: the cfg guarantees SSE2, which every x86-64 target
+        // enables. Load `q` reads words[4q..4q + 4], inside the slice for
+        // every q < len / 4, and `_mm_loadu_si128` needs no alignment.
+        unsafe {
+            let state = _mm_set1_epi32(STATE_MASK as i32);
+            let want = _mm_set1_epi32(key as i32);
+            let zero = _mm_setzero_si128();
+            for q in 0..quads {
+                let w = _mm_loadu_si128(words.as_ptr().add(4 * q).cast());
+                let tagged = _mm_cmpeq_epi32(_mm_or_si128(w, state), want);
+                let hit = _mm_andnot_si128(_mm_cmpeq_epi32(w, zero), tagged);
+                hits |= (_mm_movemask_ps(_mm_castsi128_ps(hit)) as u64) << (4 * q);
+            }
+        }
+        // Fewer than four words remain; a fixed three-step loop keeps the
+        // tail straight-line code the set walk can inline.
+        let tail = &words[4 * quads..];
+        for i in 0..3 {
+            if let Some(&w) = tail.get(i) {
+                hits |= u64::from(word_hits(w, key)) << (4 * quads + i);
+            }
+        }
+        hits
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+    words
+        .iter()
+        .enumerate()
+        .fold(0, |hits, (i, &w)| hits | u64::from(word_hits(w, key)) << i)
+}
+
+/// The first way of a set wider than 64 ways holding `key`'s line: the
+/// set walk for associativities `slot_hits` cannot answer in one call.
+#[cold]
+fn first_hit_wide(ways: &[u32], key: u32) -> Option<usize> {
+    ways.chunks(64).enumerate().find_map(|(block, words)| {
+        let hits = slot_hits(words, key);
+        (hits != 0).then(|| block * 64 + hits.trailing_zeros() as usize)
+    })
 }
 
 /// A set-associative, true-LRU cache of coherence states, holding one or
@@ -90,9 +176,9 @@ pub struct Cache {
     way_bits: u32,
     parts: usize,
     /// `sets * parts * ways` packed `tag << 3 | state` words, row
-    /// `set * parts + part`, MRU-first within each row; 0 (tag 0,
-    /// [`LineState::Invalid`]) is an empty way.
-    meta: Vec<u64>,
+    /// `set * parts + part`, MRU-first within each row; an empty way is
+    /// always 0 (see the module docs).
+    meta: Vec<u32>,
     /// Optional per-line presence masks (same slot layout as `meta`),
     /// moved with their lines on LRU rotates and cleared on fill and
     /// invalidation. `None` unless built via [`Cache::with_presence`].
@@ -183,7 +269,7 @@ impl Cache {
     }
 
     /// The partitions holding `(set, tag)` valid, as a bitset (bit `p` for
-    /// partition `p`), from one branch-free scan of the set's row.
+    /// partition `p`), from one scan of the set's row in 64-slot blocks.
     ///
     /// # Panics
     ///
@@ -191,27 +277,36 @@ impl Cache {
     #[inline]
     pub fn holders(&self, set: usize, tag: u64) -> u64 {
         debug_assert!(self.parts <= Self::MAX_HOLDER_PARTS);
+        let Some(key) = match_key(tag) else {
+            return 0;
+        };
         let width = self.parts * self.ways;
         let row = &self.meta[set * width..(set + 1) * width];
         let mut mask = 0;
-        for (i, &word) in row.iter().enumerate() {
-            let hit = (word_tag(word) == tag) & (word & STATE_MASK != 0);
-            mask |= (hit as u64) << (i >> self.way_bits);
+        for (block, words) in row.chunks(64).enumerate() {
+            // A partition holds a line in at most one way, so each set
+            // bit is one holder.
+            let mut hits = slot_hits(words, key);
+            while hits != 0 {
+                let slot = block * 64 + hits.trailing_zeros() as usize;
+                mask |= 1 << (slot >> self.way_bits);
+                hits &= hits - 1;
+            }
         }
         mask
     }
 
     /// Finds the slot holding `(set, tag)`, valid lines only.
-    #[inline]
+    #[inline(always)]
     fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let key = match_key(tag)?;
         let base = set * self.ways;
-        for w in 0..self.ways {
-            let word = self.meta[base + w];
-            if word_tag(word) == tag && word & STATE_MASK != 0 {
-                return Some(base + w);
-            }
+        let ways = &self.meta[base..base + self.ways];
+        if ways.len() > 64 {
+            return first_hit_wide(ways, key).map(|way| base + way);
         }
-        None
+        let hits = slot_hits(ways, key);
+        (hits != 0).then(|| base + hits.trailing_zeros() as usize)
     }
 
     /// Looks up `addr` without disturbing LRU order.
@@ -245,18 +340,16 @@ impl Cache {
         Some(st)
     }
 
+    /// Moves `way` of the set at `base` to MRU by rotating the set's
+    /// first `way + 1` slots in place.
     #[inline]
     fn promote(&mut self, base: usize, way: usize) {
         if way == 0 {
             return;
         }
-        let word = self.meta[base + way];
-        self.meta.copy_within(base..base + way, base + 1);
-        self.meta[base] = word;
+        self.meta[base..=base + way].rotate_right(1);
         if let Some(p) = &mut self.presence {
-            let pv = p[base + way];
-            p.copy_within(base..base + way, base + 1);
-            p[base] = pv;
+            p[base..=base + way].rotate_right(1);
         }
     }
 
@@ -266,8 +359,8 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the line is already present — fills must
-    /// follow a miss.
+    /// Panics if the tag is wider than a way word's 29 bits, and in debug
+    /// builds if the line is already present — fills must follow a miss.
     pub fn insert(&mut self, addr: Addr, state: LineState) -> Option<Evicted> {
         let (set, tag) = self.key(addr);
         self.insert_at(set, tag, state)
@@ -280,17 +373,18 @@ impl Cache {
             self.find(set, tag).is_none(),
             "fill of already-present line (set {set}, tag {tag:#x})"
         );
+        assert!(tag >> TAG_BITS == 0, "tag wider than a way word");
         let base = set * self.ways;
         // Prefer filling an invalid way (the LRU-most one to keep order tidy).
         let mut victim = self.ways - 1;
         for w in (0..self.ways).rev() {
-            if word_state(self.meta[base + w]) == LineState::Invalid {
+            if self.meta[base + w] == 0 {
                 victim = w;
                 break;
             }
         }
         let old = self.meta[base + victim];
-        let evicted = if word_state(old) != LineState::Invalid {
+        let evicted = if old != 0 {
             Some(Evicted {
                 line: self.line_addr(set, word_tag(old)),
                 state: word_state(old),
@@ -388,6 +482,77 @@ mod tests {
     fn small() -> Cache {
         // 2 sets x 2 ways x 64B = 256B cache.
         Cache::new(CacheConfig::new(256, 2, 64).unwrap())
+    }
+
+    /// The kernel against its predicate on decoded words, for every row
+    /// length up to 64: empty (0) words and tag-0 lines are both common,
+    /// because addresses below 256 KiB have L2 tag 0.
+    #[test]
+    fn slot_hits_matches_its_scalar_predicate() {
+        let mut rng = prng::SimRng::seed_from_u64(25);
+        for len in 0..=64 {
+            for _ in 0..32 {
+                let words: Vec<u32> = (0..len)
+                    .map(|_| match rng.gen_range(0..4u32) {
+                        0 => 0,
+                        _ => {
+                            let state = LineState::from_code(rng.gen_range(1..5u32));
+                            pack(rng.gen_range(0..3u64), state)
+                        }
+                    })
+                    .collect();
+                for tag in [0, 1, 2, (1 << TAG_BITS) - 1] {
+                    let want = words.iter().enumerate().fold(0u64, |m, (i, &w)| {
+                        let hit = word_state(w).is_valid() && word_tag(w) == tag;
+                        m | u64::from(hit) << i
+                    });
+                    let key = match_key(tag).unwrap();
+                    assert_eq!(slot_hits(&words, key), want, "len {len}, tag {tag}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sets_wider_than_64_ways_are_walked_in_blocks() {
+        // One set of 128 ways: the set walk takes the blocked path.
+        let mut c = Cache::new(CacheConfig::new(128 * 64, 128, 64).unwrap());
+        let stride = 64;
+        for i in 0..128 {
+            assert_eq!(c.insert(Addr(i * stride), LineState::Shared), None);
+        }
+        for i in 0..128 {
+            assert_eq!(
+                c.probe(Addr(i * stride)),
+                Some(LineState::Shared),
+                "line {i}"
+            );
+        }
+        // Line 0 is LRU; touching it makes line 1 the victim.
+        assert!(c.touch(Addr(0)).is_some());
+        let ev = c.insert(Addr(128 * stride), LineState::Shared).unwrap();
+        assert_eq!(ev.line, Addr(stride).line());
+        assert_eq!(c.probe(Addr(stride)), None);
+    }
+
+    #[test]
+    fn tags_wider_than_a_word_miss() {
+        let mut c = Cache::partitioned(CacheConfig::new(256, 2, 64).unwrap(), 2);
+        let (set, tag) = c.locate(Addr(0));
+        c.insert_at(c.row(set, 1), tag, LineState::Shared);
+        // Truncated to 32 bits, this tag's key would alias tag 0's.
+        let wide = tag + (1 << TAG_BITS);
+        assert_eq!(match_key(wide), None);
+        assert_eq!(c.probe_at(c.row(set, 1), wide), None);
+        assert_eq!(c.holders(set, wide), 0);
+        assert_eq!(c.holders(set, tag), 0b10);
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than a way word")]
+    fn fill_with_a_tag_wider_than_a_word_panics() {
+        let mut c = small();
+        c.insert_at(0, 1 << TAG_BITS, LineState::Shared);
     }
 
     #[test]

@@ -23,6 +23,15 @@ pub enum ConfigError {
         /// Block size in bytes.
         block: u64,
     },
+    /// The geometry leaves a 32-bit address's tag wider than a cache way
+    /// word holds: block and set index together must take at least
+    /// three address bits.
+    TagTooWide {
+        /// Block size in bytes.
+        block: u64,
+        /// Number of sets.
+        sets: u64,
+    },
     /// The processor count is not divisible by the sharing degree.
     BadSharing {
         /// Number of processors.
@@ -53,6 +62,10 @@ impl fmt::Display for ConfigError {
             } => write!(
                 f,
                 "capacity {capacity} B is not divisible by ways ({ways}) x block ({block} B)"
+            ),
+            ConfigError::TagTooWide { block, sets } => write!(
+                f,
+                "{block} B blocks in {sets} set(s) leave 32-bit address tags too wide for a way word"
             ),
             ConfigError::BadSharing { cpus, per_cache } => write!(
                 f,
@@ -121,6 +134,12 @@ impl CacheConfig {
                 capacity: self.capacity,
                 ways: self.ways,
                 block: self.block,
+            });
+        }
+        if self.block_bits() + self.sets().trailing_zeros() < crate::cache::STATE_BITS {
+            return Err(ConfigError::TagTooWide {
+                block: self.block,
+                sets: self.sets(),
             });
         }
         Ok(())
@@ -442,6 +461,22 @@ mod tests {
             CacheConfig::new(128, 4, 64),
             Err(ConfigError::Indivisible { .. })
         ));
+    }
+
+    #[test]
+    fn geometry_whose_tags_overflow_a_way_word_rejected() {
+        // 1 B blocks in one set: a 32-bit address is all tag.
+        assert_eq!(
+            CacheConfig::new(4, 4, 1),
+            Err(ConfigError::TagTooWide { block: 1, sets: 1 })
+        );
+        assert_eq!(
+            CacheConfig::new(8, 2, 1),
+            Err(ConfigError::TagTooWide { block: 1, sets: 4 })
+        );
+        // Three bits of block and index leave a 29-bit tag, which fits.
+        assert!(CacheConfig::new(16, 2, 1).is_ok());
+        assert!(CacheConfig::new(32, 4, 8).is_ok());
     }
 
     #[test]

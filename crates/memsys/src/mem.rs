@@ -1,7 +1,7 @@
 //! Best-effort huge-page advice for the simulator's big flat arrays.
 //!
-//! The set-major L2 tag table of a many-processor system is megabytes
-//! touched at random (every group's tags in one array, see
+//! The set-major L2 tag table of a many-processor system is a megabyte or
+//! more touched at random (every group's tags in one array, see
 //! [`Cache::partitioned`](crate::cache::Cache::partitioned)), so with 4 KB
 //! pages nearly every access path also risks a TLB miss. Backing the
 //! array with 2 MB pages removes that pressure: the whole table maps with

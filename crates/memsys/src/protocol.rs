@@ -60,11 +60,11 @@ impl LineState {
         self.is_dirty()
     }
 
-    /// Inverse of `self as u64` over the enum's discriminants — the decode
+    /// Inverse of `self as u32` over the enum's discriminants — the decode
     /// half of the packed tag+state words the cache stores (see `cache.rs`).
     /// Unknown codes decode to [`LineState::Invalid`].
     #[inline]
-    pub(crate) fn from_code(code: u64) -> LineState {
+    pub(crate) fn from_code(code: u32) -> LineState {
         match code {
             1 => LineState::Shared,
             2 => LineState::Exclusive,

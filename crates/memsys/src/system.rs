@@ -213,9 +213,11 @@ impl MemorySystem {
     ///
     /// # Panics
     ///
-    /// Panics if `cpu` is out of range.
+    /// Panics if `cpu` is out of range or `addr` is not below 2^32 (the
+    /// simulated address space, whose tags fit a cache way word).
     pub fn access(&mut self, cpu: usize, kind: AccessKind, addr: Addr) -> AccessOutcome {
         assert!(cpu < self.cfg.cpus, "cpu {cpu} out of range");
+        assert!(addr.0 >> 32 == 0, "address {:#x} out of range", addr.0);
         let outcome = match kind {
             AccessKind::Ifetch => self.access_through(cpu, addr, /* store: */ false, true),
             AccessKind::Load => self.access_through(cpu, addr, false, false),
@@ -694,6 +696,13 @@ mod tests {
     fn out_of_range_cpu_panics() {
         let mut m = sys(1);
         m.access(1, AccessKind::Load, Addr(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "address 0x100000000 out of range")]
+    fn address_past_32_bits_panics() {
+        let mut m = sys(1);
+        m.access(0, AccessKind::Load, Addr(1 << 32));
     }
 
     #[test]

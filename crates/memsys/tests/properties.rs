@@ -26,11 +26,21 @@ impl RefCache {
         }
     }
 
-    /// Returns whether the access hit, applying LRU update / fill.
-    fn access(&mut self, addr: u64) -> bool {
+    fn key(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.block_bits;
         let set = (line & ((1 << self.set_bits) - 1)) as usize;
-        let tag = line >> self.set_bits;
+        (set, line >> self.set_bits)
+    }
+
+    /// Whether `addr`'s line is resident, without touching LRU order.
+    fn holds(&self, addr: u64) -> bool {
+        let (set, tag) = self.key(addr);
+        self.sets[set].contains(&tag)
+    }
+
+    /// Returns whether the access hit, applying LRU update / fill.
+    fn access(&mut self, addr: u64) -> bool {
+        let (set, tag) = self.key(addr);
         let s = &mut self.sets[set];
         if let Some(pos) = s.iter().position(|&t| t == tag) {
             s.remove(pos);
@@ -71,7 +81,7 @@ fn cache_matches_reference_lru() {
 /// A partitioned cache is independent LRU caches in one table: a seeded
 /// stream interleaved over the partitions hits exactly where one reference
 /// cache per partition does, and `holders` names exactly the partitions
-/// where the line probes valid.
+/// whose reference cache holds the line.
 #[test]
 fn partitions_are_independent_lru_caches() {
     for (seed, parts) in [1usize, 2, 3, 5, 8, 16, 64].into_iter().enumerate() {
@@ -94,7 +104,7 @@ fn partitions_are_independent_lru_caches() {
                 "{parts} parts: partition {p} diverged at {a:#x}"
             );
             let valid = (0..parts)
-                .filter(|&q| cache.probe_at(cache.row(set, q), tag).is_some())
+                .filter(|&q| reference[q].holds(a))
                 .fold(0u64, |m, q| m | 1 << q);
             assert_eq!(cache.holders(set, tag), valid, "{parts} parts: {a:#x}");
         }

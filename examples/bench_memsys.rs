@@ -2,7 +2,10 @@
 //! reference streams: for each of four shapes (1/4/16 CPUs with private
 //! L2s, plus the shared-L2 Figure 16 shape) it captures a seeded SPECjbb
 //! run's interleaved stream in process, replays it through scalar
-//! `access` and writes refs/sec to `BENCH_memsys.json`.
+//! `access` and writes refs/sec to `BENCH_memsys.json`. Only a standard
+//! run writes that tracked file; quick and full runs write
+//! `target/BENCH_memsys.<effort>.json`, so a CI-sized run never replaces
+//! the committed baseline.
 //!
 //! The capture is a pure function of the shape and effort, so two runs
 //! replay identical streams and pre/post-optimization numbers are
@@ -181,6 +184,13 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_memsys.json", &json).expect("write BENCH_memsys.json");
-    println!("wrote BENCH_memsys.json");
+    let path = match effort {
+        Effort::Standard => "BENCH_memsys.json".to_string(),
+        _ => {
+            std::fs::create_dir_all("target").expect("create target/");
+            format!("target/BENCH_memsys.{}.json", effort.name())
+        }
+    };
+    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("wrote {path}");
 }

@@ -6,9 +6,12 @@
 # Usage: scripts/bench_smoke.sh [quick|standard|full] [--gate]
 #
 # Pass `quick` for a fast sanity run (CI-sized); the default Standard
-# run is the number the ROADMAP's bench item tracks.
+# run is the number the ROADMAP's bench item tracks, and the only one
+# that writes the committed BENCH_memsys.json. Quick and full runs write
+# target/BENCH_memsys.<effort>.json instead, so CI never replaces the
+# tracked standard-effort baseline.
 #
-# After the fresh run, BENCH_memsys.json is diffed against the version
+# After the fresh run, its JSON is diffed against the BENCH_memsys.json
 # committed at HEAD. The diff only engages when the provenance block says
 # the baseline came from the same host class (hostname + cpu_count);
 # numbers from a different machine are not comparable and are skipped
@@ -41,10 +44,14 @@ cargo build --release --offline --example bench_memsys
 echo "==> running the memsys access bench at effort: ${effort}"
 ./target/release/examples/bench_memsys "${effort}"
 
-echo "==> BENCH_memsys.json"
-cat BENCH_memsys.json
+f=BENCH_memsys.json
+if [ "${effort}" != standard ]; then
+    f="target/BENCH_memsys.${effort}.json"
+fi
+echo "==> ${f}"
+cat "${f}"
 
-echo "==> diffing the fresh BENCH_memsys.json against the baseline committed at HEAD"
+echo "==> diffing the fresh ${f} against the baseline committed at HEAD"
 mkdir -p target/bench-baseline
 warn_log="target/bench-baseline/warnings.txt"
 : > "${warn_log}"
@@ -72,10 +79,9 @@ host_class() {
     ' "$1"
 }
 
-f=BENCH_memsys.json
-base="target/bench-baseline/${f}"
-if ! git show "HEAD:${f}" > "${base}" 2>/dev/null; then
-    echo "    no committed baseline for ${f} — skipping its diff"
+base="target/bench-baseline/BENCH_memsys.json"
+if ! git show "HEAD:BENCH_memsys.json" > "${base}" 2>/dev/null; then
+    echo "    no committed baseline BENCH_memsys.json — skipping the diff"
 elif [ "$(host_class "${base}")" != "$(host_class "${f}")" ]; then
     echo "    ${f}: baseline class ($(host_class "${base}")) differs from" \
          "this run ($(host_class "${f}")) — numbers not comparable, skipping"

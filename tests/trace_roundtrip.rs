@@ -8,7 +8,7 @@
 //! observer seam and assert the replay is bit-identical.
 
 use memsys::{Addr, AddrRange};
-use middlesim::engine::{replay_trace, TraceObserver};
+use middlesim::engine::{replay_trace, IntervalSampler, TimelineCollector, TraceObserver};
 use middlesim::{AccessSource, ExperimentPlan, Machine, MachineConfig};
 use workloads::specjbb::{SpecJbb, SpecJbbConfig};
 
@@ -18,18 +18,30 @@ const MCYCLES: u64 = 1_000_000;
 /// [`TraceObserver`] attached from cycle zero, returning the machine
 /// (after its measurement window) and the capture.
 fn captured_run(pset: usize, seed: u64) -> (Machine<SpecJbb>, memsys::SystemTrace) {
+    let (m, trace, ()) = captured_run_beside(pset, seed, |_| ());
+    (m, trace)
+}
+
+/// [`captured_run`] with `attach` attaching further observers before the
+/// capture's; also returns what `attach` returned.
+fn captured_run_beside<R>(
+    pset: usize,
+    seed: u64,
+    attach: impl FnOnce(&mut Machine<SpecJbb>) -> R,
+) -> (Machine<SpecJbb>, memsys::SystemTrace, R) {
     let cfg = SpecJbbConfig::scaled(2 * pset, 64);
     let region = AddrRange::new(Addr(0x2000_0000), cfg.required_bytes());
     let mut mc = MachineConfig::e6000(pset);
     mc.seed = seed;
     let mut m = Machine::new(mc, SpecJbb::new(cfg, region));
+    let extra = attach(&mut m);
     let handle = m.attach_observer(TraceObserver::new());
     m.run_until(4 * MCYCLES);
     m.begin_measurement();
     let start = m.time();
     m.run_until(start + 8 * MCYCLES);
     let trace = m.observer(handle).trace().clone();
-    (m, trace)
+    (m, trace, extra)
 }
 
 /// Replaying a capture into a fresh, cold memory system of the same
@@ -94,4 +106,22 @@ fn filtered_capture_equals_post_filtered_trace() {
     assert!(at_capture.refs() < m.observer(full).trace().refs());
     assert_eq!(at_capture.refs(), post.refs());
     assert_eq!(at_capture.instructions(), post.instructions());
+}
+
+/// The interval sampler and timeline collector watch no references, so
+/// the per-reference path skips them; a capture attached after both
+/// still records every reference, identical to a capture alone.
+#[test]
+fn capture_beside_reference_blind_observers_records_every_reference() {
+    let (bare_m, bare) = captured_run(2, 7);
+    let (m, trace, (sampler, timeline)) = captured_run_beside(2, 7, |m| {
+        (
+            m.attach_observer(IntervalSampler::new(MCYCLES)),
+            m.attach_observer(TimelineCollector::new()),
+        )
+    });
+    assert!(!m.observer(sampler).samples().is_empty(), "sampler ran");
+    assert!(!m.observer(timeline).to_records(0, 0).is_empty());
+    assert_eq!(trace, bare, "capture equals the bare-machine capture");
+    assert_eq!(m.memory().stats(), bare_m.memory().stats());
 }
