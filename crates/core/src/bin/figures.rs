@@ -105,7 +105,7 @@ fn main() {
         (
             "10dram",
             "Figure 10 (banked DRAM)",
-            MemoryConfig::BankedDram(DramConfig::default()),
+            MemoryConfig::BankedDram(DramConfig),
         ),
     ];
     for (arg, name, memory) in traces {

@@ -17,10 +17,10 @@
 //! database-replay job as a plan dependency. Results merge in seed
 //! order, so the report is bit-identical whatever the worker count.
 
-use memsys::{MemorySystem, SystemSink};
+use memsys::{AccessKind, MemorySystem};
 use simcpu::CpuTimer;
 use simstats::{fbytes, fnum, Table};
-use workloads::ecperf::database::{Database, DatabaseConfig};
+use workloads::ecperf::database::Database;
 use workloads::ecperf::{DbQuery, Ecperf, EcperfConfig};
 
 use crate::engine::{Machine, MachineConfig, WindowReport};
@@ -157,54 +157,49 @@ pub fn run_cluster(plan: &ExperimentPlan, pset: usize) -> ClusterReport {
 /// `(cpi, data misses per 1000 instructions, pool bytes)`.
 pub(crate) fn replay_into_database(queries: &[DbQuery], effort: Effort) -> (f64, f64, u64) {
     let mut db = Database::new(
-        DatabaseConfig {
-            keyspace_divisor: effort.scale_divisor(),
-            ..DatabaseConfig::default()
-        },
+        effort.scale_divisor(),
         memsys::AddrRange::new(memsys::Addr(DB_MACHINE_BASE), 256 << 20),
     );
     let mut machine = MemorySystem::e6000(1).expect("db machine");
     let mut timer = CpuTimer::e6000();
 
+    /// Drives the database processor: every reference goes through the
+    /// memory system and its outcome through the timer, as the engine
+    /// charges an app-server processor.
     struct TierSink<'a> {
-        sys: SystemSink<'a>,
+        mem: &'a mut MemorySystem,
         timer: &'a mut CpuTimer,
     }
     impl memsys::MemSink for TierSink<'_> {
         fn instructions(&mut self, n: u64) {
             self.timer.retire(n);
         }
-        fn access(&mut self, kind: memsys::AccessKind, addr: memsys::Addr) {
-            self.sys.access(kind, addr);
+        fn access(&mut self, kind: AccessKind, addr: memsys::Addr) {
+            let outcome = self.mem.access(0, kind, addr);
+            match kind {
+                AccessKind::Ifetch => self.timer.ifetch(&outcome),
+                AccessKind::Load => self.timer.load(&outcome),
+                AccessKind::Store => self.timer.store(&outcome),
+            };
         }
     }
-    // SystemSink discards instruction counts; wrap to keep them.
-    {
-        let mut sink = TierSink {
-            sys: SystemSink::new(&mut machine, 0),
-            timer: &mut timer,
-        };
-        for q in queries {
-            if q.write {
-                if !db.update(q.ty, q.key, &mut sink) {
-                    let _ = db.insert(q.ty, &mut sink);
-                }
-            } else {
-                let _ = db.select(q.ty, q.key, &mut sink);
+    let mut sink = TierSink {
+        mem: &mut machine,
+        timer: &mut timer,
+    };
+    for q in queries {
+        if q.write {
+            if !db.update(q.ty, q.key, &mut sink) {
+                let _ = db.insert(q.ty, &mut sink);
             }
+        } else {
+            let _ = db.select(q.ty, q.key, &mut sink);
         }
     }
-    // Charge the misses into the timer for a CPI figure.
-    let stats = machine.stats();
     let report = timer.report();
-    let instr = report.instructions.max(1);
-    let data = stats.data();
-    let miss_per_kilo = data.l2_misses as f64 * 1000.0 / instr as f64;
-    // CPI from base + a memory-latency charge per L2 miss.
-    let lat = simcpu::LatencyTable::e6000();
-    let cycles = report.cycles() + data.l2_misses * lat.memory + data.l1_misses * lat.l2_hit;
-    let cpi = cycles as f64 / instr as f64;
-    (cpi, miss_per_kilo, db.pool_bytes())
+    let miss_per_kilo =
+        machine.stats().data().l2_misses as f64 * 1000.0 / report.instructions.max(1) as f64;
+    (report.cpi(), miss_per_kilo, db.pool_bytes())
 }
 
 #[cfg(test)]

@@ -335,7 +335,7 @@ pub fn run_mem_backend_ecperf(plan: &ExperimentPlan, p: usize) -> MemBackendAbla
 
 fn run_mem_backend_in(plan: &ExperimentPlan, p: usize, jbb: bool) -> MemBackendAblation {
     let effort = plan.effort();
-    let dram = MemoryConfig::BankedDram(DramConfig::default());
+    let dram = MemoryConfig::BankedDram(DramConfig);
     let jobs = [
         (MemoryConfig::Flat, 1),
         (MemoryConfig::Flat, p),

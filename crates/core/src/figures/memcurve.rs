@@ -18,7 +18,8 @@
 //! non-decreasing in applied load, which `shape_violations` checks and
 //! the acceptance criteria rely on.
 
-use memsys::{Addr, BankedDram, DramConfig, MemoryBackend, LINE_BITS};
+use memsys::backend::dram::{BANKS, CHANNELS, CHANNEL_CYCLES, T_ROW_CONFLICT, T_ROW_HIT};
+use memsys::{Addr, BankedDram, MemoryBackend, LINE_BITS};
 use prng::SimRng;
 use probes::registry::Snapshot;
 use probes::Histogram;
@@ -71,8 +72,6 @@ pub struct CurvePoint {
 pub struct MemCurve {
     /// All measured points, grouped by mix, each mix ordered by load.
     pub points: Vec<CurvePoint>,
-    /// The DRAM configuration characterized.
-    pub dram: DramConfig,
 }
 
 /// Requests per curve point at an effort level.
@@ -86,22 +85,17 @@ fn requests(effort: Effort) -> u64 {
 
 /// Drives one backend at one (mix, load) point; returns the point plus
 /// the raw counters and read-latency histogram for the run log.
-fn drive(
-    dram: DramConfig,
-    write_pct: u32,
-    load_permille: u64,
-    n: u64,
-) -> (CurvePoint, memsys::DramStats, Histogram) {
-    let mut d = BankedDram::new(dram);
+fn drive(write_pct: u32, load_permille: u64, n: u64) -> (CurvePoint, memsys::DramStats, Histogram) {
+    let mut d = BankedDram::default();
     // Seeded per mix only: every load point of a mix replays the same
     // address/kind sequence, which is what makes the curve provably
     // monotone in load.
     let mut rng = SimRng::seed_from_u64(0xC0FFEE ^ u64::from(write_pct));
     let mut stream_line = 0u64;
     // Mean inter-arrival gap for an applied load of `load_permille/1000`
-    // of peak: peak is one line per `channel_cycles / channels` cycles.
-    let gap_num = dram.channel_cycles * 1000;
-    let gap_den = u64::from(dram.channels) * load_permille;
+    // of peak: peak is one line per `CHANNEL_CYCLES / CHANNELS` cycles.
+    let gap_num = CHANNEL_CYCLES * 1000;
+    let gap_den = u64::from(CHANNELS) * load_permille;
     for i in 0..n {
         let now = i * gap_num / gap_den;
         let line = if rng.gen_f64() < STREAM_P {
@@ -139,7 +133,6 @@ fn drive(
 /// `dram.queue_latency`, so `simreport --simstat` can render the curve
 /// straight from `RUNLOG_figures.jsonl`.
 pub fn run(plan: &ExperimentPlan) -> MemCurve {
-    let dram = DramConfig::default();
     let n = requests(plan.effort());
     let jobs: Vec<(u32, u64)> = WRITE_MIXES
         .iter()
@@ -155,7 +148,7 @@ pub fn run(plan: &ExperimentPlan) -> MemCurve {
         // time but queue more; wall cost is flat, so hint by position.
         |_| 1,
         |&(write_pct, load_permille)| {
-            let (point, stats, hist) = drive(dram, write_pct, load_permille, n);
+            let (point, stats, hist) = drive(write_pct, load_permille, n);
             let mut snap = Snapshot::new();
             snap.record(&stats);
             let tele = JobTelemetry {
@@ -166,7 +159,7 @@ pub fn run(plan: &ExperimentPlan) -> MemCurve {
             (point, tele)
         },
     );
-    MemCurve { points, dram }
+    MemCurve { points }
 }
 
 impl MemCurve {
@@ -183,7 +176,7 @@ impl MemCurve {
         let mut t = Table::new(
             format!(
                 "Bandwidth-Latency Curves (BankedDram: {} ch x {} banks, hit {} / conflict {})",
-                self.dram.channels, self.dram.banks, self.dram.t_row_hit, self.dram.t_row_conflict
+                CHANNELS, BANKS, T_ROW_HIT, T_ROW_CONFLICT
             ),
             &[
                 "writes",

@@ -1,17 +1,17 @@
 //! The banked-DRAM timing model: load-dependent memory latency.
 //!
 //! Structure follows real DDR controllers at the granularity the Mess
-//! methodology needs: `channels` independent data buses, each owning
-//! `banks` banks and a bounded FIFO request queue. Latency decomposes
+//! methodology needs: [`CHANNELS`] independent data buses, each owning
+//! [`BANKS`] banks and a bounded FIFO request queue. Latency decomposes
 //! into three waits, each a `max` against state left by earlier
 //! requests:
 //!
 //! 1. **Admission** — a full channel queue backpressures the requester
 //!    until the oldest in-flight request completes;
-//! 2. **Bank** — an open-row hit pays `t_row_hit`, any other row pays
-//!    `t_row_conflict` (precharge + activate + CAS), and the bank is
+//! 2. **Bank** — an open-row hit pays [`T_ROW_HIT`], any other row pays
+//!    [`T_ROW_CONFLICT`] (precharge + activate + CAS), and the bank is
 //!    busy for the duration;
-//! 3. **Data bus** — one line transfer per `channel_cycles` per channel,
+//! 3. **Data bus** — one line transfer per [`CHANNEL_CYCLES`] per channel,
 //!    the bandwidth cap that bends the latency curve upward as applied
 //!    load approaches it.
 //!
@@ -26,9 +26,46 @@ use std::collections::VecDeque;
 use probes::Histogram;
 
 use crate::addr::{Addr, LINE_BITS};
-use crate::config::DramConfig;
 
 use super::MemoryBackend;
+
+// E6000-flavored timing, in processor cycles: unloaded row-hit latency
+// below the flat 75-cycle model (the flat number folds queueing in),
+// conflicts well above it, and 2 KB rows.
+
+/// Independent memory channels.
+pub const CHANNELS: u32 = 2;
+/// Banks per channel.
+pub const BANKS: u32 = 8;
+/// Consecutive cache lines per DRAM row (2 KB rows of 64-B lines): the
+/// unit of open-row locality.
+const ROW_LINES: u32 = 32;
+/// Per-channel request-queue depth; a full queue backpressures the
+/// requester.
+const QUEUE_DEPTH: usize = 8;
+/// Cycles for a request hitting the bank's open row.
+pub const T_ROW_HIT: u64 = 60;
+/// Cycles for a row conflict (precharge + activate + CAS).
+pub const T_ROW_CONFLICT: u64 = 135;
+/// Channel data-bus occupancy per line transfer (the bandwidth cap).
+pub const CHANNEL_CYCLES: u64 = 12;
+
+// The address map takes channel, column and bank fields as bit masks,
+// a request needs a queue slot, and the bus and a hit take time.
+const _: () = {
+    assert!(CHANNELS.is_power_of_two());
+    assert!(BANKS.is_power_of_two());
+    assert!(ROW_LINES.is_power_of_two());
+    assert!(QUEUE_DEPTH > 0);
+    assert!(T_ROW_HIT > 0 && CHANNEL_CYCLES > 0);
+    assert!(T_ROW_HIT <= T_ROW_CONFLICT);
+};
+
+const CHAN_MASK: u64 = (CHANNELS - 1) as u64;
+const CHAN_BITS: u32 = CHANNELS.trailing_zeros();
+const COL_BITS: u32 = ROW_LINES.trailing_zeros();
+const BANK_MASK: u64 = (BANKS - 1) as u64;
+const BANK_BITS: u32 = BANKS.trailing_zeros();
 
 /// Row tag meaning "no row open" (after power-up; never a real row).
 const CLOSED: u64 = u64::MAX;
@@ -106,12 +143,6 @@ struct Channel {
 /// The banked-DRAM backend. See the module docs for the model.
 #[derive(Debug, Clone)]
 pub struct BankedDram {
-    cfg: DramConfig,
-    chan_mask: u64,
-    chan_bits: u32,
-    col_bits: u32,
-    bank_mask: u64,
-    bank_bits: u32,
     /// Internal monotonic clock: the latest arrival time seen.
     clock: u64,
     channels: Vec<Channel>,
@@ -122,14 +153,14 @@ pub struct BankedDram {
     stall_episodes: Vec<(u64, u64)>,
 }
 
-impl BankedDram {
-    /// Builds an idle DRAM from a validated configuration.
-    pub fn new(cfg: DramConfig) -> Self {
-        let channels = (0..cfg.channels)
+impl Default for BankedDram {
+    /// An idle DRAM: every row closed, every queue empty.
+    fn default() -> Self {
+        let channels = (0..CHANNELS)
             .map(|_| Channel {
                 bus_free: 0,
-                queue: VecDeque::with_capacity(cfg.queue_depth as usize + 1),
-                banks: (0..cfg.banks)
+                queue: VecDeque::with_capacity(QUEUE_DEPTH + 1),
+                banks: (0..BANKS)
                     .map(|_| Bank {
                         open_row: CLOSED,
                         busy_until: 0,
@@ -138,20 +169,16 @@ impl BankedDram {
             })
             .collect();
         BankedDram {
-            chan_mask: (cfg.channels - 1) as u64,
-            chan_bits: cfg.channels.trailing_zeros(),
-            col_bits: cfg.row_lines.trailing_zeros(),
-            bank_mask: (cfg.banks - 1) as u64,
-            bank_bits: cfg.banks.trailing_zeros(),
             clock: 0,
             channels,
             stats: DramStats::default(),
             hist: Histogram::new(),
             stall_episodes: Vec::new(),
-            cfg,
         }
     }
+}
 
+impl BankedDram {
     /// Event counters so far.
     pub fn stats(&self) -> &DramStats {
         &self.stats
@@ -169,10 +196,10 @@ impl BankedDram {
     #[inline]
     fn map(&self, addr: Addr) -> (usize, usize, u64) {
         let line = addr.0 >> LINE_BITS;
-        let chan = (line & self.chan_mask) as usize;
-        let in_chan = (line >> self.chan_bits) >> self.col_bits;
-        let bank = (in_chan & self.bank_mask) as usize;
-        let row = in_chan >> self.bank_bits;
+        let chan = (line & CHAN_MASK) as usize;
+        let in_chan = (line >> CHAN_BITS) >> COL_BITS;
+        let bank = (in_chan & BANK_MASK) as usize;
+        let row = in_chan >> BANK_BITS;
         (chan, bank, row)
     }
 
@@ -189,7 +216,7 @@ impl BankedDram {
             ch.queue.pop_front();
         }
         self.stats.occupancy_sum += ch.queue.len() as u64;
-        let admit = if ch.queue.len() >= self.cfg.queue_depth as usize {
+        let admit = if ch.queue.len() >= QUEUE_DEPTH {
             let slot_free = ch.queue.pop_front().expect("nonempty full queue");
             self.stats.queue_stalls += 1;
             self.stats.stalled_cycles += slot_free - t;
@@ -205,17 +232,17 @@ impl BankedDram {
         let bank = &mut ch.banks[b];
         let service = if bank.open_row == row {
             self.stats.row_hits += 1;
-            self.cfg.t_row_hit
+            T_ROW_HIT
         } else {
             self.stats.row_conflicts += 1;
             bank.open_row = row;
-            self.cfg.t_row_conflict
+            T_ROW_CONFLICT
         };
         let bank_done = admit.max(bank.busy_until) + service;
         bank.busy_until = bank_done;
 
-        // Data-bus transfer: one line per `channel_cycles`, serialized.
-        let done = bank_done.max(ch.bus_free) + self.cfg.channel_cycles;
+        // Data-bus transfer: one line per `CHANNEL_CYCLES`, serialized.
+        let done = bank_done.max(ch.bus_free) + CHANNEL_CYCLES;
         ch.bus_free = done;
         ch.queue.push_back(done);
 
@@ -269,7 +296,16 @@ mod tests {
     use super::*;
 
     fn dram() -> BankedDram {
-        BankedDram::new(DramConfig::default())
+        BankedDram::default()
+    }
+
+    /// A same-cycle burst of twice the queue depth to channel 0.
+    fn overfilled() -> BankedDram {
+        let mut d = dram();
+        for i in 0..2 * QUEUE_DEPTH as u64 {
+            d.fetch(line(i * 64), 0);
+        }
+        d
     }
 
     /// Line `i` of a pure stream: walks channels, columns, then banks.
@@ -280,13 +316,12 @@ mod tests {
     #[test]
     fn idle_requests_pay_conflict_then_hits_within_a_row() {
         let mut d = dram();
-        let cfg = DramConfig::default();
         // First touch of a bank: closed row, conflict timing.
         let first = d.fetch(line(0), 0).unwrap();
-        assert_eq!(first, cfg.t_row_conflict + cfg.channel_cycles);
+        assert_eq!(first, T_ROW_CONFLICT + CHANNEL_CYCLES);
         // Same row, much later (bank idle again): open-row hit.
         let hit = d.fetch(line(0), 100_000).unwrap();
-        assert_eq!(hit, cfg.t_row_hit + cfg.channel_cycles);
+        assert_eq!(hit, T_ROW_HIT + CHANNEL_CYCLES);
         assert_eq!(d.stats().row_hits, 1);
         assert_eq!(d.stats().row_conflicts, 1);
     }
@@ -294,9 +329,8 @@ mod tests {
     #[test]
     fn far_apart_rows_conflict_every_time() {
         let mut d = dram();
-        let cfg = DramConfig::default();
         // Same bank, alternating rows: every access precharges.
-        let row_stride = (cfg.channels * cfg.row_lines * cfg.banks) as u64;
+        let row_stride = (CHANNELS * ROW_LINES * BANKS) as u64;
         let mut t = 0;
         for i in 0..10 {
             d.fetch(line((i % 2) * row_stride), t).unwrap();
@@ -309,14 +343,10 @@ mod tests {
     #[test]
     fn back_to_back_bursts_queue_behind_the_bus() {
         let mut d = dram();
-        let cfg = DramConfig::default();
         // A burst of same-cycle requests to one channel: each waits for
         // every predecessor's transfer, so latency grows linearly.
         let lat: Vec<u64> = (0..6)
-            .map(|i| {
-                d.fetch(line(i * (cfg.channels as u64) * cfg.row_lines as u64), 0)
-                    .unwrap()
-            })
+            .map(|i| d.fetch(line(i * (CHANNELS * ROW_LINES) as u64), 0).unwrap())
             .collect();
         for w in lat.windows(2) {
             assert!(w[1] > w[0], "queued requests must wait longer: {lat:?}");
@@ -325,28 +355,18 @@ mod tests {
 
     #[test]
     fn full_queue_backpressures_and_counts_stall_cycles() {
-        let mut d = BankedDram::new(DramConfig {
-            queue_depth: 2,
-            ..DramConfig::default()
-        });
-        for i in 0..8 {
-            d.fetch(line(i * 64), 0);
-        }
+        let d = overfilled();
         let s = *d.stats();
-        assert!(s.queue_stalls > 0, "a 2-deep queue must refuse a burst");
+        // Nothing completes at cycle 0, so every request past the
+        // queue depth waits for a slot.
+        assert_eq!(s.queue_stalls, QUEUE_DEPTH as u64);
         assert!(s.stalled_cycles > 0);
         assert!(s.mean_occupancy() > 0.0);
     }
 
     #[test]
     fn stall_episodes_record_the_backpressure_intervals() {
-        let mut d = BankedDram::new(DramConfig {
-            queue_depth: 2,
-            ..DramConfig::default()
-        });
-        for i in 0..8 {
-            d.fetch(line(i * 64), 0);
-        }
+        let mut d = overfilled();
         let stalls = d.stats().queue_stalls;
         let episodes = d.take_stall_episodes();
         assert_eq!(episodes.len() as u64, stalls);
@@ -367,8 +387,7 @@ mod tests {
         assert_eq!(d.hist().count(), 1, "only reads enter the histogram");
         // The writeback occupied the bus first, delaying the read past
         // its unloaded hit time.
-        let cfg = DramConfig::default();
-        assert!(read > cfg.t_row_hit + cfg.channel_cycles);
+        assert!(read > T_ROW_HIT + CHANNEL_CYCLES);
     }
 
     #[test]

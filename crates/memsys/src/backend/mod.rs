@@ -28,7 +28,7 @@
 //! costs, which is what keeps parallel experiment plans bit-identical to
 //! serial runs with either backend.
 
-mod dram;
+pub mod dram;
 mod flat;
 
 pub use dram::{BankedDram, DramStats};
@@ -95,12 +95,12 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Builds the backend a validated [`MemoryConfig`] names.
+    /// Builds the backend a [`MemoryConfig`] names.
     pub(crate) fn from_config(cfg: &MemoryConfig) -> Self {
         match cfg {
             MemoryConfig::Flat => Backend::Flat(FlatLatency::deferred()),
             MemoryConfig::FlatFixed(cycles) => Backend::Flat(FlatLatency::fixed(*cycles)),
-            MemoryConfig::BankedDram(d) => Backend::Dram(Box::new(BankedDram::new(*d))),
+            MemoryConfig::BankedDram(_) => Backend::Dram(Box::default()),
         }
     }
 }

@@ -39,14 +39,6 @@ pub enum ConfigError {
         /// Processors per shared L2.
         per_cache: usize,
     },
-    /// A memory-backend parameter is out of range (zero where at least
-    /// one is required, or inconsistent timing).
-    BadMemory {
-        /// Which parameter was invalid.
-        what: &'static str,
-        /// The offending value.
-        value: u64,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -71,9 +63,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "cpu count {cpus} is not divisible by processors-per-cache {per_cache}"
             ),
-            ConfigError::BadMemory { what, value } => {
-                write!(f, "memory backend: {what} is invalid ({value})")
-            }
         }
     }
 }
@@ -178,91 +167,14 @@ impl fmt::Display for CacheConfig {
     }
 }
 
-/// Timing parameters of the banked-DRAM memory backend.
+/// Selects the banked-DRAM memory backend.
 ///
-/// The model is a channels x banks DRAM with an open-row policy: a
-/// request to a bank's open row pays `t_row_hit` cycles, any other row
-/// pays `t_row_conflict` (precharge + activate + CAS). Each channel's
-/// data bus moves one line per `channel_cycles`, which caps bandwidth,
-/// and admits at most `queue_depth` outstanding requests — a full queue
-/// backpressures the requester. All cycle values are processor cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DramConfig {
-    /// Independent memory channels (power of two).
-    pub channels: u32,
-    /// Banks per channel (power of two).
-    pub banks: u32,
-    /// Consecutive cache lines per DRAM row (power of two) — the unit of
-    /// open-row locality.
-    pub row_lines: u32,
-    /// Per-channel request-queue depth (>= 1).
-    pub queue_depth: u32,
-    /// Cycles for a request hitting the bank's open row.
-    pub t_row_hit: u64,
-    /// Cycles for a row conflict (precharge + activate + CAS).
-    pub t_row_conflict: u64,
-    /// Channel data-bus occupancy per line transfer (bandwidth cap).
-    pub channel_cycles: u64,
-}
-
-impl Default for DramConfig {
-    /// E6000-flavored defaults: unloaded row-hit latency below the flat
-    /// 75-cycle model (the flat number folds queueing in), conflicts
-    /// well above it, 2 KB rows, and enough banks that bandwidth — not
-    /// bank availability — is the saturating resource.
-    fn default() -> Self {
-        DramConfig {
-            channels: 2,
-            banks: 8,
-            row_lines: 32, // 2 KB rows of 64-B lines
-            queue_depth: 8,
-            t_row_hit: 60,
-            t_row_conflict: 135,
-            channel_cycles: 12,
-        }
-    }
-}
-
-impl DramConfig {
-    fn validate(&self) -> Result<(), ConfigError> {
-        if self.banks == 0 {
-            return Err(ConfigError::BadMemory {
-                what: "banks per channel (must be nonzero)",
-                value: 0,
-            });
-        }
-        if self.queue_depth == 0 {
-            return Err(ConfigError::BadMemory {
-                what: "queue depth (must be nonzero)",
-                value: 0,
-            });
-        }
-        for (what, value) in [
-            ("memory channels", self.channels as u64),
-            ("banks per channel", self.banks as u64),
-            ("row lines", self.row_lines as u64),
-        ] {
-            if !value.is_power_of_two() {
-                return Err(ConfigError::NotPowerOfTwo { what, value });
-            }
-        }
-        for (what, value) in [
-            ("row-hit latency", self.t_row_hit),
-            ("channel cycles", self.channel_cycles),
-        ] {
-            if value == 0 {
-                return Err(ConfigError::BadMemory { what, value });
-            }
-        }
-        if self.t_row_conflict < self.t_row_hit {
-            return Err(ConfigError::BadMemory {
-                what: "row-conflict latency (must be >= row-hit latency)",
-                value: self.t_row_conflict,
-            });
-        }
-        Ok(())
-    }
-}
+/// Its timing (channels, banks, row size, queue depth and latencies) is
+/// a set of constants in the backend, because no experiment varies it.
+/// The type stays, without fields, because the `hostbench` package
+/// builds `MemoryConfig::BankedDram(DramConfig)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct DramConfig;
 
 /// Which memory backend sits below the L2s, and its parameters.
 ///
@@ -281,24 +193,6 @@ pub enum MemoryConfig {
     FlatFixed(u64),
     /// The banked-DRAM timing model.
     BankedDram(DramConfig),
-}
-
-impl MemoryConfig {
-    fn validate(&self) -> Result<(), ConfigError> {
-        match self {
-            MemoryConfig::Flat => Ok(()),
-            MemoryConfig::FlatFixed(cycles) => {
-                if *cycles == 0 {
-                    return Err(ConfigError::BadMemory {
-                        what: "flat memory latency",
-                        value: 0,
-                    });
-                }
-                Ok(())
-            }
-            MemoryConfig::BankedDram(d) => d.validate(),
-        }
-    }
 }
 
 /// Full hierarchy configuration for a multiprocessor memory system.
@@ -363,7 +257,7 @@ impl HierarchyConfig {
                 per_cache: self.cpus_per_l2,
             });
         }
-        self.memory.validate()
+        Ok(())
     }
 }
 
@@ -519,79 +413,5 @@ mod tests {
     fn default_memory_backend_is_flat() {
         let cfg = HierarchyConfig::e6000(2).unwrap();
         assert_eq!(cfg.memory, MemoryConfig::Flat);
-    }
-
-    fn build_with_dram(d: DramConfig) -> Result<HierarchyConfig, ConfigError> {
-        let mut b = HierarchyConfig::builder(2);
-        b.memory(MemoryConfig::BankedDram(d));
-        b.build()
-    }
-
-    #[test]
-    fn dram_zero_banks_rejected() {
-        let d = DramConfig {
-            banks: 0,
-            ..DramConfig::default()
-        };
-        assert!(matches!(
-            build_with_dram(d),
-            Err(ConfigError::BadMemory { value: 0, .. })
-        ));
-    }
-
-    #[test]
-    fn dram_non_power_of_two_channels_rejected() {
-        let d = DramConfig {
-            channels: 3,
-            ..DramConfig::default()
-        };
-        assert!(matches!(
-            build_with_dram(d),
-            Err(ConfigError::NotPowerOfTwo {
-                what: "memory channels",
-                value: 3
-            })
-        ));
-    }
-
-    #[test]
-    fn dram_zero_queue_depth_rejected() {
-        let d = DramConfig {
-            queue_depth: 0,
-            ..DramConfig::default()
-        };
-        let err = build_with_dram(d).unwrap_err();
-        assert!(matches!(err, ConfigError::BadMemory { value: 0, .. }));
-        assert!(err.to_string().contains("queue depth"));
-    }
-
-    #[test]
-    fn dram_inverted_latencies_rejected() {
-        let d = DramConfig {
-            t_row_hit: 100,
-            t_row_conflict: 50,
-            ..DramConfig::default()
-        };
-        assert!(matches!(
-            build_with_dram(d),
-            Err(ConfigError::BadMemory { value: 50, .. })
-        ));
-    }
-
-    #[test]
-    fn dram_defaults_validate() {
-        assert!(build_with_dram(DramConfig::default()).is_ok());
-        let mut b = HierarchyConfig::builder(2);
-        b.memory(MemoryConfig::FlatFixed(75));
-        assert!(b.build().is_ok());
-        let mut b = HierarchyConfig::builder(2);
-        b.memory(MemoryConfig::FlatFixed(0));
-        assert!(matches!(
-            b.build(),
-            Err(ConfigError::BadMemory {
-                what: "flat memory latency",
-                ..
-            })
-        ));
     }
 }

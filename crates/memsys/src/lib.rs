@@ -62,4 +62,4 @@ pub use sink::{CountingSink, MemSink, RecordingSink};
 pub use stats::{AccessKind, AccessOutcome, HitLevel, KindCounters, SystemStats};
 pub use sweep::{CacheSweep, SweepPoint, PAPER_SIZES};
 pub use system::MemorySystem;
-pub use trace::{AccessSource, SystemSink, SystemTrace, SystemTraceEvent};
+pub use trace::{AccessSource, SystemTrace, SystemTraceEvent};

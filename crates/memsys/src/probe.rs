@@ -252,7 +252,7 @@ mod tests {
         assert_eq!(flat.counters().get("dram.reads"), None);
 
         let mut b = HierarchyConfig::builder(2);
-        b.memory(MemoryConfig::BankedDram(DramConfig::default()));
+        b.memory(MemoryConfig::BankedDram(DramConfig));
         let mut sys = MemorySystem::new(b.build().unwrap());
         sys.access(0, AccessKind::Load, Addr(0x1000));
         let snap = sys.counters();

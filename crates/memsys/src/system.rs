@@ -787,7 +787,7 @@ mod tests {
     fn dram_backend_stamps_load_dependent_costs_and_counts() {
         use crate::config::{DramConfig, MemoryConfig};
         let mut b = HierarchyConfig::builder(1);
-        b.memory(MemoryConfig::BankedDram(DramConfig::default()));
+        b.memory(MemoryConfig::BankedDram(DramConfig));
         let mut m = MemorySystem::new(b.build().unwrap());
         assert!(m.needs_clock());
         let mut now = 0;

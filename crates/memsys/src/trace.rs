@@ -9,8 +9,6 @@
 //! reference tagged with its processor and [`AccessSource`], with window
 //! boundaries recorded in-stream so a replay from a cold system
 //! reproduces the live run's measurement-window statistics exactly.
-//! [`SystemSink`] adapts one processor of a [`MemorySystem`] into a
-//! [`MemSink`], so any generated stream can drive the coherent model.
 //!
 //! Filtering is a predicate over the tags — keeping one tier's
 //! processors is exactly the paper's filter step — and replay order is
@@ -20,7 +18,6 @@
 use std::io::{self, Read, Write};
 
 use crate::addr::Addr;
-use crate::sink::MemSink;
 use crate::stats::AccessKind;
 use crate::system::MemorySystem;
 
@@ -451,50 +448,9 @@ fn cursor_cpu(c: &mut Cursor<'_>) -> io::Result<u16> {
     u16::try_from(c.varint()?).map_err(|_| bad_data("cpu index exceeds u16"))
 }
 
-/// Adapts a [`MemorySystem`] processor into a [`MemSink`], so a
-/// generated stream drives the coherent model directly.
-#[derive(Debug)]
-pub struct SystemSink<'a> {
-    system: &'a mut MemorySystem,
-    cpu: usize,
-}
-
-impl<'a> SystemSink<'a> {
-    /// A sink feeding processor `cpu` of `system`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range `cpu` at first access.
-    pub fn new(system: &'a mut MemorySystem, cpu: usize) -> Self {
-        SystemSink { system, cpu }
-    }
-}
-
-impl MemSink for SystemSink<'_> {
-    fn instructions(&mut self, _n: u64) {}
-
-    fn access(&mut self, kind: AccessKind, addr: Addr) {
-        self.system.access(self.cpu, kind, addr);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn replay_into_a_memory_system() {
-        let mut sys = MemorySystem::e6000(2).unwrap();
-        {
-            let mut sink = SystemSink::new(&mut sys, 1);
-            sink.instructions(10);
-            sink.load(Addr(0x100));
-            sink.store(Addr(0x200));
-            sink.ifetch(Addr(0x300));
-        }
-        assert_eq!(sys.stats().total_accesses(), 3);
-        assert_eq!(sys.stats().load.accesses, 1);
-    }
 
     fn system_sample() -> SystemTrace {
         let mut t = SystemTrace::new();

@@ -8,7 +8,7 @@
 //! [`check`] reads each line through its kind's one declaration in
 //! [`crate::runlog`] and applies the declared rules generically; only
 //! the rules that span kinds (span accounting, sample-unit weights,
-//! attribution sums) are written out here.
+//! attribution sums, memory-counter identities) are written out here.
 //!
 //! The text renderer mirrors the paper's two instruments:
 //! - an `mpstat`-style table — one row per *worker* instead of per CPU,
@@ -82,6 +82,7 @@ pub fn check(src: &str) -> Result<ParsedLog, String> {
     unique(&log.attribs)?;
     check_sample_weights(&log)?;
     check_attrib_sums(&log)?;
+    check_counter_identities(&log)?;
     if log.provenance.is_none() {
         return Err("log has no provenance event".into());
     }
@@ -280,6 +281,56 @@ fn check_attrib_sums(log: &ParsedLog) -> Result<(), String> {
                  declares attrib.cycles={declared}",
                 j.run, j.id
             ));
+        }
+    }
+    Ok(())
+}
+
+/// The memory-system counters on a job span must nest the way
+/// `memsys` counts them. Per reference kind, a cache-to-cache transfer
+/// is an L2 miss, an L2 miss or an upgrade is an L1 miss, and an L1
+/// miss is an access: `c2c <= l2_misses` and `l2_misses + upgrades <=
+/// l1_misses <= accesses`. The per-processor totals equal the sums over
+/// the kinds. A span that carries none of a kind's counters is skipped;
+/// one that carries some of them must carry all five. Counters are below
+/// 2^53 (a declared rule), so the sums cannot overflow.
+fn check_counter_identities(log: &ParsedLog) -> Result<(), String> {
+    const FIELDS: [&str; 5] = ["accesses", "l1_misses", "l2_misses", "upgrades", "c2c"];
+    for j in &log.jobs {
+        let Some(counters) = &j.counters else {
+            continue;
+        };
+        let get = |name: &str| counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        let fail = |what: String| Err(format!("run {} job {}: {what}", j.run, j.id));
+        let (mut l2_sum, mut c2c_sum) = (0, 0);
+        for kind in ["ifetch", "load", "store"] {
+            let values = FIELDS.map(|f| get(&format!("mem.{kind}.{f}")));
+            if values.iter().all(Option::is_none) {
+                continue;
+            }
+            let [Some(accesses), Some(l1), Some(l2), Some(upgrades), Some(c2c)] = values else {
+                return fail(format!("mem.{kind} carries only some of its counters"));
+            };
+            if c2c > l2 {
+                return fail(format!("mem.{kind}.c2c={c2c} exceeds l2_misses={l2}"));
+            }
+            if l2 + upgrades > l1 || l1 > accesses {
+                return fail(format!(
+                    "mem.{kind} counters do not nest: l2_misses={l2} + upgrades={upgrades}                      <= l1_misses={l1} <= accesses={accesses} fails"
+                ));
+            }
+            l2_sum += l2;
+            c2c_sum += c2c;
+        }
+        for (total, sum) in [
+            ("mem.l2_miss.percpu_total", l2_sum),
+            ("mem.c2c.percpu_total", c2c_sum),
+        ] {
+            if let Some(declared) = get(total) {
+                if declared != sum {
+                    return fail(format!("{total}={declared} but the kinds sum to {sum}"));
+                }
+            }
         }
     }
     Ok(())
@@ -1594,6 +1645,63 @@ mod tests {
         let err = check(&bad).unwrap_err();
         assert!(err.contains("sum to 40"), "{err}");
         assert!(err.contains("attrib.cycles=41"), "{err}");
+    }
+
+    #[test]
+    fn check_holds_memory_counters_to_their_identities() {
+        let prov = "{\"ev\":\"provenance\",\"git_rev\":\"a\",\"hostname\":\"h\",\"cpu_count\":1,\"timestamp\":0}";
+        let run = "{\"ev\":\"run\",\"run\":0,\"tag\":\"t\",\"effort\":\"quick\",\"threads\":1,\"jobs\":1}";
+        let mut good = Vec::new();
+        for kind in ["ifetch", "load", "store"] {
+            for (field, v) in [
+                ("accesses", 100),
+                ("l1_misses", 40),
+                ("l2_misses", 10),
+                ("upgrades", 5),
+                ("c2c", 3),
+            ] {
+                good.push((format!("mem.{kind}.{field}"), v));
+            }
+        }
+        good.push(("mem.l2_miss.percpu_total".into(), 30));
+        good.push(("mem.c2c.percpu_total".into(), 9));
+        let log = |counters: &[(String, u64)]| {
+            let fields: Vec<String> = counters
+                .iter()
+                .map(|(n, v)| format!("\"{n}\":{v}"))
+                .collect();
+            format!(
+                "{prov}\n{run}\n{{\"ev\":\"job\",\"run\":0,\"id\":0,\"worker\":0,\"claim\":0,\
+                 \"wall_secs\":0.1,\"counters\":{{{}}}}}",
+                fields.join(",")
+            )
+        };
+        assert!(check(&log(&good)).is_ok());
+        for (name, value, want) in [
+            ("mem.load.c2c", 11, "mem.load.c2c=11 exceeds l2_misses=10"),
+            ("mem.store.l1_misses", 14, "mem.store counters do not nest"),
+            ("mem.ifetch.accesses", 39, "mem.ifetch counters do not nest"),
+            ("mem.load.upgrades", 31, "mem.load counters do not nest"),
+            (
+                "mem.l2_miss.percpu_total",
+                31,
+                "=31 but the kinds sum to 30",
+            ),
+            ("mem.c2c.percpu_total", 8, "=8 but the kinds sum to 9"),
+        ] {
+            let mut bad = good.clone();
+            bad.iter_mut().find(|(n, _)| n == name).expect("counter").1 = value;
+            let err = check(&log(&bad)).unwrap_err();
+            assert!(err.contains(want), "{name}={value}: {err}");
+            assert!(err.contains("run 0 job 0"), "{err}");
+        }
+        let partial: Vec<_> = good
+            .iter()
+            .filter(|(n, _)| n != "mem.store.upgrades")
+            .cloned()
+            .collect();
+        let err = check(&log(&partial)).unwrap_err();
+        assert!(err.contains("mem.store carries only some"), "{err}");
     }
 
     #[test]

@@ -20,28 +20,12 @@ use memsys::{AddrRange, MemSink};
 use crate::ecperf::beans::BeanType;
 use crate::objtree::{build_table, ObjTree};
 
-/// Database sizing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DatabaseConfig {
-    /// Rows per entity table, scaled from the bean keyspaces.
-    pub keyspace_divisor: u64,
-    /// Bytes per row (on top of the entity payload: slot headers, index
-    /// entries).
-    pub row_overhead: u32,
-    /// Instructions per SQL statement beyond the index/row work
-    /// (parse/plan cache hit, latching, logging).
-    pub statement_instructions: u64,
-}
-
-impl Default for DatabaseConfig {
-    fn default() -> Self {
-        DatabaseConfig {
-            keyspace_divisor: 1,
-            row_overhead: 64,
-            statement_instructions: 2_500,
-        }
-    }
-}
+/// Bytes per row on top of the entity payload (slot headers, index
+/// entries).
+const ROW_OVERHEAD: u32 = 64;
+/// Instructions per SQL statement beyond the index/row work
+/// (parse/plan cache hit, latching, logging).
+const STATEMENT_INSTRUCTIONS: u64 = 2_500;
 
 /// One table: a clustered B-tree of row objects.
 #[derive(Debug, Clone)]
@@ -55,19 +39,20 @@ struct Table {
 pub struct Database {
     pool: Heap,
     tables: Vec<Table>,
-    cfg: DatabaseConfig,
     /// The transaction log tail (sequential writes, one hot line each).
     log_cursor: u64,
     log: AddrRange,
 }
 
 impl Database {
-    /// Builds the database inside `region` (its own machine's memory).
+    /// Builds the database inside `region` (its own machine's memory),
+    /// each table's rows scaled from its bean keyspace by
+    /// `keyspace_divisor`.
     ///
     /// # Panics
     ///
     /// Panics if the region cannot hold the buffer pool.
-    pub fn new(cfg: DatabaseConfig, mut region: AddrRange) -> Self {
+    pub fn new(keyspace_divisor: u64, mut region: AddrRange) -> Self {
         let log = region.take(1 << 20).expect("log region");
         let geometry = HeapGeometry {
             eden: 8 << 20,
@@ -85,8 +70,8 @@ impl Database {
             .iter()
             .filter(|t| !t.uses_supplier_emulator())
             .map(|&ty| {
-                let rows = (ty.keyspace() / cfg.keyspace_divisor).clamp(64, 1 << 20);
-                let row_bytes = ty.bytes() + cfg.row_overhead;
+                let rows = (ty.keyspace() / keyspace_divisor).clamp(64, 1 << 20);
+                let row_bytes = ty.bytes() + ROW_OVERHEAD;
                 let mut sink = memsys::CountingSink::new();
                 Table {
                     ty,
@@ -98,7 +83,6 @@ impl Database {
         Database {
             pool,
             tables,
-            cfg,
             log_cursor: 0,
             log,
         }
@@ -121,7 +105,7 @@ impl Database {
         key: u64,
         sink: &mut (impl MemSink + ?Sized),
     ) -> Option<ObjectId> {
-        sink.instructions(self.cfg.statement_instructions);
+        sink.instructions(STATEMENT_INSTRUCTIONS);
         let idx = self.table_mut(ty)?;
         let rows = self.tables[idx].next_row.max(1);
         self.tables[idx].index.lookup(key % rows, &self.pool, sink)
@@ -130,7 +114,7 @@ impl Database {
     /// Serves an UPDATE by primary key: index descent, row write, and a
     /// sequential log append.
     pub fn update(&mut self, ty: BeanType, key: u64, sink: &mut (impl MemSink + ?Sized)) -> bool {
-        sink.instructions(self.cfg.statement_instructions);
+        sink.instructions(STATEMENT_INSTRUCTIONS);
         let Some(idx) = self.table_mut(ty) else {
             return false;
         };
@@ -148,8 +132,8 @@ impl Database {
     /// Serves an INSERT: allocate a row in the pool, insert into the
     /// index, log.
     pub fn insert(&mut self, ty: BeanType, sink: &mut (impl MemSink + ?Sized)) -> Option<u64> {
-        sink.instructions(self.cfg.statement_instructions);
-        let row_bytes = ty.bytes() + self.cfg.row_overhead;
+        sink.instructions(STATEMENT_INSTRUCTIONS);
+        let row_bytes = ty.bytes() + ROW_OVERHEAD;
         let idx = self.table_mut(ty)?;
         let key = self.tables[idx].next_row;
         self.tables[idx].next_row += 1;
@@ -175,13 +159,7 @@ mod tests {
     use memsys::{Addr, CountingSink};
 
     fn db() -> Database {
-        Database::new(
-            DatabaseConfig {
-                keyspace_divisor: 50,
-                ..DatabaseConfig::default()
-            },
-            AddrRange::new(Addr(0x8000_0000), 128 << 20),
-        )
+        Database::new(50, AddrRange::new(Addr(0x8000_0000), 128 << 20))
     }
 
     /// Resident rows across all tables.
@@ -204,7 +182,7 @@ mod tests {
         let row = d.select(BeanType::Customer, 42, &mut sink);
         assert!(row.is_some());
         assert!(sink.loads >= 4, "descent + row read: {}", sink.loads);
-        assert!(sink.instructions >= 2_500);
+        assert!(sink.instructions >= STATEMENT_INSTRUCTIONS);
     }
 
     #[test]

@@ -62,7 +62,40 @@ const CODE_REGION_BYTES: u64 = 32 << 20;
 const LOCK_REGION_BYTES: u64 = 64 << 10;
 const KERNEL_REGION_BYTES: u64 = 32 << 20;
 
-/// ECperf configuration.
+/// Hot compiled methods (app server + container + beans).
+const METHOD_COUNT: usize = 600;
+/// Average method size in bytes.
+const METHOD_AVG_BYTES: u64 = 2048;
+/// Method-popularity skew.
+const METHOD_ZIPF: f64 = 1.05;
+/// Method calls per BBop.
+const CALLS_PER_BBOP: usize = 36;
+/// Bytes per stack frame.
+const FRAME_BYTES: u64 = 768;
+/// Frames pushed per BBop.
+const FRAMES_PER_BBOP: usize = 5;
+/// Ephemeral scratch allocation per BBop.
+const SCRATCH_PER_BBOP: u32 = 1024;
+/// Extra pure-compute instructions per BBop.
+const PAD_INSTRUCTIONS: u64 = 9000;
+/// Database reply latency in cycles.
+const DB_LATENCY: u64 = 60_000;
+/// Supplier-emulator reply latency in cycles.
+const SUPPLIER_LATENCY: u64 = 150_000;
+// A database reply (`DB_LATENCY` plus under 25% jitter) always returns
+// before a supplier reply, which waits at least `SUPPLIER_LATENCY`.
+const _: () = assert!(DB_LATENCY * 5 / 4 < SUPPLIER_LATENCY);
+/// XML parse instructions per purchase order.
+const XML_PARSE_INSTRUCTIONS: u64 = 3000;
+/// Per-thread stack region size.
+const STACK_BYTES: u64 = 64 << 10;
+/// Entity-key popularity skew.
+const KEY_SKEW: f64 = 1.1;
+/// Window of recent orders OrderStatus queries.
+const RECENT_ORDERS: u64 = 512;
+
+/// ECperf configuration: the values experiments vary. Every other
+/// parameter of the model is a constant at its point of use.
 #[derive(Debug, Clone)]
 pub struct EcperfConfig {
     /// Orders Injection Rate — ECperf's scale factor.
@@ -75,46 +108,14 @@ pub struct EcperfConfig {
     pub db_connections: u32,
     /// Heap configuration.
     pub heap: HeapConfig,
-    /// Bean-cache capacity in beans.
-    pub cache_capacity: usize,
     /// Bean-cache TTL in cycles (container revalidation interval).
     pub cache_ttl: u64,
-    /// Per-thread permanent workspace (connection buffers, session state).
-    pub workspace_bytes: u32,
-    /// Hot compiled methods (app server + container + beans).
-    pub method_count: usize,
-    /// Average method size in bytes.
-    pub method_avg_bytes: u64,
-    /// Method-popularity skew.
-    pub method_zipf: f64,
-    /// Method calls per BBop.
-    pub calls_per_bbop: usize,
-    /// Bytes per stack frame.
-    pub frame_bytes: u64,
-    /// Frames pushed per BBop.
-    pub frames_per_bbop: usize,
-    /// Ephemeral scratch allocation per BBop.
-    pub scratch_per_bbop: u32,
-    /// Extra pure-compute instructions per BBop.
-    pub pad_instructions: u64,
-    /// Database reply latency in cycles.
-    pub db_latency: u64,
-    /// Supplier-emulator reply latency in cycles.
-    pub supplier_latency: u64,
-    /// XML parse instructions per purchase order.
-    pub xml_parse_instructions: u64,
-    /// Per-thread stack region size.
-    pub stack_bytes: u64,
-    /// Entity-key popularity skew.
-    pub key_skew: f64,
     /// Whether to log every database query (for two-tier co-simulation:
     /// the cluster harness replays the log into the database machine).
     pub log_queries: bool,
-    /// Window of recent orders OrderStatus queries.
-    pub recent_orders: u64,
-    /// Divisor applied to entity keyspaces (scaled runs shrink the hot
-    /// entity population together with the cache so hit rates are
-    /// preserved).
+    /// Divisor applied to entity keyspaces, the bean cache and the
+    /// per-thread workspaces (scaled runs shrink the hot entity
+    /// population together with the cache so hit rates are preserved).
     pub keyspace_divisor: u64,
 }
 
@@ -127,24 +128,8 @@ impl EcperfConfig {
             threads,
             db_connections: (threads as u32 / 2).max(2),
             heap: HeapConfig::default(),
-            cache_capacity: 12_000,
             cache_ttl: 900_000,
-            workspace_bytes: 512 << 10,
-            method_count: 600,
-            method_avg_bytes: 2048,
-            method_zipf: 1.05,
-            calls_per_bbop: 36,
-            frame_bytes: 768,
-            frames_per_bbop: 5,
-            scratch_per_bbop: 1024,
-            pad_instructions: 9000,
-            db_latency: 60_000,
-            supplier_latency: 150_000,
-            xml_parse_instructions: 3000,
-            stack_bytes: 64 << 10,
-            key_skew: 1.1,
             log_queries: false,
-            recent_orders: 512,
             keyspace_divisor: 1,
         }
     }
@@ -152,7 +137,6 @@ impl EcperfConfig {
     /// Scaled configuration: heap, cache and workspaces divided by
     /// `divisor` for reference-driven multiprocessor runs.
     pub fn scaled(ir: u32, divisor: u64) -> Self {
-        let f = EcperfConfig::full(ir);
         EcperfConfig {
             heap: HeapConfig {
                 geometry: HeapGeometry::paper_scaled(divisor),
@@ -160,10 +144,8 @@ impl EcperfConfig {
                 // draining a scaled eden with half-empty buffers.
                 tlab_bytes: 32 << 10,
             },
-            cache_capacity: ((f.cache_capacity as u64 / divisor).max(4000)) as usize,
-            workspace_bytes: ((f.workspace_bytes as u64 / divisor).max(4096)) as u32,
             keyspace_divisor: divisor,
-            ..f
+            ..EcperfConfig::full(ir)
         }
     }
 
@@ -173,8 +155,18 @@ impl EcperfConfig {
             + CODE_REGION_BYTES
             + LOCK_REGION_BYTES
             + KERNEL_REGION_BYTES
-            + self.threads as u64 * self.stack_bytes
+            + self.threads as u64 * STACK_BYTES
             + (1 << 20)
+    }
+
+    /// Bean-cache capacity in beans.
+    fn cache_capacity(&self) -> usize {
+        (12_000 / self.keyspace_divisor).max(4000) as usize
+    }
+
+    /// Per-thread permanent workspace (connection buffers, session state).
+    fn workspace_bytes(&self) -> u32 {
+        ((512 << 10) / self.keyspace_divisor).max(4096) as u32
     }
 }
 
@@ -297,17 +289,12 @@ impl Ecperf {
         let lock_region = region.take(LOCK_REGION_BYTES).expect("sized above");
         let kernel_region = region.take(KERNEL_REGION_BYTES).expect("sized above");
         let stacks_region = region
-            .take(cfg.threads as u64 * cfg.stack_bytes)
+            .take(cfg.threads as u64 * STACK_BYTES)
             .expect("sized above");
         let mut heap = Heap::new(cfg.heap, region);
 
         let mut code = CodeCache::new(code_region);
-        let methods = MethodSet::install(
-            &mut code,
-            cfg.method_count,
-            cfg.method_avg_bytes,
-            cfg.method_zipf,
-        );
+        let methods = MethodSet::install(&mut code, METHOD_COUNT, METHOD_AVG_BYTES, METHOD_ZIPF);
         let mut lockset = LockSet::new(lock_region);
         for _ in 0..(KNET_BASE + KNET_LOCKS) {
             lockset.create();
@@ -315,9 +302,9 @@ impl Ecperf {
         // Client connections [0, threads), database connections
         // [threads, 2*threads), supplier connections share the DB range.
         let net = NetStack::new(kernel_region, cfg.threads * 2 + 4);
-        let threads = carve_stacks(stacks_region, cfg.threads, cfg.stack_bytes);
+        let threads = carve_stacks(stacks_region, cfg.threads, STACK_BYTES);
         let workspaces = (0..cfg.threads)
-            .map(|_| heap.alloc_permanent_old(cfg.workspace_bytes))
+            .map(|_| heap.alloc_permanent_old(cfg.workspace_bytes()))
             .collect();
         let jvm_shared = heap.alloc_permanent_old(32 * 64);
         let samplers = beans::ALL_BEAN_TYPES
@@ -328,13 +315,13 @@ impl Ecperf {
                     t,
                     ZipfSampler::new(
                         (t.keyspace() / cfg.keyspace_divisor).clamp(64, 1 << 20) as usize,
-                        cfg.key_skew,
+                        KEY_SKEW,
                     ),
                 )
             })
             .collect();
         Ecperf {
-            cache: ObjectCache::new(cfg.cache_capacity, cfg.cache_ttl),
+            cache: ObjectCache::new(cfg.cache_capacity(), cfg.cache_ttl),
             workers: vec![Worker::default(); cfg.threads],
             tx_done: vec![0; cfg.threads],
             tx_begin: vec![None; cfg.threads],
@@ -456,7 +443,7 @@ impl Ecperf {
                     cache_install: true,
                 });
                 if self.next_order > 0 {
-                    let back = rng.gen_range(0..self.cfg.recent_orders.max(1));
+                    let back = rng.gen_range(0..RECENT_ORDERS);
                     needs.push(BeanNeed {
                         ty: BeanType::Order,
                         key: self.next_order.saturating_sub(1 + back),
@@ -518,7 +505,7 @@ impl Ecperf {
     /// reply session object.
     fn bbop_alloc_budget(&self) -> u64 {
         let worst_beans = 6 * 2048;
-        self.cfg.scratch_per_bbop as u64 + worst_beans + 4096 + 1024 + 1024
+        SCRATCH_PER_BBOP as u64 + worst_beans + 4096 + 1024 + 1024
     }
 
     /// Allocates, or reports that a collection is needed. A failure
@@ -540,7 +527,7 @@ impl Ecperf {
 
     fn db_latency_and_count(&mut self) -> u64 {
         self.db_roundtrips += 1;
-        self.cfg.db_latency
+        DB_LATENCY
     }
 }
 
@@ -577,7 +564,7 @@ impl Workload for Ecperf {
                 // phase keeps the original start (the pause counts).
                 self.tx_begin[thread].get_or_insert(ctx.now);
                 self.build_needs(thread, ctx.rng);
-                ctx.sink.instructions(self.cfg.pad_instructions / 3);
+                ctx.sink.instructions(PAD_INSTRUCTIONS / 3);
                 self.workers[thread].phase = Phase::RecvAcq;
                 StepResult::user(Control::Continue)
             }
@@ -597,15 +584,15 @@ impl Workload for Ecperf {
             }
             Phase::Servlet => {
                 let sink = &mut *ctx.sink;
-                for _ in 0..self.cfg.frames_per_bbop {
-                    self.threads[thread].push_frame(self.cfg.frame_bytes, sink);
+                for _ in 0..FRAMES_PER_BBOP {
+                    self.threads[thread].push_frame(FRAME_BYTES, sink);
                 }
                 self.methods
-                    .exec_path(&self.code, self.cfg.calls_per_bbop / 3, ctx.rng, sink);
+                    .exec_path(&self.code, CALLS_PER_BBOP / 3, ctx.rng, sink);
                 if Self::try_alloc(
                     &mut self.heap,
                     &mut self.threads[thread].tlab,
-                    self.cfg.scratch_per_bbop,
+                    SCRATCH_PER_BBOP,
                     Lifetime::Ephemeral,
                     sink,
                 )
@@ -722,7 +709,7 @@ impl Workload for Ecperf {
                     .pending
                     .is_some_and(|n| n.ty.uses_supplier_emulator());
                 let base = if supplier {
-                    self.cfg.supplier_latency
+                    SUPPLIER_LATENCY
                 } else {
                     self.db_latency_and_count()
                 };
@@ -761,7 +748,7 @@ impl Workload for Ecperf {
             }
             Phase::ParsePo => {
                 let sink = &mut *ctx.sink;
-                sink.instructions(self.cfg.xml_parse_instructions);
+                sink.instructions(XML_PARSE_INSTRUCTIONS);
                 let need = self.workers[thread].pending.expect("pending PO");
                 if Self::try_alloc(
                     &mut self.heap,
@@ -844,11 +831,11 @@ impl Workload for Ecperf {
                 let sink = &mut *ctx.sink;
                 self.methods.exec_path(
                     &self.code,
-                    self.cfg.calls_per_bbop - self.cfg.calls_per_bbop / 3,
+                    CALLS_PER_BBOP - CALLS_PER_BBOP / 3,
                     ctx.rng,
                     sink,
                 );
-                sink.instructions(self.cfg.pad_instructions / 3);
+                sink.instructions(PAD_INSTRUCTIONS / 3);
                 // Apply updates to the written entities (dirty shared
                 // bean lines: ECperf's wide communication footprint).
                 for i in 0..self.workers[thread].needs.len() {
@@ -905,11 +892,11 @@ impl Workload for Ecperf {
                     sink.load(jvm.offset(line * 64));
                     sink.store(jvm.offset(line * 64));
                 }
-                for _ in 0..self.cfg.frames_per_bbop {
-                    self.threads[thread].pop_frame(self.cfg.frame_bytes, sink);
+                for _ in 0..FRAMES_PER_BBOP {
+                    self.threads[thread].pop_frame(FRAME_BYTES, sink);
                 }
                 self.threads[thread].unwind();
-                sink.instructions(self.cfg.pad_instructions / 3);
+                sink.instructions(PAD_INSTRUCTIONS / 3);
                 self.heap.advance_epoch(1);
                 self.tx_done[thread] += 1;
                 if let Some(begin) = self.tx_begin[thread].take() {
@@ -1028,14 +1015,12 @@ mod tests {
 
     #[test]
     fn supplier_cycles_reach_the_emulator() {
-        // A supplier reply waits at least `supplier_latency`; a database
-        // reply (`db_latency` plus under 25% jitter) never does.
+        // Only a supplier reply waits `SUPPLIER_LATENCY` or longer (see
+        // the const assertion beside `DB_LATENCY`).
         let mut ec = small();
-        let supplier = ec.cfg.supplier_latency;
-        assert!(ec.cfg.db_latency * 5 / 4 < supplier);
         let (_, _, longest_wait) = drive(&mut ec, 0, 80_000);
         assert!(
-            longest_wait >= supplier,
+            longest_wait >= SUPPLIER_LATENCY,
             "the BBop mix includes supplier cycles: longest wait {longest_wait}"
         );
     }

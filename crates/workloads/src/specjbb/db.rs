@@ -17,78 +17,51 @@ use memsys::MemSink;
 use crate::objtree::{build_table, ObjTree};
 use crate::zipf::ZipfSampler;
 
-/// Sizing parameters for the emulated database.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JbbDbConfig {
-    /// Items in the global catalog.
-    pub items: u64,
-    /// Bytes per item record.
-    pub item_bytes: u32,
-    /// Stock records per warehouse (one per item in real SPECjbb).
-    pub stock_per_wh: u64,
-    /// Bytes per stock record.
-    pub stock_bytes: u32,
-    /// Customers per warehouse.
-    pub customers_per_wh: u64,
-    /// Bytes per customer record.
-    pub customer_bytes: u32,
-    /// Districts per warehouse.
-    pub districts_per_wh: u64,
-    /// Bytes per district record.
-    pub district_bytes: u32,
-    /// Bytes per order object (order + order lines).
-    pub order_bytes: u32,
-    /// History ring capacity per warehouse.
-    pub history_capacity: usize,
-    /// Bytes per history record.
-    pub history_bytes: u32,
-    /// Zipf exponent for item/stock popularity (low: TPC-C-style NURand
-    /// spreads order lines over most of the catalog).
-    pub item_skew: f64,
-    /// Zipf exponent for customer popularity (higher: repeat customers).
-    pub customer_skew: f64,
+// Record sizes and popularity skews. A full-size database (divisor 1)
+// holds ~14 MB of live data per warehouse, matching the paper's
+// Figure 11 slope of roughly 15 MB per warehouse.
+
+/// Bytes per item record.
+const ITEM_BYTES: u32 = 128;
+/// Bytes per stock record.
+const STOCK_BYTES: u32 = 448;
+/// Bytes per customer record.
+const CUSTOMER_BYTES: u32 = 1536;
+/// Districts per warehouse.
+pub(crate) const DISTRICTS_PER_WH: u64 = 10;
+/// Bytes per district record.
+const DISTRICT_BYTES: u32 = 256;
+/// Bytes per order object (order + order lines).
+pub(crate) const ORDER_BYTES: u32 = 1024;
+/// Bytes per history record.
+pub(crate) const HISTORY_BYTES: u32 = 128;
+/// Zipf exponent for item/stock popularity (low: TPC-C-style NURand
+/// spreads order lines over most of the catalog).
+const ITEM_SKEW: f64 = 0.3;
+/// Zipf exponent for customer popularity (higher: repeat customers).
+const CUSTOMER_SKEW: f64 = 0.9;
+
+// Record counts of a database scaled down by `divisor`: record *sizes*
+// stay realistic, record *counts* shrink (divisor 1 is full size).
+
+/// Items in the global catalog.
+fn items(divisor: u64) -> u64 {
+    (20_000 / divisor).max(64)
 }
 
-impl Default for JbbDbConfig {
-    /// Full-size database: ~14 MB of live data per warehouse, matching the
-    /// paper's Figure 11 slope of roughly 15 MB per warehouse.
-    fn default() -> Self {
-        JbbDbConfig {
-            items: 20_000,
-            item_bytes: 128,
-            stock_per_wh: 20_000,
-            stock_bytes: 448,
-            customers_per_wh: 3_000,
-            customer_bytes: 1536,
-            districts_per_wh: 10,
-            district_bytes: 256,
-            order_bytes: 1024,
-            history_capacity: 1_000,
-            history_bytes: 128,
-            item_skew: 0.3,
-            customer_skew: 0.9,
-        }
-    }
+/// Stock records per warehouse (one per item in real SPECjbb).
+pub(crate) fn stock_per_wh(divisor: u64) -> u64 {
+    (20_000 / divisor).max(64)
 }
 
-impl JbbDbConfig {
-    /// A down-scaled database for scaled-heap runs and tests; record
-    /// *sizes* stay realistic, record *counts* shrink by `divisor`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    pub(crate) fn scaled(divisor: u64) -> Self {
-        assert!(divisor > 0, "scale divisor must be positive");
-        let d = JbbDbConfig::default();
-        JbbDbConfig {
-            items: (d.items / divisor).max(64),
-            stock_per_wh: (d.stock_per_wh / divisor).max(64),
-            customers_per_wh: (d.customers_per_wh / divisor).max(16),
-            history_capacity: ((d.history_capacity as u64 / divisor).max(16)) as usize,
-            ..d
-        }
-    }
+/// Customers per warehouse.
+fn customers_per_wh(divisor: u64) -> u64 {
+    (3_000 / divisor).max(16)
+}
+
+/// History ring capacity per warehouse.
+pub(crate) fn history_capacity(divisor: u64) -> usize {
+    (1_000 / divisor).max(16) as usize
 }
 
 /// One warehouse's data.
@@ -132,35 +105,38 @@ pub struct JbbDb {
 }
 
 impl JbbDb {
-    /// Builds the database for `warehouse_count` warehouses directly in
-    /// the old generation. Construction emits no references (setup happens
-    /// before the measurement window); `sink` only receives the tree
-    /// bookkeeping writes, which callers typically discard.
+    /// Builds the database for `warehouse_count` warehouses, its record
+    /// counts divided by `divisor`, directly in the old generation.
+    /// Construction emits no references (setup happens before the
+    /// measurement window); `sink` only receives the tree bookkeeping
+    /// writes, which callers typically discard.
     pub(crate) fn build(
-        cfg: JbbDbConfig,
+        divisor: u64,
         warehouse_count: usize,
         heap: &mut Heap,
         sink: &mut (impl MemSink + ?Sized),
     ) -> Self {
-        let items = build_table(heap, cfg.items, cfg.item_bytes, sink);
+        let item_count = items(divisor);
+        let customers = customers_per_wh(divisor);
+        let items = build_table(heap, item_count, ITEM_BYTES, sink);
         let warehouses = (0..warehouse_count)
             .map(|_| Warehouse {
-                stock: build_table(heap, cfg.stock_per_wh, cfg.stock_bytes, sink),
-                customers: build_table(heap, cfg.customers_per_wh, cfg.customer_bytes, sink),
-                districts: (0..cfg.districts_per_wh)
-                    .map(|_| heap.alloc_permanent_old(cfg.district_bytes))
+                stock: build_table(heap, stock_per_wh(divisor), STOCK_BYTES, sink),
+                customers: build_table(heap, customers, CUSTOMER_BYTES, sink),
+                districts: (0..DISTRICTS_PER_WH)
+                    .map(|_| heap.alloc_permanent_old(DISTRICT_BYTES))
                     .collect(),
                 orders: ObjTree::new(heap),
                 next_order: 0,
                 oldest_undelivered: 0,
-                history: VecDeque::with_capacity(cfg.history_capacity),
+                history: VecDeque::with_capacity(history_capacity(divisor)),
             })
             .collect();
         let company = heap.alloc_permanent_old(256);
         let jvm_shared = heap.alloc_permanent_old(32 * 64);
         JbbDb {
-            item_keys: ZipfSampler::new(cfg.items as usize, cfg.item_skew),
-            customer_keys: ZipfSampler::new(cfg.customers_per_wh as usize, cfg.customer_skew),
+            item_keys: ZipfSampler::new(item_count as usize, ITEM_SKEW),
+            customer_keys: ZipfSampler::new(customers as usize, CUSTOMER_SKEW),
             items,
             warehouses,
             company,
@@ -198,14 +174,13 @@ mod tests {
     fn build_populates_all_tables() {
         let mut h = heap();
         let mut sink = CountingSink::new();
-        let cfg = JbbDbConfig::scaled(20);
-        let db = JbbDb::build(cfg, 3, &mut h, &mut sink);
+        let db = JbbDb::build(20, 3, &mut h, &mut sink);
         assert_eq!(db.warehouse_count(), 3);
-        assert_eq!(db.items.len() as u64, cfg.items);
+        assert_eq!(db.items.len() as u64, items(20));
         for w in &db.warehouses {
-            assert_eq!(w.stock.len() as u64, cfg.stock_per_wh);
-            assert_eq!(w.customers.len() as u64, cfg.customers_per_wh);
-            assert_eq!(w.districts.len() as u64, cfg.districts_per_wh);
+            assert_eq!(w.stock.len() as u64, stock_per_wh(20));
+            assert_eq!(w.customers.len() as u64, customers_per_wh(20));
+            assert_eq!(w.districts.len() as u64, DISTRICTS_PER_WH);
             assert_eq!(w.orders.len(), 0);
         }
     }
@@ -213,17 +188,16 @@ mod tests {
     #[test]
     fn live_bytes_grow_linearly_with_warehouses() {
         let mut sink = CountingSink::new();
-        let cfg = JbbDbConfig::scaled(40);
         let mut h1 = heap();
-        JbbDb::build(cfg, 1, &mut h1, &mut sink);
+        JbbDb::build(40, 1, &mut h1, &mut sink);
         let mut h4 = heap();
-        JbbDb::build(cfg, 4, &mut h4, &mut sink);
+        JbbDb::build(40, 4, &mut h4, &mut sink);
         let b1 = h1.live_bytes();
         let b4 = h4.live_bytes();
         // Subtract the shared item catalog to isolate per-warehouse growth.
-        let items = cfg.items * cfg.item_bytes as u64;
-        let per1 = b1 - items;
-        let per4 = b4 - items;
+        let catalog = items(40) * ITEM_BYTES as u64;
+        let per1 = b1 - catalog;
+        let per4 = b4 - catalog;
         let ratio = per4 as f64 / per1 as f64;
         assert!(
             (3.3..=4.7).contains(&ratio),
@@ -233,11 +207,10 @@ mod tests {
 
     #[test]
     fn full_size_database_is_about_14_mb_per_warehouse() {
-        let c = JbbDbConfig::default();
-        let per = c.stock_per_wh * c.stock_bytes as u64
-            + c.customers_per_wh * c.customer_bytes as u64
-            + c.districts_per_wh * c.district_bytes as u64
-            + c.history_capacity as u64 * c.history_bytes as u64;
+        let per = stock_per_wh(1) * STOCK_BYTES as u64
+            + customers_per_wh(1) * CUSTOMER_BYTES as u64
+            + DISTRICTS_PER_WH * DISTRICT_BYTES as u64
+            + history_capacity(1) as u64 * HISTORY_BYTES as u64;
         assert!(
             (12 << 20..=17 << 20).contains(&per),
             "paper Figure 11 slope ~15 MB/warehouse, got {} MB",

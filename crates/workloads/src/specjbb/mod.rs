@@ -27,41 +27,18 @@ use probes::Histogram;
 
 use crate::methodset::MethodSet;
 use crate::model::{Control, LockDesc, StepCtx, StepResult, Workload};
-use crate::specjbb::db::{JbbDb, JbbDbConfig};
+use crate::specjbb::db::JbbDb;
 
-/// SPECjbb configuration.
+/// SPECjbb configuration: the values experiments vary. Every other
+/// parameter of the model is a constant at its point of use.
 #[derive(Debug, Clone)]
 pub struct SpecJbbConfig {
     /// Warehouses (and therefore driver threads).
     pub warehouses: usize,
     /// Heap configuration.
     pub heap: HeapConfig,
-    /// Database sizing.
-    pub db: JbbDbConfig,
-    /// Hot compiled methods.
-    pub method_count: usize,
-    /// Average method size in bytes.
-    pub method_avg_bytes: u64,
-    /// Method-popularity skew.
-    pub method_zipf: f64,
-    /// Method calls per transaction.
-    pub calls_per_tx: usize,
-    /// Bytes per stack frame.
-    pub frame_bytes: u64,
-    /// Frames pushed per transaction.
-    pub frames_per_tx: usize,
-    /// Ephemeral scratch allocation per transaction (bytes).
-    pub scratch_per_tx: u32,
-    /// Extra pure-compute instructions per transaction.
-    pub pad_instructions: u64,
-    /// Instructions executed while holding the global company monitor
-    /// (JVM-internal shared-resource work; the knob behind SPECjbb's
-    /// contention-driven leveling in Figure 4).
-    pub global_work_instructions: u64,
-    /// Per-thread stack region size.
-    pub stack_bytes: u64,
-    /// Order lines (items) per NewOrder.
-    pub order_lines: usize,
+    /// Divisor of the database's record counts (1 = full size).
+    pub db_divisor: u64,
 }
 
 impl SpecJbbConfig {
@@ -70,18 +47,7 @@ impl SpecJbbConfig {
         SpecJbbConfig {
             warehouses,
             heap: HeapConfig::default(),
-            db: JbbDbConfig::default(),
-            method_count: 80,
-            method_avg_bytes: 2048,
-            method_zipf: 1.05,
-            calls_per_tx: 10,
-            frame_bytes: 768,
-            frames_per_tx: 4,
-            scratch_per_tx: 512,
-            pad_instructions: 5000,
-            global_work_instructions: 2600,
-            stack_bytes: 64 << 10,
-            order_lines: 8,
+            db_divisor: 1,
         }
     }
 
@@ -89,13 +55,13 @@ impl SpecJbbConfig {
     /// divided by `divisor` (reference-driven multiprocessor runs).
     pub fn scaled(warehouses: usize, divisor: u64) -> Self {
         SpecJbbConfig {
+            warehouses,
             heap: HeapConfig {
                 geometry: HeapGeometry::paper_scaled(divisor),
                 // Smaller TLABs match the scaled eden.
                 tlab_bytes: 16 << 10,
             },
-            db: JbbDbConfig::scaled(divisor),
-            ..SpecJbbConfig::full(warehouses)
+            db_divisor: divisor,
         }
     }
 
@@ -104,7 +70,7 @@ impl SpecJbbConfig {
     pub fn required_bytes(&self) -> u64 {
         self.heap.geometry.total()
             + CODE_REGION_BYTES
-            + self.warehouses as u64 * self.stack_bytes
+            + self.warehouses as u64 * STACK_BYTES
             + LOCK_REGION_BYTES
             + (1 << 20) // slack for rounding
     }
@@ -112,6 +78,33 @@ impl SpecJbbConfig {
 
 const CODE_REGION_BYTES: u64 = 32 << 20;
 const LOCK_REGION_BYTES: u64 = 64 << 10;
+
+/// Hot compiled methods.
+const METHOD_COUNT: usize = 80;
+/// Average method size in bytes.
+const METHOD_AVG_BYTES: u64 = 2048;
+/// Method-popularity skew.
+const METHOD_ZIPF: f64 = 1.05;
+/// Method calls per transaction.
+const CALLS_PER_TX: usize = 10;
+/// Bytes per stack frame.
+const FRAME_BYTES: u64 = 768;
+/// Frames pushed per transaction.
+const FRAMES_PER_TX: usize = 4;
+/// Ephemeral scratch allocation per transaction (bytes).
+const SCRATCH_PER_TX: u32 = 512;
+/// Extra pure-compute instructions per transaction.
+const PAD_INSTRUCTIONS: u64 = 5000;
+/// Instructions executed while holding the global company monitor
+/// (JVM-internal shared-resource work; the constant behind SPECjbb's
+/// contention-driven leveling in Figure 4).
+const GLOBAL_WORK_INSTRUCTIONS: u64 = 2600;
+/// Per-thread stack region size.
+const STACK_BYTES: u64 = 64 << 10;
+/// Order lines (items) per NewOrder.
+const ORDER_LINES: usize = 8;
+// A NewOrder's items live in the 16 slots of `CurTx::items`.
+const _: () = assert!(ORDER_LINES <= 16);
 
 /// TPC-C-like transaction kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,25 +211,20 @@ impl SpecJbb {
         let code_region = region.take(CODE_REGION_BYTES).expect("sized above");
         let lock_region = region.take(LOCK_REGION_BYTES).expect("sized above");
         let stacks_region = region
-            .take(cfg.warehouses as u64 * cfg.stack_bytes)
+            .take(cfg.warehouses as u64 * STACK_BYTES)
             .expect("sized above");
         let mut heap = Heap::new(cfg.heap, region);
 
         let mut code = CodeCache::new(code_region);
-        let methods = MethodSet::install(
-            &mut code,
-            cfg.method_count,
-            cfg.method_avg_bytes,
-            cfg.method_zipf,
-        );
+        let methods = MethodSet::install(&mut code, METHOD_COUNT, METHOD_AVG_BYTES, METHOD_ZIPF);
         let mut lockset = LockSet::new(lock_region);
         // Lock 0: the global company monitor; locks 1..=W: warehouse locks.
         for _ in 0..=cfg.warehouses {
             lockset.create();
         }
-        let threads = carve_stacks(stacks_region, cfg.warehouses, cfg.stack_bytes);
+        let threads = carve_stacks(stacks_region, cfg.warehouses, STACK_BYTES);
         let mut build_sink = CountingSink::new();
-        let db = JbbDb::build(cfg.db, cfg.warehouses, &mut heap, &mut build_sink);
+        let db = JbbDb::build(cfg.db_divisor, cfg.warehouses, &mut heap, &mut build_sink);
         SpecJbb {
             phases: vec![Phase::Begin; cfg.warehouses],
             cur: vec![CurTx::default(); cfg.warehouses],
@@ -279,10 +267,7 @@ impl SpecJbb {
 
     /// TLAB bytes a transaction may need before its next safe GC point.
     fn tx_alloc_budget(&self) -> u64 {
-        self.cfg.scratch_per_tx as u64
-            + self.cfg.db.order_bytes as u64
-            + self.cfg.db.history_bytes as u64
-            + 512
+        SCRATCH_PER_TX as u64 + db::ORDER_BYTES as u64 + db::HISTORY_BYTES as u64 + 512
     }
 
     /// Allocates, or reports that a collection is needed (another
@@ -331,24 +316,24 @@ impl Workload for SpecJbb {
                     // Remote payment: touch another warehouse's customer.
                     cur.wh = ctx.rng.gen_range(0..self.db.warehouse_count());
                 }
-                for slot in cur.items.iter_mut().take(self.cfg.order_lines) {
+                for slot in cur.items.iter_mut().take(ORDER_LINES) {
                     *slot = self.db.item_keys.sample(ctx.rng) as u64;
                 }
                 cur.customer = self.db.customer_keys.sample(ctx.rng) as u64;
-                cur.district = ctx.rng.gen_range(0..self.cfg.db.districts_per_wh as usize);
+                cur.district = ctx.rng.gen_range(0..db::DISTRICTS_PER_WH as usize);
                 let cur = self.cur[thread];
 
                 let sink = &mut *ctx.sink;
-                sink.instructions(self.cfg.pad_instructions / 2);
-                for _ in 0..self.cfg.frames_per_tx {
-                    self.threads[thread].push_frame(self.cfg.frame_bytes, sink);
+                sink.instructions(PAD_INSTRUCTIONS / 2);
+                for _ in 0..FRAMES_PER_TX {
+                    self.threads[thread].push_frame(FRAME_BYTES, sink);
                 }
                 self.methods
-                    .exec_path(&self.code, self.cfg.calls_per_tx / 2, ctx.rng, sink);
+                    .exec_path(&self.code, CALLS_PER_TX / 2, ctx.rng, sink);
                 if cur.kind == TxKind::NewOrder {
                     // Item catalog reads happen outside the warehouse lock
                     // (the catalog is immutable).
-                    for &key in cur.items.iter().take(self.cfg.order_lines) {
+                    for &key in cur.items.iter().take(ORDER_LINES) {
                         self.db.items.lookup(key, &self.heap, sink);
                     }
                 }
@@ -369,7 +354,7 @@ impl Workload for SpecJbb {
                         heap.read_object(d, sink);
                         sink.store(heap.addr_of(d));
                         // Stock: read + decrement per order line.
-                        for &key in cur.items.iter().take(self.cfg.order_lines) {
+                        for &key in cur.items.iter().take(ORDER_LINES) {
                             if let Some(rec) = wh.stock.lookup(key, heap, sink) {
                                 sink.store(heap.addr_of(rec));
                             }
@@ -379,13 +364,9 @@ impl Workload for SpecJbb {
                         // The order object itself, inserted into the tree.
                         // (A mid-transaction allocation failure re-runs
                         // this phase after a collection.)
-                        let Some(order) = Self::try_alloc(
-                            heap,
-                            tlab,
-                            self.cfg.db.order_bytes,
-                            Lifetime::Permanent,
-                            sink,
-                        ) else {
+                        let Some(order) =
+                            Self::try_alloc(heap, tlab, db::ORDER_BYTES, Lifetime::Permanent, sink)
+                        else {
                             return StepResult::user(Control::NeedsGc);
                         };
                         let key = wh.next_order;
@@ -402,14 +383,14 @@ impl Workload for SpecJbb {
                         let Some(hist) = Self::try_alloc(
                             heap,
                             tlab,
-                            self.cfg.db.history_bytes,
+                            db::HISTORY_BYTES,
                             Lifetime::Permanent,
                             sink,
                         ) else {
                             return StepResult::user(Control::NeedsGc);
                         };
                         wh.history.push_back(hist);
-                        if wh.history.len() > self.cfg.db.history_capacity {
+                        if wh.history.len() > db::history_capacity(self.cfg.db_divisor) {
                             if let Some(old) = wh.history.pop_front() {
                                 heap.free(old);
                             }
@@ -442,7 +423,8 @@ impl Workload for SpecJbb {
                         let d = wh.districts[cur.district];
                         heap.read_object(d, sink);
                         for i in 0..20u64 {
-                            let key = (cur.items[0] + i * 37) % self.cfg.db.stock_per_wh;
+                            let key =
+                                (cur.items[0] + i * 37) % db::stock_per_wh(self.cfg.db_divisor);
                             wh.stock.lookup(key, heap, sink);
                         }
                     }
@@ -461,7 +443,7 @@ impl Workload for SpecJbb {
                 let sink = &mut *ctx.sink;
                 // Company-wide counters and JVM-internal shared-resource
                 // bookkeeping: the hottest data line in SPECjbb.
-                sink.instructions(self.cfg.global_work_instructions);
+                sink.instructions(GLOBAL_WORK_INSTRUCTIONS);
                 let company = self.heap.addr_of(self.db.company);
                 sink.load(company);
                 sink.store(company);
@@ -488,13 +470,13 @@ impl Workload for SpecJbb {
                     sink.load(jvm.offset(line * 64));
                     sink.store(jvm.offset(line * 64));
                 }
-                let half = self.cfg.calls_per_tx - self.cfg.calls_per_tx / 2;
+                let half = CALLS_PER_TX - CALLS_PER_TX / 2;
                 self.methods.exec_path(&self.code, half, ctx.rng, sink);
                 // Ephemeral scratch (marshalling buffers, iterators, strings).
                 if Self::try_alloc(
                     &mut self.heap,
                     &mut self.threads[thread].tlab,
-                    self.cfg.scratch_per_tx,
+                    SCRATCH_PER_TX,
                     Lifetime::Ephemeral,
                     sink,
                 )
@@ -502,11 +484,11 @@ impl Workload for SpecJbb {
                 {
                     return StepResult::user(Control::NeedsGc);
                 }
-                for _ in 0..self.cfg.frames_per_tx {
-                    self.threads[thread].pop_frame(self.cfg.frame_bytes, sink);
+                for _ in 0..FRAMES_PER_TX {
+                    self.threads[thread].pop_frame(FRAME_BYTES, sink);
                 }
                 self.threads[thread].unwind();
-                sink.instructions(self.cfg.pad_instructions / 2);
+                sink.instructions(PAD_INSTRUCTIONS / 2);
                 self.heap.advance_epoch(1);
                 if let Some(begin) = self.tx_begin[thread].take() {
                     self.resp_hist.record(ctx.now.saturating_sub(begin));

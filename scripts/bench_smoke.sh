@@ -3,7 +3,7 @@
 # captured SPECjbb streams across CPU-count shapes (BENCH_memsys.json,
 # with host/commit provenance).
 #
-# Usage: scripts/bench_smoke.sh [quick|standard|full] [--gate]
+# Usage: scripts/bench_smoke.sh [quick|standard|full]
 #
 # Pass `quick` for a fast sanity run (CI-sized); the default Standard
 # run is the number the ROADMAP's bench item tracks, and the only one
@@ -16,23 +16,19 @@
 # the baseline came from the same host class (hostname + cpu_count);
 # numbers from a different machine are not comparable and are skipped
 # with a note. A >20% regression (refs/sec down, or serial batch time
-# up) prints a loud WARNING banner. By default that is advisory —
-# benches on shared hosts are too noisy to hard-gate merges on — but
-# with `--gate` the script exits non-zero on any warning, for the
-# separate non-blocking CI perf job. Skipped diffs (no baseline, or a
-# host-class mismatch) never trip the gate: they carry no signal.
+# up) prints a loud WARNING banner. It is advisory: benches on shared
+# hosts are too noisy to gate merges on. A skipped diff (no baseline,
+# or a host-class mismatch) says that no comparison was made.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 effort="standard"
-gate=0
 for arg in "$@"; do
     case "${arg}" in
-    --gate) gate=1 ;;
     quick | standard | full) effort="${arg}" ;;
     *)
         echo "unknown argument: ${arg}" >&2
-        echo "usage: scripts/bench_smoke.sh [quick|standard|full] [--gate]" >&2
+        echo "usage: scripts/bench_smoke.sh [quick|standard|full]" >&2
         exit 2
         ;;
     esac
@@ -80,12 +76,14 @@ host_class() {
 }
 
 base="target/bench-baseline/BENCH_memsys.json"
+compared=0
 if ! git show "HEAD:BENCH_memsys.json" > "${base}" 2>/dev/null; then
     echo "    no committed baseline BENCH_memsys.json — skipping the diff"
 elif [ "$(host_class "${base}")" != "$(host_class "${f}")" ]; then
     echo "    ${f}: baseline class ($(host_class "${base}")) differs from" \
          "this run ($(host_class "${f}")) — numbers not comparable, skipping"
 else
+    compared=1
     # Per-shape throughput: each shape is one line carrying both the
     # name and its refs_per_sec, in both files.
     awk '
@@ -111,10 +109,8 @@ if [ -s "${warn_log}" ]; then
     echo "!!! confirm, then recommit BENCH_memsys.json if the change is real"
     echo "!!! and intended."
     echo "!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!!"
-    if [ "${gate}" = 1 ]; then
-        echo "--gate: failing on the regression warnings above."
-        exit 1
-    fi
-else
+elif [ "${compared}" = 1 ]; then
     echo "    fresh numbers are within 20% of the committed baseline."
+else
+    echo "    no comparison was made: the numbers above are not checked."
 fi

@@ -3,9 +3,10 @@
 #
 # Usage: scripts/ci.sh
 #
-# The workspace has no benchmark targets: host time is gated by the
-# separate hostbench package (BENCHMARK.json), and bench_smoke.sh below
-# builds and runs the advisory bench example at quick effort.
+# The workspace has no benchmark targets: host time is measured by the
+# separate hostbench package (BENCHMARK.json), whose pinned counter
+# digests are gated below, and bench_smoke.sh builds and runs the
+# advisory bench example at quick effort.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,6 +38,21 @@ cargo test --workspace -q --offline --exclude java-middleware-memsim
 # break the benchmark.
 echo "==> cargo test -q hostbench (the host-time benchmark package, offline)"
 cargo test -q --offline --manifest-path hostbench/Cargo.toml
+
+# Each hostbench workload checks its seed-1 counters against the digests
+# pinned in hostbench, so one short run per workload is a blocking gate
+# on simulated results: the last stdout line must report no failure.
+echo "==> hostbench smoke: seed-1 counter digests of every workload"
+cargo build --release --offline --manifest-path hostbench/Cargo.toml
+for workload in jbb8_fig10 ecperf8_sampled; do
+    result=$(./hostbench/target/release/hostbench --workload "$workload" \
+        --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "    $workload: $result"
+    case "$result" in
+    *'"failed":0,'*) ;;
+    *) echo "hostbench $workload failed a correctness check"; exit 1 ;;
+    esac
+done
 
 # The committed RunLogs must pass the schema check as they sit on disk,
 # before the figures runs below regenerate RUNLOG_figures.jsonl.

@@ -91,7 +91,7 @@ fn parallel_runner_matches_serial_bit_for_bit() {
 /// machine feeds it, so worker scheduling must not leak into the timing.
 #[test]
 fn dram_backend_runs_are_deterministic_serial_and_parallel() {
-    let dram = MemoryConfig::BankedDram(DramConfig::default());
+    let dram = MemoryConfig::BankedDram(DramConfig);
     let a = measure_on(2, 7, dram);
     let b = measure_on(2, 7, dram);
     assert_eq!(a, b, "same seed must reproduce the DRAM-timed window");
@@ -142,7 +142,7 @@ fn counter_digest(snap: &probes::registry::Snapshot) -> u64 {
 fn sampled_dram_window_matches_pinned_counters() {
     use middlesim::engine::{measure_sampled, SamplingConfig};
 
-    let mut m = jbb_on(2, 3, MemoryConfig::BankedDram(DramConfig::default()));
+    let mut m = jbb_on(2, 3, MemoryConfig::BankedDram(DramConfig));
     let run = measure_sampled(
         &mut m,
         10 * MCYCLES,
@@ -381,7 +381,7 @@ fn event_records_are_bit_identical_across_worker_counts() {
     // Full mode on the DRAM-timed backend: GC pauses, the window reset
     // and queue-stall episodes all land in the stream.
     let full = |&(p, s): &(usize, u64)| {
-        let mut m = jbb_hot(p, s, MemoryConfig::BankedDram(DramConfig::default()));
+        let mut m = jbb_hot(p, s, MemoryConfig::BankedDram(DramConfig));
         let timeline = m.attach_observer(middlesim::TimelineCollector::new());
         m.run_until(10 * MCYCLES);
         m.begin_measurement();

@@ -144,7 +144,7 @@ fn flat_fixed_matches_deferred_16_cpus() {
 fn dram_backend_perturbs_timing_only() {
     let cpus = 8;
     let mut flat = MemorySystem::new(tiny(cpus, MemoryConfig::Flat));
-    let mut dram = MemorySystem::new(tiny(cpus, MemoryConfig::BankedDram(DramConfig::default())));
+    let mut dram = MemorySystem::new(tiny(cpus, MemoryConfig::BankedDram(DramConfig)));
     assert!(!flat.needs_clock());
     assert!(dram.needs_clock());
 
@@ -202,7 +202,7 @@ fn dram_backend_perturbs_timing_only() {
 #[test]
 fn dram_backend_is_deterministic() {
     let run = || {
-        let mut sys = MemorySystem::new(tiny(4, MemoryConfig::BankedDram(DramConfig::default())));
+        let mut sys = MemorySystem::new(tiny(4, MemoryConfig::BankedDram(DramConfig)));
         sys.enable_latency_hist(COSTS);
         let mut rng = SimRng::seed_from_u64(0xDE7E);
         for now in (0..30_000u64).map(|s| s * 25) {
