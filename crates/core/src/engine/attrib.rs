@@ -177,6 +177,10 @@ fn cause_of_level(level: HitLevel) -> &'static str {
 }
 
 impl SimObserver for AttribProfiler {
+    fn watches_refs(&self) -> bool {
+        true
+    }
+
     fn on_access(&mut self, event: &AccessEvent<'_>) {
         self.charge(event);
     }

@@ -67,6 +67,10 @@ pub struct Scheduler {
     running: Vec<Option<usize>>,
     /// Cycle at which each processor's current thread was dispatched.
     dispatched_at: Vec<u64>,
+    /// A lower bound on every sleeper's wake time (`u64::MAX` when none
+    /// sleeps), so `wake_sleepers` scans the threads only when one may
+    /// be due.
+    next_wake: u64,
 }
 
 impl Scheduler {
@@ -99,6 +103,7 @@ impl Scheduler {
             ready: (0..thread_count).collect(),
             running: vec![None; cpus],
             dispatched_at: vec![0; cpus],
+            next_wake: u64::MAX,
         }
     }
 
@@ -149,20 +154,23 @@ impl Scheduler {
     /// short monitor block would migrate the thread and needlessly turn
     /// its whole cache footprint into coherence traffic).
     pub(crate) fn dispatch(&mut self, acct: &mut Accounting) {
+        if self.ready.is_empty() {
+            return;
+        }
         // Virtual "now" for migration eligibility: an idle processor's
         // own clock is stale, so compare against global progress too.
         let now_global = self.time(acct);
         let mut progressed = true;
         while progressed && !self.ready.is_empty() {
             progressed = false;
-            let free: Vec<usize> = self
-                .pset
-                .cpus()
-                .iter()
-                .copied()
-                .filter(|&c| self.running[c].is_none())
-                .collect();
-            for cpu in free {
+            // Placing a thread occupies only the processor it goes to,
+            // so a processor free when the round reaches it was free
+            // when the round began.
+            for i in 0..self.pset.cpus().len() {
+                let cpu = self.pset.cpus()[i];
+                if self.running[cpu].is_some() {
+                    continue;
+                }
                 if self.ready.is_empty() {
                     break;
                 }
@@ -215,14 +223,20 @@ impl Scheduler {
         self.dispatched_at[cpu] = acct.clock(cpu);
     }
 
-    /// Moves due sleepers to the ready queue.
+    /// Moves due sleepers to the ready queue, in thread-index order.
     pub(crate) fn wake_sleepers(&mut self, now: u64) {
+        if now < self.next_wake {
+            return;
+        }
+        self.next_wake = u64::MAX;
         for t in 0..self.threads.len() {
             if let Status::Sleeping(until) = self.threads[t].status {
                 if until <= now {
                     self.threads[t].status = Status::Ready;
                     self.threads[t].ready_at = until;
                     self.ready.push_back(t);
+                } else {
+                    self.next_wake = self.next_wake.min(until);
                 }
             }
         }
@@ -245,6 +259,7 @@ impl Scheduler {
         let thread = self.running[cpu].expect("sleep on busy cpu");
         self.threads[thread].status = Status::Sleeping(until);
         self.running[cpu] = None;
+        self.next_wake = self.next_wake.min(until);
     }
 
     /// Marks the thread on `cpu` as finished, freeing the processor.
@@ -375,6 +390,32 @@ mod tests {
         s.wake_sleepers(100);
         s.dispatch(&mut a);
         assert_eq!(s.thread_on(0), Some(home), "woken thread returns home");
+    }
+
+    #[test]
+    fn due_sleepers_wake_at_their_time_in_thread_order() {
+        let (mut s, mut a) = sched(3, 3, 3);
+        s.dispatch(&mut a);
+        let on = |s: &Scheduler, cpu| s.thread_on(cpu).unwrap();
+        let (t0, t1, t2) = (on(&s, 0), on(&s, 1), on(&s, 2));
+        // Slept in reverse index order; two due at 100, one at 200.
+        s.sleep(2, 100);
+        s.sleep(1, 200);
+        s.sleep(0, 100);
+        s.wake_sleepers(99);
+        assert!(!s.has_ready(), "nobody is due before 100");
+        s.wake_sleepers(100);
+        let mut woken: Vec<usize> = s.ready.iter().copied().collect();
+        let mut due = vec![t0, t2];
+        due.sort_unstable();
+        assert_eq!(woken, due, "due exactly at now, in thread-index order");
+        assert_eq!(s.threads[t1].status, Status::Sleeping(200));
+        s.wake_sleepers(199);
+        assert_eq!(s.ready.len(), 2, "the bound moved to the next sleeper");
+        s.wake_sleepers(200);
+        woken.push(t1);
+        assert!(s.ready.iter().copied().eq(woken));
+        assert_eq!(s.earliest_wake(), None);
     }
 
     #[test]

@@ -140,6 +140,28 @@ impl MemSink for StepSink<'_> {
     }
 
     fn access(&mut self, kind: AccessKind, addr: Addr) {
+        self.reference(kind, addr);
+    }
+
+    fn load(&mut self, addr: Addr) {
+        self.reference(AccessKind::Load, addr);
+    }
+
+    fn store(&mut self, addr: Addr) {
+        self.reference(AccessKind::Store, addr);
+    }
+
+    fn ifetch(&mut self, addr: Addr) {
+        self.reference(AccessKind::Ifetch, addr);
+    }
+}
+
+impl StepSink<'_> {
+    /// One reference, inlined into each `MemSink` entry point so the
+    /// ones with a fixed kind resolve every `kind` branch here and in
+    /// [`MemorySystem::access`] at compile time.
+    #[inline(always)]
+    fn reference(&mut self, kind: AccessKind, addr: Addr) {
         if let Some(sig) = &mut self.sig {
             sig.access(self.cpu, kind, addr);
         }
@@ -521,13 +543,14 @@ impl<W: Workload> Machine<W> {
     pub fn run_until(&mut self, horizon: u64) {
         loop {
             self.sched.dispatch(&mut self.acct);
-            let now = self.time();
+            let mut now = self.time();
             if self.sched.running_cpus().next().is_none() {
                 // Nothing running: wake the earliest sleeper or give up.
                 match self.sched.earliest_wake() {
                     Some(wake) => {
                         self.sched.wake_sleepers(wake);
                         self.sched.dispatch(&mut self.acct);
+                        now = self.time().max(now);
                     }
                     None => {
                         assert!(
@@ -538,7 +561,6 @@ impl<W: Workload> Machine<W> {
                     }
                 }
             }
-            let now = self.time().max(now);
             if now >= horizon {
                 break;
             }
@@ -769,5 +791,57 @@ mod tests {
         for cpu in 1..cpus {
             assert_eq!(m.acct.clock(cpu), ticks * TICK_COST, "cpu {cpu}");
         }
+    }
+
+    /// Every observer that overrides a per-reference hook must opt in
+    /// through `watches_refs`; a forgotten opt-in drops its data
+    /// silently, so each one's totals are checked against the memory
+    /// system's and the timers' own.
+    #[test]
+    fn reference_watchers_see_every_reference() {
+        use crate::engine::{AttribProfiler, LineStatsObserver, SweepObserver, TraceObserver};
+        use crate::experiment::{jbb_machine, Effort};
+        use memsys::{CacheSweep, RegionMap};
+
+        let mut m = jbb_machine(4, 4, 1, Effort::Quick);
+        let trace = m.attach_observer(TraceObserver::new());
+        let sweep = m.attach_observer(SweepObserver::new(
+            CacheSweep::new(&[1 << 16]).unwrap(),
+            CacheSweep::new(&[1 << 16]).unwrap(),
+        ));
+        let lines = m.attach_observer(LineStatsObserver::new());
+        let attrib = m.attach_observer(AttribProfiler::new(RegionMap::new(), 1.0));
+        m.run_until(3 * TICK_PERIOD + TICK_PERIOD / 2);
+
+        let stats = m.memory().stats();
+        let refs = stats.total_accesses();
+        let tick_refs = 3 * m.acct.cpus() as u64 * (m.next_tick / TICK_PERIOD - 1);
+        let reports: Vec<CpiReport> = (0..m.acct.cpus()).map(|c| m.timer_report(c)).collect();
+        let instructions: u64 = reports.iter().map(|r| r.instructions).sum();
+        let stalls: u64 = reports
+            .iter()
+            .map(|r| r.instr_stall + r.data_stall.total())
+            .sum();
+        assert!(tick_refs > 0 && refs > tick_refs && stats.total_c2c() > 0);
+
+        let t = m.observer(trace).trace();
+        assert_eq!((t.refs(), t.instructions()), (refs, instructions));
+        let s = m.observer(sweep);
+        let swept = s.isweep().results()[0].1.accesses + s.dsweep().results()[0].1.accesses;
+        assert_eq!(swept, refs - tick_refs, "the sweep skips kernel ticks");
+        assert_eq!(m.observer(lines).stats().total_c2c(), stats.total_c2c());
+        // With a base CPI of 1 the base rows count retired instructions;
+        // every other row is a stall the timers charged.
+        let (base, stalled) = m.observer(attrib).folded().into_iter().fold(
+            (0, 0),
+            |(base, stalled), (stack, cycles)| {
+                if stack.ends_with(";other;base;all") {
+                    (base + cycles, stalled)
+                } else {
+                    (base, stalled + cycles)
+                }
+            },
+        );
+        assert_eq!((base, stalled), (instructions, stalls));
     }
 }

@@ -59,10 +59,12 @@ pub trait SimObserver: Any {
 
     /// Whether this observer watches individual references through
     /// [`SimObserver::on_access`] or [`SimObserver::on_instructions`].
-    /// Asked once at attach; an observer that overrides neither returns
-    /// `false` so the per-reference path never calls it.
+    /// Asked once at attach. The default is `false`, so an observer that
+    /// only samples counters or watches coarse events costs nothing per
+    /// reference; one that overrides either hook must return `true`, or
+    /// the per-reference path never calls it.
     fn watches_refs(&self) -> bool {
-        true
+        false
     }
 
     /// Called when `cpu` retires `n` instructions that make no memory
@@ -291,10 +293,6 @@ impl IntervalSampler {
 }
 
 impl SimObserver for IntervalSampler {
-    fn watches_refs(&self) -> bool {
-        false
-    }
-
     fn interval_cycles(&self) -> Option<u64> {
         Some(self.width)
     }
@@ -371,6 +369,10 @@ impl SweepObserver {
 }
 
 impl SimObserver for SweepObserver {
+    fn watches_refs(&self) -> bool {
+        true
+    }
+
     fn on_access(&mut self, event: &AccessEvent<'_>) {
         if event.source == AccessSource::KernelTick {
             return;
@@ -408,6 +410,10 @@ impl LineStatsObserver {
 }
 
 impl SimObserver for LineStatsObserver {
+    fn watches_refs(&self) -> bool {
+        true
+    }
+
     fn on_access(&mut self, event: &AccessEvent<'_>) {
         let line = event.addr.line();
         self.stats.record_touch(line);
@@ -469,10 +475,6 @@ impl TimelineCollector {
 }
 
 impl SimObserver for TimelineCollector {
-    fn watches_refs(&self) -> bool {
-        false
-    }
-
     fn on_gc_interval(&mut self, start: u64, end: u64) {
         self.gc_pauses.push((start, end));
     }
@@ -586,6 +588,29 @@ mod tests {
         );
         set.window_reset(10);
         assert!(set.get(h).samples().is_empty());
+    }
+
+    #[test]
+    fn counter_only_observers_stay_off_the_reference_path() {
+        /// Overrides only the sampling hooks, like a host-clock reader.
+        struct Clock(u64);
+        impl SimObserver for Clock {
+            fn interval_cycles(&self) -> Option<u64> {
+                Some(100)
+            }
+            fn on_counter_sample(&mut self, now: u64, _counters: &Snapshot) {
+                self.0 = now;
+            }
+        }
+        let mut set = ObserverSet::new();
+        let clock = set.attach(Clock(0));
+        set.attach(IntervalSampler::new(10));
+        set.attach(TimelineCollector::new());
+        assert!(!set.watches_refs());
+        set.counter_sample(300, &Snapshot::of(&Cb(0)));
+        assert_eq!(set.get(clock).0, 300, "sampling still reaches it");
+        set.attach(LineStatsObserver::new());
+        assert!(set.watches_refs(), "an on_access observer opts in");
     }
 
     #[test]

@@ -432,6 +432,28 @@ impl MemSink for FastSink<'_> {
     }
 
     fn access(&mut self, kind: AccessKind, addr: Addr) {
+        self.reference(kind, addr);
+    }
+
+    fn load(&mut self, addr: Addr) {
+        self.reference(AccessKind::Load, addr);
+    }
+
+    fn store(&mut self, addr: Addr) {
+        self.reference(AccessKind::Store, addr);
+    }
+
+    fn ifetch(&mut self, addr: Addr) {
+        self.reference(AccessKind::Ifetch, addr);
+    }
+}
+
+impl FastSink<'_> {
+    /// One reference, inlined into each `MemSink` entry point like the
+    /// detailed step sink's, so a fixed kind resolves its branches at
+    /// compile time.
+    #[inline(always)]
+    fn reference(&mut self, kind: AccessKind, addr: Addr) {
         self.charge_q8 += self.state.base_q8;
         self.state.sig.access(self.cpu, kind, addr);
         self.state.warm_tick += 1;

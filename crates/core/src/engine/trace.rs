@@ -66,6 +66,10 @@ impl TraceObserver {
 }
 
 impl SimObserver for TraceObserver {
+    fn watches_refs(&self) -> bool {
+        true
+    }
+
     fn on_access(&mut self, event: &AccessEvent<'_>) {
         if self.keeps(event.cpu, event.source) {
             self.trace

@@ -27,10 +27,11 @@
 //!
 //! The hot-path contract is *decompose once, reuse everywhere*: callers
 //! split an address into its `(set, tag)` key with [`Cache::locate`] and
-//! thread that key through [`Cache::touch_at`], [`Cache::insert_at`],
-//! `Cache::update_at` and friends, so a multi-step protocol action
-//! (touch, then upgrade; miss, then fill) never re-derives the index and
-//! never walks a set twice where one walk suffices.
+//! thread that key through [`Cache::touch_at`], [`Cache::insert_at`]
+//! and friends, so a multi-step protocol action (touch, then upgrade;
+//! miss, then fill) never re-derives the index and never walks a set
+//! twice where one walk suffices. A slot, once found, is acted on by
+//! index (`Cache::update_slot`, `Cache::invalidate_slot`).
 //!
 //! ## Partitions
 //!
@@ -40,10 +41,14 @@
 //! `(set × parts + part) × ways + way`, so one set's ways across every
 //! partition form one contiguous row. The keyed entry points address a
 //! partition's set by its *row* `set × parts + part` ([`Cache::row`]);
-//! with one partition the row is the set. [`Cache::holders`] scans a
-//! whole row with `slot_hits` and answers which partitions hold a line
-//! valid — the snooping bus's "who has it?" in one pass over adjacent
-//! words (16 groups × 4 ways is a 256 B row, four host cache lines).
+//! with one partition the row is the set. `Cache::holder_slots` scans
+//! a whole row with `slot_hits`, one 64-slot block at a time, and
+//! yields the slots holding a line valid outside one skipped partition
+//! — the snooping bus's "who has it?" in one pass over adjacent words
+//! (16 groups × 4 ways is a 256 B row, four host cache lines), with the
+//! answer in a form the snoop can act on without walking any holder's
+//! set again. [`Cache::holders`] folds the same scan into a partition
+//! bitset.
 //!
 //! Caches built with `Cache::with_presence` additionally carry a per-line
 //! presence bitmask maintained by the level above (the memory system uses
@@ -185,6 +190,45 @@ pub struct Cache {
     presence: Option<Box<[u64]>>,
 }
 
+/// One scan of a row for a line's holders ([`Cache::holder_slots`]).
+/// It holds no borrow, so the caller may act on each slot it yields
+/// before asking for the next: acting on a slot never changes another.
+#[derive(Debug, Clone)]
+pub(crate) struct HolderSlots {
+    /// First slot of the row.
+    row: usize,
+    /// First slot of the block `hits` covers.
+    block: usize,
+    /// One past the row's last slot.
+    end: usize,
+    key: u32,
+    /// The current block's hits not yet yielded (bit `i` is slot
+    /// `block + i`).
+    hits: u64,
+    /// The skipped partition's slots, `skip_lo..skip_hi`.
+    skip_lo: usize,
+    skip_hi: usize,
+}
+
+impl HolderSlots {
+    /// The next holder as `(partition, slot)`, scanning the row's next
+    /// 64-slot block of `cache` (the cache that started the scan) when
+    /// this one is spent.
+    #[inline]
+    pub(crate) fn next(&mut self, cache: &Cache) -> Option<(usize, usize)> {
+        while self.hits == 0 {
+            self.block += 64;
+            if self.block >= self.end {
+                return None;
+            }
+            self.hits = cache.block_hits(self);
+        }
+        let slot = self.block + self.hits.trailing_zeros() as usize;
+        self.hits &= self.hits - 1;
+        Some(((slot - self.row) >> cache.way_bits, slot))
+    }
+}
+
 impl Cache {
     /// The most partitions [`Cache::holders`] can answer for: one bit
     /// each in a `u64`.
@@ -252,7 +296,11 @@ impl Cache {
     fn line_addr(&self, row: usize, tag: u64) -> LineAddr {
         // Reconstruct a line address in units of *this cache's* block size,
         // then convert to coherence-unit line addressing via the base().
-        let set = (row / self.parts) as u64;
+        let set = if self.parts == 1 {
+            row
+        } else {
+            row / self.parts
+        } as u64;
         Addr(((tag << self.index_bits) | set) << self.block_bits).line()
     }
 
@@ -269,36 +317,111 @@ impl Cache {
     }
 
     /// The partitions holding `(set, tag)` valid, as a bitset (bit `p` for
-    /// partition `p`), from one scan of the set's row in 64-slot blocks.
+    /// partition `p`): `Cache::holder_slots` folded by partition.
     ///
     /// # Panics
     ///
     /// Panics in debug builds past [`Cache::MAX_HOLDER_PARTS`] partitions.
-    #[inline]
     pub fn holders(&self, set: usize, tag: u64) -> u64 {
         debug_assert!(self.parts <= Self::MAX_HOLDER_PARTS);
-        let Some(key) = match_key(tag) else {
-            return 0;
-        };
-        let width = self.parts * self.ways;
-        let row = &self.meta[set * width..(set + 1) * width];
+        let mut scan = self.holder_slots(set, tag, None);
         let mut mask = 0;
-        for (block, words) in row.chunks(64).enumerate() {
-            // A partition holds a line in at most one way, so each set
-            // bit is one holder.
-            let mut hits = slot_hits(words, key);
-            while hits != 0 {
-                let slot = block * 64 + hits.trailing_zeros() as usize;
-                mask |= 1 << (slot >> self.way_bits);
-                hits &= hits - 1;
-            }
+        while let Some((part, _)) = scan.next(self) {
+            mask |= 1 << part;
         }
         mask
     }
 
+    /// Starts one scan of `set`'s row, in 64-slot blocks, for the slots
+    /// holding `(set, tag)` valid outside partition `skip`. A partition
+    /// holds a line in at most one way, so each slot found is one
+    /// holder; [`HolderSlots::next`] yields them in ascending partition
+    /// order, and the slot-keyed entry points act on them without a
+    /// second walk.
+    #[inline]
+    pub(crate) fn holder_slots(&self, set: usize, tag: u64, skip: Option<usize>) -> HolderSlots {
+        let width = self.parts * self.ways;
+        let row = set * width;
+        let (skip_lo, skip_hi) =
+            skip.map_or((0, 0), |p| (row + p * self.ways, row + (p + 1) * self.ways));
+        let mut scan = HolderSlots {
+            row,
+            block: row,
+            end: row + width,
+            key: 0,
+            hits: 0,
+            skip_lo,
+            skip_hi,
+        };
+        match match_key(tag) {
+            Some(key) => {
+                scan.key = key;
+                scan.hits = self.block_hits(&scan);
+            }
+            // No fill can have stored a too-wide tag: nothing to find.
+            None => scan.block = scan.end,
+        }
+        scan
+    }
+
+    /// The hit bits of `scan`'s current block, the skipped partition's
+    /// slots cleared.
+    #[inline(always)]
+    fn block_hits(&self, scan: &HolderSlots) -> u64 {
+        let end = scan.end.min(scan.block + 64);
+        let hits = slot_hits(&self.meta[scan.block..end], scan.key);
+        let (lo, hi) = (scan.skip_lo.max(scan.block), scan.skip_hi.min(end));
+        if lo >= hi {
+            return hits;
+        }
+        let len = hi - lo;
+        let skipped = if len == 64 {
+            u64::MAX
+        } else {
+            ((1 << len) - 1) << (lo - scan.block)
+        };
+        hits & !skipped
+    }
+
+    /// Rewrites a valid slot's state with `f`, returning the *old* state
+    /// — the snoop read-downgrade on a slot [`Cache::holder_slots`] or
+    /// `Cache::find` located. `f` must not produce
+    /// [`LineState::Invalid`] (use [`Cache::invalidate_slot`]).
+    #[inline]
+    pub(crate) fn update_slot(
+        &mut self,
+        slot: usize,
+        f: impl FnOnce(LineState) -> LineState,
+    ) -> LineState {
+        let word = self.meta[slot];
+        debug_assert_ne!(word, 0, "update of an invalid slot");
+        let old = word_state(word);
+        let next = f(old);
+        debug_assert!(next.is_valid(), "update_slot must not invalidate");
+        if next != old {
+            self.meta[slot] = pack(word_tag(word), next);
+        }
+        old
+    }
+
+    /// Invalidates a valid slot, returning its old state and harvested
+    /// presence mask (`u64::MAX` when tracking is disabled) — one step
+    /// gives the snoop-write path the state *and* which upper caches to
+    /// purge.
+    #[inline]
+    pub(crate) fn invalidate_slot(&mut self, slot: usize) -> (LineState, u64) {
+        let word = std::mem::take(&mut self.meta[slot]);
+        debug_assert_ne!(word, 0, "invalidation of an invalid slot");
+        let mask = match &mut self.presence {
+            Some(p) => std::mem::take(&mut p[slot]),
+            None => u64::MAX,
+        };
+        (word_state(word), mask)
+    }
+
     /// Finds the slot holding `(set, tag)`, valid lines only.
     #[inline(always)]
-    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+    pub(crate) fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let key = match_key(tag)?;
         let base = set * self.ways;
         let ways = &self.meta[base..base + self.ways];
@@ -422,40 +545,11 @@ impl Cache {
         self.meta[base] = pack(tag, state);
     }
 
-    /// Reads, transforms and (if changed) rewrites a line's state in one
-    /// walk, returning the *old* state — the snoop paths' read-downgrade
-    /// in a single probe. `f` must not produce [`LineState::Invalid`]
-    /// (use [`Cache::invalidate_at`] for that, which also harvests the
-    /// presence mask).
-    #[inline]
-    pub(crate) fn update_at(
-        &mut self,
-        set: usize,
-        tag: u64,
-        f: impl FnOnce(LineState) -> LineState,
-    ) -> Option<LineState> {
-        let slot = self.find(set, tag)?;
-        let old = word_state(self.meta[slot]);
-        let next = f(old);
-        debug_assert!(next.is_valid(), "update_at must not invalidate");
-        if next != old {
-            self.meta[slot] = pack(tag, next);
-        }
-        Some(old)
-    }
-
-    /// Keyed [`Cache::invalidate`] that also harvests the line's presence
-    /// mask (`u64::MAX` when tracking is disabled) — one walk gives the
-    /// snoop-write path the old state *and* which upper caches to purge.
+    /// Keyed [`Cache::invalidate_slot`]: the line's old state and
+    /// presence mask, or `None` if `(set, tag)` is not valid here.
     pub(crate) fn invalidate_at(&mut self, set: usize, tag: u64) -> Option<(LineState, u64)> {
         let slot = self.find(set, tag)?;
-        let old = word_state(self.meta[slot]);
-        self.meta[slot] = 0;
-        let mask = match &mut self.presence {
-            Some(p) => std::mem::take(&mut p[slot]),
-            None => u64::MAX,
-        };
-        Some((old, mask))
+        Some(self.invalidate_slot(slot))
     }
 
     /// ORs `bits` into the MRU line's presence mask (no-op when the cache
@@ -508,6 +602,50 @@ mod tests {
                     });
                     let key = match_key(tag).unwrap();
                     assert_eq!(slot_hits(&words, key), want, "len {len}, tag {tag}");
+                }
+            }
+        }
+    }
+
+    /// The row scan against decoded fields, for rows of 4 to 256 slots
+    /// (one to four 64-slot blocks): it yields exactly the slots holding
+    /// the tag valid outside the skipped partition, in ascending order,
+    /// each with its partition. Tag 0 (the kernel lines) must not match
+    /// an empty word, and a too-wide tag matches nothing.
+    #[test]
+    fn holder_slots_match_decoded_fields() {
+        let mut rng = prng::SimRng::seed_from_u64(27);
+        let cfg = CacheConfig::new(1024, 4, 64).unwrap(); // 4 sets x 4 ways
+        for parts in [1, 16, 32, 64] {
+            let mut c = Cache::partitioned(cfg, parts);
+            for w in c.meta.iter_mut() {
+                if rng.gen_range(0..4u32) != 0 {
+                    let state = LineState::from_code(rng.gen_range(1..5u32));
+                    *w = pack(rng.gen_range(0..3u64), state);
+                }
+            }
+            let width = parts * 4;
+            for set in 0..4 {
+                let row = set * width;
+                for tag in [0, 1, 2, 1 << TAG_BITS] {
+                    for skip in [None, Some(0), Some(parts / 2), Some(parts - 1)] {
+                        let want: Vec<(usize, usize)> = (row..row + width)
+                            .map(|slot| ((slot - row) / 4, slot))
+                            .filter(|&(part, slot)| {
+                                let w = c.meta[slot];
+                                word_state(w).is_valid() && word_tag(w) == tag && Some(part) != skip
+                            })
+                            .collect();
+                        let mut got = Vec::new();
+                        let mut scan = c.holder_slots(set, tag, skip);
+                        while let Some(hit) = scan.next(&c) {
+                            got.push(hit);
+                        }
+                        assert_eq!(
+                            got, want,
+                            "{parts} parts, set {set}, tag {tag}, skip {skip:?}"
+                        );
+                    }
                 }
             }
         }
@@ -645,14 +783,15 @@ mod tests {
     }
 
     #[test]
-    fn update_at_returns_old_state_in_one_walk() {
+    fn update_slot_returns_old_state() {
         let mut c = small();
         c.insert(Addr(0), LineState::Modified);
         let (set, tag) = c.locate(Addr(0));
-        let old = c.update_at(set, tag, |s| s.after_remote_read());
-        assert_eq!(old, Some(LineState::Modified));
+        let slot = c.find(set, tag).unwrap();
+        let old = c.update_slot(slot, |s| s.after_remote_read());
+        assert_eq!(old, LineState::Modified);
         assert_eq!(c.probe(Addr(0)), Some(LineState::Owned));
-        assert_eq!(c.update_at(set, tag + 1, |s| s), None);
+        assert_eq!(c.find(set, tag + 1), None);
     }
 
     #[test]

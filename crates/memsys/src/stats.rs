@@ -100,6 +100,7 @@ pub struct KindCounters {
 }
 
 impl KindCounters {
+    #[inline(always)]
     fn record(&mut self, outcome: &AccessOutcome) {
         self.accesses += 1;
         match outcome.level {
@@ -146,6 +147,7 @@ impl SystemStats {
         }
     }
 
+    #[inline(always)]
     pub(crate) fn record(&mut self, cpu: usize, kind: AccessKind, outcome: &AccessOutcome) {
         let counters = match kind {
             AccessKind::Ifetch => &mut self.ifetch,

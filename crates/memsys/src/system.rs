@@ -13,7 +13,7 @@
 //! ## Hot path
 //!
 //! [`MemorySystem::access`] is the simulator's throughput ceiling, so it is
-//! built around two structural optimizations that change no statistic:
+//! built around three structural optimizations that change no statistic:
 //!
 //! - **Single-lookup accesses.** Each address is decomposed into its
 //!   `(set, tag)` key once per cache level ([`Cache::locate`]) and the key
@@ -23,8 +23,10 @@
 //! - **Snoops answered from the tags.** Every L2 group's tags live in one
 //!   set-major [`Cache`] (one partition per group), so a line's set across
 //!   all groups is one contiguous row. A bus transaction scans that row
-//!   once ([`Cache::holders`]) and probes only the remote groups holding
-//!   the line valid, as a duplicate-tag snoop filter would. Broadcast
+//!   once for the slots holding the line valid outside the requester's
+//!   group, and downgrades or invalidates those slots directly, as a
+//!   duplicate-tag snoop filter would; no holder's set is walked again
+//!   ([`Cache::holders`] folds the same scan into a group bitset). Broadcast
 //!   probes of non-holders are no-ops, so filtering is bit-identical to
 //!   broadcast MOESI; [`BusStats::snoops_sent`] and
 //!   [`BusStats::snoops_filtered`] record its effectiveness, and
@@ -32,6 +34,12 @@
 //!   implementation the differential oracle checks against. Per-line L1
 //!   presence masks play the same role one level up: inclusion
 //!   invalidations skip processors that never held the line.
+//! - **One path per access kind.** `access` is inlined into its callers,
+//!   so one that passes a constant kind (the kernel's sinks implement
+//!   `load`, `store` and `ifetch` separately) resolves every
+//!   kind branch here and in [`SystemStats`] at compile time. A per-CPU
+//!   table maps each processor to its L2 group and presence bit, so no
+//!   reference divides by `cpus_per_l2`.
 
 use probes::Histogram;
 
@@ -52,10 +60,13 @@ pub struct MemorySystem {
     l1d: Vec<Cache>,
     /// Every L2 group's tags, one partition per group.
     l2: Cache,
-    /// Whether bus transactions probe only the groups [`Cache::holders`]
-    /// names; off on broadcast systems, trivial topologies (a single L2
-    /// group has nobody to snoop) and past [`Cache::MAX_HOLDER_PARTS`]
-    /// groups.
+    /// Each processor's L2 group and its bit in that group's presence
+    /// masks, so the hot path never divides by `cpus_per_l2`.
+    cpu_groups: Box<[(usize, u64)]>,
+    /// Whether bus transactions probe only the holders one row scan
+    /// finds (`Cache::holder_slots`); off on broadcast systems, trivial
+    /// topologies (a single L2 group has nobody to snoop) and past
+    /// [`Cache::MAX_HOLDER_PARTS`] groups.
     filtered: bool,
     stats: SystemStats,
     bus: BusStats,
@@ -109,6 +120,15 @@ impl MemorySystem {
             } else {
                 l2
             },
+            cpu_groups: (0..cfg.cpus)
+                .map(|cpu| {
+                    // Presence is tracked for groups of 64 at most;
+                    // wider groups get no bit.
+                    let group = cfg.l2_group(cpu);
+                    let lane = (cpu - group * cfg.cpus_per_l2) as u32;
+                    (group, 1u64.checked_shl(lane).unwrap_or(0))
+                })
+                .collect(),
             filtered: filtered && l2_count > 1 && l2_count <= Cache::MAX_HOLDER_PARTS,
             stats: SystemStats::new(cfg.cpus),
             bus: BusStats::new(),
@@ -209,19 +229,24 @@ impl MemorySystem {
     }
 
     /// Performs one memory reference by processor `cpu` and returns its
-    /// outcome. This is the simulator's hot path.
+    /// outcome. This is the simulator's hot path: it is inlined into
+    /// each caller, so a caller that passes a constant `kind` gets a
+    /// path for that kind alone.
     ///
     /// # Panics
     ///
     /// Panics if `cpu` is out of range or `addr` is not below 2^32 (the
     /// simulated address space, whose tags fit a cache way word).
+    #[inline(always)]
     pub fn access(&mut self, cpu: usize, kind: AccessKind, addr: Addr) -> AccessOutcome {
-        assert!(cpu < self.cfg.cpus, "cpu {cpu} out of range");
+        let Some(&(group, bit)) = self.cpu_groups.get(cpu) else {
+            panic!("cpu {cpu} out of range");
+        };
         assert!(addr.0 >> 32 == 0, "address {:#x} out of range", addr.0);
         let outcome = match kind {
-            AccessKind::Ifetch => self.access_through(cpu, addr, /* store: */ false, true),
-            AccessKind::Load => self.access_through(cpu, addr, false, false),
-            AccessKind::Store => self.access_through(cpu, addr, true, false),
+            AccessKind::Ifetch => self.access_through(cpu, group, bit, addr, false, true),
+            AccessKind::Load => self.access_through(cpu, group, bit, addr, false, false),
+            AccessKind::Store => self.access_through(cpu, group, bit, addr, true, false),
         };
         self.stats.record(cpu, kind, &outcome);
         if let Some((costs, h)) = &mut self.lat_hist {
@@ -230,14 +255,18 @@ impl MemorySystem {
         outcome
     }
 
+    /// One reference by `cpu` of L2 `group`, whose presence bit is
+    /// `bit`.
+    #[inline(always)]
     fn access_through(
         &mut self,
         cpu: usize,
+        group: usize,
+        bit: u64,
         addr: Addr,
         store: bool,
         ifetch: bool,
     ) -> AccessOutcome {
-        let group = self.cfg.l2_group(cpu);
         let (set, tag) = self.l2.locate(addr);
         let row = self.l2.row(set, group);
 
@@ -261,7 +290,6 @@ impl MemorySystem {
                 &mut self.l1d[cpu]
             };
             let _ = l1.insert_at(l1_set, l1_tag, LineState::Shared);
-            let bit = 1u64 << (cpu - group * self.cfg.cpus_per_l2);
             self.l2.or_presence_mru(row, tag, bit);
             return outcome;
         }
@@ -352,39 +380,47 @@ impl MemorySystem {
         }
     }
 
-    /// The remote groups a bus transaction on `(set, tag)` probes, with
-    /// the probes sent and filtered recorded: on filtered systems the
-    /// groups one row scan finds holding the line valid, otherwise every
-    /// group but the requester.
-    #[inline]
-    fn snoop_targets(&mut self, requester: usize, set: usize, tag: u64) -> Targets {
+    /// Calls `act(self, group, slot)` for each remote L2 group holding
+    /// `(set, tag)` valid, in ascending group order, and records the
+    /// probes sent and filtered. Filtered systems act on the slots one
+    /// row scan found; broadcast ones walk every remote group's set.
+    #[inline(always)]
+    fn for_each_remote_copy(
+        &mut self,
+        requester: usize,
+        set: usize,
+        tag: u64,
+        mut act: impl FnMut(&mut Self, usize, usize),
+    ) {
         let groups = self.l2.parts();
         let remote = (groups - 1) as u64;
         if !self.filtered {
             self.bus.record_snoops(remote, 0);
-            return Targets::All {
-                next: 0,
-                groups,
-                requester,
-            };
+            for g in (0..groups).filter(|&g| g != requester) {
+                if let Some(slot) = self.l2.find(self.l2.row(set, g), tag) {
+                    act(self, g, slot);
+                }
+            }
+            return;
         }
-        let holders = self.l2.holders(set, tag) & !(1 << requester);
-        let count = u64::from(holders.count_ones());
-        self.bus.record_snoops(count, remote - count);
-        Targets::Holders(holders)
+        let mut scan = self.l2.holder_slots(set, tag, Some(requester));
+        let mut sent = 0;
+        while let Some((g, slot)) = scan.next(&self.l2) {
+            sent += 1;
+            act(self, g, slot);
+        }
+        self.bus.record_snoops(sent, remote - sent);
     }
 
     /// Snoops a read: downgrade remote holders, report whether a dirty
     /// remote cache supplied the data and whether any remote copy exists.
     fn snoop_read(&mut self, requester: usize, set: usize, tag: u64) -> (bool, bool) {
         let (mut supplied, mut any) = (false, false);
-        for g in self.snoop_targets(requester, set, tag) {
-            let row = self.l2.row(set, g);
-            if let Some(state) = self.l2.update_at(row, tag, LineState::after_remote_read) {
-                any = true;
-                supplied |= state.supplies_data();
-            }
-        }
+        self.for_each_remote_copy(requester, set, tag, |sys, _, slot| {
+            let state = sys.l2.update_slot(slot, LineState::after_remote_read);
+            any = true;
+            supplied |= state.supplies_data();
+        });
         (supplied, any)
     }
 
@@ -393,13 +429,11 @@ impl MemorySystem {
     /// owner supplied data.
     fn snoop_write(&mut self, requester: usize, addr: Addr, set: usize, tag: u64) -> bool {
         let mut supplied = false;
-        for g in self.snoop_targets(requester, set, tag) {
-            let row = self.l2.row(set, g);
-            if let Some((state, presence)) = self.l2.invalidate_at(row, tag) {
-                supplied |= state.supplies_data();
-                self.invalidate_l1s_of_group(g, addr, presence);
-            }
-        }
+        self.for_each_remote_copy(requester, set, tag, |sys, g, slot| {
+            let (state, presence) = sys.l2.invalidate_slot(slot);
+            supplied |= state.supplies_data();
+            sys.invalidate_l1s_of_group(g, addr, presence);
+        });
         supplied
     }
 
@@ -467,49 +501,6 @@ impl MemorySystem {
     /// Whether `addr` is valid in the given processor's L1s (I or D).
     pub fn l1_holds(&self, cpu: usize, addr: Addr) -> bool {
         self.l1i[cpu].probe(addr).is_some() || self.l1d[cpu].probe(addr).is_some()
-    }
-}
-
-/// The remote L2 groups one bus transaction probes, in ascending order
-/// (see `MemorySystem::snoop_targets`).
-enum Targets {
-    /// The holders a row scan found, as a bitset.
-    Holders(u64),
-    /// Every group but the requester (broadcast).
-    All {
-        next: usize,
-        groups: usize,
-        requester: usize,
-    },
-}
-
-impl Iterator for Targets {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        match self {
-            Targets::Holders(rest) => {
-                if *rest == 0 {
-                    return None;
-                }
-                let g = rest.trailing_zeros() as usize;
-                *rest &= *rest - 1;
-                Some(g)
-            }
-            Targets::All {
-                next,
-                groups,
-                requester,
-            } => {
-                if *next == *requester {
-                    *next += 1;
-                }
-                let g = *next;
-                *next += 1;
-                (g < *groups).then_some(g)
-            }
-        }
     }
 }
 

@@ -51,7 +51,8 @@ pub const CACHE_LOCK_BASE: u32 = 0;
 pub const CACHE_STRIPES: u32 = 4;
 /// Scheduler-lock index of the DB connection-pool semaphore.
 pub const CONN_POOL: u32 = CACHE_LOCK_BASE + CACHE_STRIPES;
-/// First kernel (spin) lock index; there are [`KNET_LOCKS`] of them.
+/// Scheduler-lock index of the kernel network stream (spin) lock
+/// ([`KNET_LOCKS`] is 1).
 pub const KNET_BASE: u32 = CONN_POOL + 1;
 /// Number of kernel network locks. Solaris-8-era TCP processing is
 /// heavily serialized; a single stream lock reproduces the paper's
@@ -387,16 +388,12 @@ impl Ecperf {
         CACHE_LOCK_BASE + ((need.key as u32).wrapping_mul(0x9e37) >> 4) % CACHE_STRIPES
     }
 
-    /// The kernel path: scheduling serializes on [`KNET_LOCKS`] stream
-    /// locks, while the lock-word *traffic* lives in the network stack's
-    /// protocol lines (touched by [`NetStack::emit_protocol`], which
-    /// spreads them per connection).
-    fn knet(&self, conn: usize) -> SchedLock {
-        // KNET_LOCKS is 1 today (one serialized stream lock) but the
-        // mapping is kept general for sensitivity studies.
-        #[allow(clippy::modulo_one)]
-        let sched = (conn as u32) % KNET_LOCKS;
-        SchedLock(KNET_BASE + sched)
+    /// The kernel path: scheduling serializes every connection on the
+    /// one stream lock, while the lock-word *traffic* lives in the
+    /// network stack's protocol lines (touched by
+    /// [`NetStack::emit_protocol`], which spreads them per connection).
+    fn knet() -> SchedLock {
+        SchedLock(KNET_BASE)
     }
 
     fn sample_key(&self, ty: BeanType, rng: &mut prng::SimRng) -> u64 {
@@ -569,13 +566,13 @@ impl Workload for Ecperf {
                 StepResult::user(Control::Continue)
             }
             Phase::RecvAcq => {
-                let lock = self.knet(thread);
+                let lock = Self::knet();
                 ctx.sink.instructions(40); // mutex_enter path
                 self.workers[thread].phase = Phase::RecvMsg;
                 StepResult::system(Control::Acquire(lock))
             }
             Phase::RecvMsg => {
-                let lock = self.knet(thread);
+                let lock = Self::knet();
                 let sink = &mut *ctx.sink;
                 self.net.emit_protocol(thread, sink);
                 self.net.emit_transfer(thread, 512, sink);
@@ -674,15 +671,14 @@ impl Workload for Ecperf {
                 StepResult::user(Control::Acquire(SchedLock(CONN_POOL)))
             }
             Phase::SendAcq => {
-                let conn = self.cfg.threads + thread; // this worker's DB conn
-                let lock = self.knet(conn);
+                let lock = Self::knet();
                 ctx.sink.instructions(40);
                 self.workers[thread].phase = Phase::SendMsg;
                 StepResult::system(Control::Acquire(lock))
             }
             Phase::SendMsg => {
                 let conn = self.cfg.threads + thread;
-                let lock = self.knet(conn);
+                let lock = Self::knet();
                 let supplier = self.workers[thread]
                     .pending
                     .is_some_and(|n| n.ty.uses_supplier_emulator());
@@ -718,15 +714,14 @@ impl Workload for Ecperf {
                 StepResult::user(Control::IoWait(base + jitter))
             }
             Phase::RespAcq => {
-                let conn = self.cfg.threads + thread;
-                let lock = self.knet(conn);
+                let lock = Self::knet();
                 ctx.sink.instructions(40);
                 self.workers[thread].phase = Phase::RespMsg;
                 StepResult::system(Control::Acquire(lock))
             }
             Phase::RespMsg => {
                 let conn = self.cfg.threads + thread;
-                let lock = self.knet(conn);
+                let lock = Self::knet();
                 let supplier = self.workers[thread]
                     .pending
                     .is_some_and(|n| n.ty.uses_supplier_emulator());
@@ -870,13 +865,13 @@ impl Workload for Ecperf {
                 StepResult::user(Control::Continue)
             }
             Phase::ReplyAcq => {
-                let lock = self.knet(thread);
+                let lock = Self::knet();
                 ctx.sink.instructions(40);
                 self.workers[thread].phase = Phase::ReplyMsg;
                 StepResult::system(Control::Acquire(lock))
             }
             Phase::ReplyMsg => {
-                let lock = self.knet(thread);
+                let lock = Self::knet();
                 let sink = &mut *ctx.sink;
                 self.net.emit_protocol(thread, sink);
                 self.net.emit_transfer(thread, 1024, sink);
