@@ -128,7 +128,11 @@ struct StepSink<'a> {
     sig: Option<&'a mut SignatureCollector>,
 }
 
+// The per-reference methods are `#[inline(always)]` so that the trait's
+// `sweep` and `fetch_code`, compiled for this sink, run each line of a
+// range or code run without a call.
 impl MemSink for StepSink<'_> {
+    #[inline(always)]
     fn instructions(&mut self, n: u64) {
         self.timer.retire(n);
         if let Some(sig) = &mut self.sig {
@@ -143,14 +147,17 @@ impl MemSink for StepSink<'_> {
         self.reference(kind, addr);
     }
 
+    #[inline(always)]
     fn load(&mut self, addr: Addr) {
         self.reference(AccessKind::Load, addr);
     }
 
+    #[inline(always)]
     fn store(&mut self, addr: Addr) {
         self.reference(AccessKind::Store, addr);
     }
 
+    #[inline(always)]
     fn ifetch(&mut self, addr: Addr) {
         self.reference(AccessKind::Ifetch, addr);
     }

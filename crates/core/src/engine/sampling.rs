@@ -425,7 +425,11 @@ impl<'a> FastSink<'a> {
     }
 }
 
+// The per-reference methods are `#[inline(always)]` so that the trait's
+// `sweep` and `fetch_code`, compiled for this sink, run each line of a
+// range or code run without a call.
 impl MemSink for FastSink<'_> {
+    #[inline(always)]
     fn instructions(&mut self, n: u64) {
         self.charge += n;
         self.state.sig.instructions(n);
@@ -435,14 +439,17 @@ impl MemSink for FastSink<'_> {
         self.reference(kind, addr);
     }
 
+    #[inline(always)]
     fn load(&mut self, addr: Addr) {
         self.reference(AccessKind::Load, addr);
     }
 
+    #[inline(always)]
     fn store(&mut self, addr: Addr) {
         self.reference(AccessKind::Store, addr);
     }
 
+    #[inline(always)]
     fn ifetch(&mut self, addr: Addr) {
         self.reference(AccessKind::Ifetch, addr);
     }

@@ -85,12 +85,7 @@ impl CodeCache {
     ) {
         let range = self.range(id);
         let total = range.line_count().min(lines as u64);
-        let mut line = range.start().line();
-        for _ in 0..total {
-            sink.ifetch(line.base());
-            sink.instructions(INSTRUCTIONS_PER_LINE);
-            line = line.step(1);
-        }
+        sink.fetch_code(range.start().line(), total, INSTRUCTIONS_PER_LINE);
     }
 }
 

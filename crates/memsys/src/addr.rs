@@ -154,6 +154,13 @@ impl AddrRange {
         let last = Addr(self.start.0 + self.len - 1).line().0;
         last - first + 1
     }
+
+    /// The lines the range touches, in ascending order.
+    #[inline]
+    pub fn lines(&self) -> impl Iterator<Item = LineAddr> {
+        let first = self.start.line().0;
+        (first..first + self.line_count()).map(LineAddr)
+    }
 }
 
 impl fmt::Display for AddrRange {
@@ -218,6 +225,13 @@ mod tests {
         assert_eq!(AddrRange::new(Addr(0), 65).line_count(), 2);
         assert_eq!(AddrRange::new(Addr(63), 2).line_count(), 2);
         assert_eq!(AddrRange::new(Addr(0), 0).line_count(), 0);
+    }
+
+    #[test]
+    fn range_lines_are_the_lines_it_touches() {
+        let lines: Vec<LineAddr> = AddrRange::new(Addr(63), 66).lines().collect();
+        assert_eq!(lines, [LineAddr(0), LineAddr(1), LineAddr(2)]);
+        assert_eq!(AddrRange::new(Addr(64), 0).lines().count(), 0);
     }
 
     #[test]

@@ -1,10 +1,16 @@
-//! A set-associative, true-LRU tag store, optionally split into
-//! partitions that share one geometry.
+//! A set-associative, true-LRU tag store whose associativity is part of
+//! its type, optionally split into partitions that share one geometry.
 //!
 //! The cache tracks tags and coherence states only (the simulator never
-//! stores data). Storage is flattened into contiguous per-set way arrays
-//! kept in MRU-first order, so a hit is a short scan and an LRU update is a
-//! small rotate — fast enough to stream hundreds of millions of references.
+//! stores data). Storage is one `[u32; WAYS]` array per set, kept in
+//! MRU-first order, so a hit is one compare of the set's words and an
+//! LRU update is a fixed-width shift of the set's first ways. `WAYS` is
+//! a const generic: the memory system's L1s are `Cache<2>`, its L2 tag
+//! table and the Figure 12/13 sweep caches `Cache<4>`, and the set walk,
+//! the fill and the promote are straight-line code the compiler unrolls
+//! for that width and inlines into the access path. No instance decides
+//! its width at run time; [`Cache::new`] rejects a [`CacheConfig`] whose
+//! `ways` is not `WAYS`.
 //!
 //! Each way is one packed `u32` word, `tag << 3 | state` ([`LineState`]
 //! discriminants fit in three bits), so a tag has 29 bits. Simulated
@@ -23,7 +29,8 @@
 //! walk and the row scan both answer from one kernel, `slot_hits`, which
 //! tests four words per SSE2 compare on x86-64 (SSE2 is the baseline
 //! there, so no runtime detection) and the same predicate word by word
-//! elsewhere and on the tail below four words.
+//! elsewhere and below four words: a 4-way set is one compare, a 2-way
+//! set two scalar ones.
 //!
 //! The hot-path contract is *decompose once, reuse everywhere*: callers
 //! split an address into its `(set, tag)` key with [`Cache::locate`] and
@@ -38,7 +45,7 @@
 //! [`Cache::partitioned`] builds `parts` independent LRU caches of one
 //! geometry in a single table — the memory system keeps every L2 group's
 //! tags this way. The table is *set-major*: slot
-//! `(set × parts + part) × ways + way`, so one set's ways across every
+//! `(set × parts + part) × WAYS + way`, so one set's ways across every
 //! partition form one contiguous row. The keyed entry points address a
 //! partition's set by its *row* `set × parts + part` ([`Cache::row`]);
 //! with one partition the row is the set. `Cache::holder_slots` scans
@@ -47,8 +54,7 @@
 //! — the snooping bus's "who has it?" in one pass over adjacent words
 //! (16 groups × 4 ways is a 256 B row, four host cache lines), with the
 //! answer in a form the snoop can act on without walking any holder's
-//! set again. [`Cache::holders`] folds the same scan into a partition
-//! bitset.
+//! set again.
 //!
 //! Caches built with `Cache::with_presence` additionally carry a per-line
 //! presence bitmask maintained by the level above (the memory system uses
@@ -98,7 +104,7 @@ fn word_tag(word: u32) -> u64 {
 /// The key a valid way holding `tag` matches once its state bits are set
 /// (see `slot_hits`), or `None` when `tag` is too wide for a way word —
 /// no fill can have stored it, so the lookup misses.
-#[inline]
+#[inline(always)]
 fn match_key(tag: u64) -> Option<u32> {
     (tag >> TAG_BITS == 0).then_some(((tag as u32) << STATE_BITS) | STATE_MASK)
 }
@@ -156,38 +162,53 @@ fn slot_hits(words: &[u32], key: u32) -> u64 {
         .fold(0, |hits, (i, &w)| hits | u64::from(word_hits(w, key)) << i)
 }
 
-/// The first way of a set wider than 64 ways holding `key`'s line: the
-/// set walk for associativities `slot_hits` cannot answer in one call.
-#[cold]
-fn first_hit_wide(ways: &[u32], key: u32) -> Option<usize> {
-    ways.chunks(64).enumerate().find_map(|(block, words)| {
-        let hits = slot_hits(words, key);
-        (hits != 0).then(|| block * 64 + hits.trailing_zeros() as usize)
-    })
+/// Moves `way` of `set` to MRU, shifting ways `0..way` down by one: a
+/// fixed-width select per way, which `WAYS` unrolls.
+#[inline(always)]
+fn promote<T: Copy, const WAYS: usize>(set: &mut [T; WAYS], way: usize) {
+    let hit = set[way];
+    for i in (1..WAYS).rev() {
+        if i <= way {
+            set[i] = set[i - 1];
+        }
+    }
+    set[0] = hit;
 }
 
-/// A set-associative, true-LRU cache of coherence states, holding one or
-/// more same-geometry partitions in one set-major table.
+/// The way a fill replaces: the LRU-most invalid way, else the LRU way.
+#[inline(always)]
+fn victim<const WAYS: usize>(set: &[u32; WAYS]) -> usize {
+    let mut victim = WAYS - 1;
+    for (way, &w) in set.iter().enumerate() {
+        if w == 0 {
+            victim = way;
+        }
+    }
+    victim
+}
+
+/// The most partitions a row scan can name: one bit each in a `u64`.
+const HOLDER_PARTS: usize = 64;
+
+/// A set-associative, true-LRU cache of coherence states with `WAYS`
+/// ways per set, holding one or more same-geometry partitions in one
+/// set-major table.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub struct Cache<const WAYS: usize> {
     block_bits: u32,
     /// Log2 of the set count, precomputed so `locate`/`line_addr` never
     /// pay a `count_ones` per reference.
     index_bits: u32,
     set_mask: u64,
-    ways: usize,
-    /// Log2 of `ways` (a power of two), so a row scan maps a slot to its
-    /// partition with a shift, never a division.
-    way_bits: u32,
     parts: usize,
-    /// `sets * parts * ways` packed `tag << 3 | state` words, row
+    /// `sets * parts` rows of packed `tag << 3 | state` words, row
     /// `set * parts + part`, MRU-first within each row; an empty way is
     /// always 0 (see the module docs).
-    meta: Vec<u32>,
-    /// Optional per-line presence masks (same slot layout as `meta`),
-    /// moved with their lines on LRU rotates and cleared on fill and
+    meta: Vec<[u32; WAYS]>,
+    /// Optional per-line presence masks (same layout as `meta`), moved
+    /// with their lines on promotes and cleared on fill and
     /// invalidation. `None` unless built via [`Cache::with_presence`].
-    presence: Option<Box<[u64]>>,
+    presence: Option<Box<[[u64; WAYS]]>>,
 }
 
 /// One scan of a row for a line's holders ([`Cache::holder_slots`]).
@@ -215,7 +236,10 @@ impl HolderSlots {
     /// 64-slot block of `cache` (the cache that started the scan) when
     /// this one is spent.
     #[inline]
-    pub(crate) fn next(&mut self, cache: &Cache) -> Option<(usize, usize)> {
+    pub(crate) fn next<const WAYS: usize>(
+        &mut self,
+        cache: &Cache<WAYS>,
+    ) -> Option<(usize, usize)> {
         while self.hits == 0 {
             self.block += 64;
             if self.block >= self.end {
@@ -225,16 +249,22 @@ impl HolderSlots {
         }
         let slot = self.block + self.hits.trailing_zeros() as usize;
         self.hits &= self.hits - 1;
-        Some(((slot - self.row) >> cache.way_bits, slot))
+        Some(((slot - self.row) / WAYS, slot))
     }
 }
 
-impl Cache {
-    /// The most partitions [`Cache::holders`] can answer for: one bit
-    /// each in a `u64`.
-    pub const MAX_HOLDER_PARTS: usize = 64;
+impl Cache<4> {
+    /// The most partitions the snoop filter's row scan over the L2 tag
+    /// table (a `Cache<4>`) can answer for: one bit each in a `u64`.
+    pub const MAX_HOLDER_PARTS: usize = HOLDER_PARTS;
+}
 
+impl<const WAYS: usize> Cache<WAYS> {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.ways` is not `WAYS`.
     pub fn new(cfg: CacheConfig) -> Self {
         Cache::partitioned(cfg, 1)
     }
@@ -244,19 +274,26 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if `parts` is zero.
+    /// Panics if `parts` is zero or `cfg.ways` is not `WAYS`.
     pub fn partitioned(cfg: CacheConfig, parts: usize) -> Self {
+        const {
+            assert!(
+                WAYS.is_power_of_two() && WAYS <= 64,
+                "a set is a power of two of at most 64 ways"
+            );
+        }
         assert!(parts > 0, "a cache needs at least one partition");
+        assert_eq!(
+            cfg.ways as usize, WAYS,
+            "a {WAYS}-way cache built from a {cfg} geometry"
+        );
         let sets = cfg.sets() as usize;
-        let ways = cfg.ways as usize;
         Cache {
             block_bits: cfg.block_bits(),
             index_bits: (sets as u64).trailing_zeros(),
             set_mask: (sets as u64) - 1,
-            ways,
-            way_bits: ways.trailing_zeros(),
             parts,
-            meta: crate::mem::huge_vec(sets * parts * ways, 0), // big tables only; see `crate::mem`
+            meta: crate::mem::huge_vec(sets * parts, [0; WAYS]), // big tables only; see `crate::mem`
             presence: None,
         }
     }
@@ -264,7 +301,7 @@ impl Cache {
     /// Adds a per-line presence mask to every partition (see
     /// [`Cache::or_presence_mru`]).
     pub(crate) fn with_presence(mut self) -> Self {
-        self.presence = Some(vec![0; self.meta.len()].into_boxed_slice());
+        self.presence = Some(vec![[0; WAYS]; self.meta.len()].into_boxed_slice());
         self
     }
 
@@ -278,7 +315,7 @@ impl Cache {
     /// Every cache built from the same [`CacheConfig`] decomposes
     /// identically, so one key drives lookups in every partition and in
     /// a whole bank of caches.
-    #[inline]
+    #[inline(always)]
     pub fn locate(&self, addr: Addr) -> (usize, u64) {
         let line = addr.0 >> self.block_bits;
         ((line & self.set_mask) as usize, line >> self.index_bits)
@@ -286,7 +323,7 @@ impl Cache {
 
     /// The row of `part`'s copy of `set` — the `set` argument of the keyed
     /// entry points for that partition.
-    #[inline]
+    #[inline(always)]
     pub fn row(&self, set: usize, part: usize) -> usize {
         debug_assert!(part < self.parts, "partition {part} out of range");
         set * self.parts + part
@@ -307,7 +344,7 @@ impl Cache {
     /// The key of `addr` for the addressed entry points, which serve
     /// one-partition caches (partitioned ones use the keyed forms with
     /// [`Cache::row`]).
-    #[inline]
+    #[inline(always)]
     fn key(&self, addr: Addr) -> (usize, u64) {
         debug_assert_eq!(
             self.parts, 1,
@@ -318,12 +355,9 @@ impl Cache {
 
     /// The partitions holding `(set, tag)` valid, as a bitset (bit `p` for
     /// partition `p`): `Cache::holder_slots` folded by partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds past [`Cache::MAX_HOLDER_PARTS`] partitions.
-    pub fn holders(&self, set: usize, tag: u64) -> u64 {
-        debug_assert!(self.parts <= Self::MAX_HOLDER_PARTS);
+    #[cfg(test)]
+    pub(crate) fn holders(&self, set: usize, tag: u64) -> u64 {
+        debug_assert!(self.parts <= HOLDER_PARTS);
         let mut scan = self.holder_slots(set, tag, None);
         let mut mask = 0;
         while let Some((part, _)) = scan.next(self) {
@@ -340,10 +374,9 @@ impl Cache {
     /// second walk.
     #[inline]
     pub(crate) fn holder_slots(&self, set: usize, tag: u64, skip: Option<usize>) -> HolderSlots {
-        let width = self.parts * self.ways;
+        let width = self.parts * WAYS;
         let row = set * width;
-        let (skip_lo, skip_hi) =
-            skip.map_or((0, 0), |p| (row + p * self.ways, row + (p + 1) * self.ways));
+        let (skip_lo, skip_hi) = skip.map_or((0, 0), |p| (row + p * WAYS, row + (p + 1) * WAYS));
         let mut scan = HolderSlots {
             row,
             block: row,
@@ -369,7 +402,7 @@ impl Cache {
     #[inline(always)]
     fn block_hits(&self, scan: &HolderSlots) -> u64 {
         let end = scan.end.min(scan.block + 64);
-        let hits = slot_hits(&self.meta[scan.block..end], scan.key);
+        let hits = slot_hits(&self.meta.as_flattened()[scan.block..end], scan.key);
         let (lo, hi) = (scan.skip_lo.max(scan.block), scan.skip_hi.min(end));
         if lo >= hi {
             return hits;
@@ -393,13 +426,13 @@ impl Cache {
         slot: usize,
         f: impl FnOnce(LineState) -> LineState,
     ) -> LineState {
-        let word = self.meta[slot];
-        debug_assert_ne!(word, 0, "update of an invalid slot");
-        let old = word_state(word);
+        let word = &mut self.meta.as_flattened_mut()[slot];
+        debug_assert_ne!(*word, 0, "update of an invalid slot");
+        let old = word_state(*word);
         let next = f(old);
         debug_assert!(next.is_valid(), "update_slot must not invalidate");
         if next != old {
-            self.meta[slot] = pack(word_tag(word), next);
+            *word = pack(word_tag(*word), next);
         }
         old
     }
@@ -410,26 +443,27 @@ impl Cache {
     /// purge.
     #[inline]
     pub(crate) fn invalidate_slot(&mut self, slot: usize) -> (LineState, u64) {
-        let word = std::mem::take(&mut self.meta[slot]);
+        let word = std::mem::take(&mut self.meta.as_flattened_mut()[slot]);
         debug_assert_ne!(word, 0, "invalidation of an invalid slot");
         let mask = match &mut self.presence {
-            Some(p) => std::mem::take(&mut p[slot]),
+            Some(p) => std::mem::take(&mut p.as_flattened_mut()[slot]),
             None => u64::MAX,
         };
         (word_state(word), mask)
     }
 
+    /// The way of `row` holding `(row, tag)` valid, if any.
+    #[inline(always)]
+    fn way_of(&self, row: usize, tag: u64) -> Option<usize> {
+        let key = match_key(tag)?;
+        let hits = slot_hits(&self.meta[row], key);
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
     /// Finds the slot holding `(set, tag)`, valid lines only.
     #[inline(always)]
     pub(crate) fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let key = match_key(tag)?;
-        let base = set * self.ways;
-        let ways = &self.meta[base..base + self.ways];
-        if ways.len() > 64 {
-            return first_hit_wide(ways, key).map(|way| base + way);
-        }
-        let hits = slot_hits(ways, key);
-        (hits != 0).then(|| base + hits.trailing_zeros() as usize)
+        self.way_of(set, tag).map(|way| set * WAYS + way)
     }
 
     /// Looks up `addr` without disturbing LRU order.
@@ -443,10 +477,12 @@ impl Cache {
     /// Keyed `Cache::probe`.
     #[inline]
     pub fn probe_at(&self, set: usize, tag: u64) -> Option<LineState> {
-        self.find(set, tag).map(|slot| word_state(self.meta[slot]))
+        self.way_of(set, tag)
+            .map(|way| word_state(self.meta[set][way]))
     }
 
     /// Looks up `addr`, promoting it to MRU on a hit.
+    #[inline(always)]
     pub fn touch(&mut self, addr: Addr) -> Option<LineState> {
         let (set, tag) = self.key(addr);
         self.touch_at(set, tag)
@@ -454,26 +490,16 @@ impl Cache {
 
     /// Keyed [`Cache::touch`]. After a hit the line occupies the set's
     /// MRU way, which is what makes `Cache::set_state_mru` O(1).
-    #[inline]
+    #[inline(always)]
     pub fn touch_at(&mut self, set: usize, tag: u64) -> Option<LineState> {
-        let slot = self.find(set, tag)?;
-        let st = word_state(self.meta[slot]);
-        let base = set * self.ways;
-        self.promote(base, slot - base);
-        Some(st)
-    }
-
-    /// Moves `way` of the set at `base` to MRU by rotating the set's
-    /// first `way + 1` slots in place.
-    #[inline]
-    fn promote(&mut self, base: usize, way: usize) {
-        if way == 0 {
-            return;
-        }
-        self.meta[base..=base + way].rotate_right(1);
+        let way = self.way_of(set, tag)?;
+        let ways = &mut self.meta[set];
+        let st = word_state(ways[way]);
+        promote(ways, way);
         if let Some(p) = &mut self.presence {
-            p[base..=base + way].rotate_right(1);
+            promote(&mut p[set], way);
         }
+        Some(st)
     }
 
     /// Inserts (fills) `addr` with `state`, evicting the LRU way if the set
@@ -484,47 +510,40 @@ impl Cache {
     ///
     /// Panics if the tag is wider than a way word's 29 bits, and in debug
     /// builds if the line is already present — fills must follow a miss.
+    #[inline(always)]
     pub fn insert(&mut self, addr: Addr, state: LineState) -> Option<Evicted> {
         let (set, tag) = self.key(addr);
         self.insert_at(set, tag, state)
     }
 
-    /// Keyed [`Cache::insert`]. The filled line's presence mask starts
+    /// Keyed [`Cache::insert`]. The filled line replaces the LRU-most
+    /// invalid way, else the LRU way, and its presence mask starts
     /// empty.
+    #[inline(always)]
     pub fn insert_at(&mut self, set: usize, tag: u64, state: LineState) -> Option<Evicted> {
         debug_assert!(
             self.find(set, tag).is_none(),
             "fill of already-present line (set {set}, tag {tag:#x})"
         );
         assert!(tag >> TAG_BITS == 0, "tag wider than a way word");
-        let base = set * self.ways;
-        // Prefer filling an invalid way (the LRU-most one to keep order tidy).
-        let mut victim = self.ways - 1;
-        for w in (0..self.ways).rev() {
-            if self.meta[base + w] == 0 {
-                victim = w;
-                break;
+        let ways = &mut self.meta[set];
+        let way = victim(ways);
+        let old = std::mem::replace(&mut ways[way], pack(tag, state));
+        promote(ways, way);
+        let presence = match &mut self.presence {
+            Some(p) => {
+                let masks = &mut p[set];
+                let mask = std::mem::take(&mut masks[way]);
+                promote(masks, way);
+                mask
             }
-        }
-        let old = self.meta[base + victim];
-        let evicted = if old != 0 {
-            Some(Evicted {
-                line: self.line_addr(set, word_tag(old)),
-                state: word_state(old),
-                presence: self
-                    .presence
-                    .as_ref()
-                    .map_or(u64::MAX, |p| p[base + victim]),
-            })
-        } else {
-            None
+            None => u64::MAX,
         };
-        self.meta[base + victim] = pack(tag, state);
-        if let Some(p) = &mut self.presence {
-            p[base + victim] = 0;
-        }
-        self.promote(base, victim);
-        evicted
+        (old != 0).then(|| Evicted {
+            line: self.line_addr(set, word_tag(old)),
+            state: word_state(old),
+            presence,
+        })
     }
 
     /// Rewrites the state of the line a [`Cache::touch_at`] hit just
@@ -537,12 +556,12 @@ impl Cache {
     /// Panics in debug builds if the MRU way does not hold `(set, tag)`.
     #[inline]
     pub(crate) fn set_state_mru(&mut self, set: usize, tag: u64, state: LineState) {
-        let base = set * self.ways;
+        let mru = &mut self.meta[set][0];
         debug_assert!(
-            word_state(self.meta[base]).is_valid() && word_tag(self.meta[base]) == tag,
+            word_state(*mru).is_valid() && word_tag(*mru) == tag,
             "set_state_mru without a preceding touch hit"
         );
-        self.meta[base] = pack(tag, state);
+        *mru = pack(tag, state);
     }
 
     /// Keyed [`Cache::invalidate_slot`]: the line's old state and
@@ -555,16 +574,15 @@ impl Cache {
     /// ORs `bits` into the MRU line's presence mask (no-op when the cache
     /// does not track presence). The caller must have just touched or
     /// inserted `(set, tag)` so it occupies the MRU way.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn or_presence_mru(&mut self, set: usize, tag: u64, bits: u64) {
-        let base = set * self.ways;
         let _ = tag;
         if let Some(p) = &mut self.presence {
             debug_assert!(
-                word_state(self.meta[base]).is_valid() && word_tag(self.meta[base]) == tag,
+                word_state(self.meta[set][0]).is_valid() && word_tag(self.meta[set][0]) == tag,
                 "or_presence_mru without a preceding touch or fill"
             );
-            p[base] |= bits;
+            p[set][0] |= bits;
         }
     }
 }
@@ -573,9 +591,162 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn small() -> Cache {
+    fn small() -> Cache<2> {
         // 2 sets x 2 ways x 64B = 256B cache.
         Cache::new(CacheConfig::new(256, 2, 64).unwrap())
+    }
+
+    /// A reference model of a set-associative LRU cache: per-set vectors
+    /// in MRU order, implemented as naively as possible. An invalidated
+    /// line leaves the list, so the set has room again.
+    struct RefCache {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+    }
+
+    impl RefCache {
+        fn new(cfg: CacheConfig) -> Self {
+            RefCache {
+                sets: vec![Vec::new(); cfg.sets() as usize],
+                ways: cfg.ways as usize,
+            }
+        }
+
+        /// Whether `(set, tag)` is resident, without touching LRU order.
+        fn holds(&self, set: usize, tag: u64) -> bool {
+            self.sets[set].contains(&tag)
+        }
+
+        /// Whether the access hit, applying the LRU update or the fill;
+        /// a fill into a full set returns the LRU tag it evicted.
+        fn access(&mut self, set: usize, tag: u64) -> (bool, Option<u64>) {
+            let s = &mut self.sets[set];
+            if let Some(pos) = s.iter().position(|&t| t == tag) {
+                s.remove(pos);
+                s.insert(0, tag);
+                return (true, None);
+            }
+            let evicted = if s.len() == self.ways { s.pop() } else { None };
+            s.insert(0, tag);
+            (false, evicted)
+        }
+
+        /// Removes `(set, tag)`, returning whether it was resident.
+        fn invalidate(&mut self, set: usize, tag: u64) -> bool {
+            let s = &mut self.sets[set];
+            let pos = s.iter().position(|&t| t == tag);
+            pos.map(|p| s.remove(p)).is_some()
+        }
+    }
+
+    /// One access of the property tests to `cache` and its reference:
+    /// a touch, then a fill on a miss. Both must agree on the hit and on
+    /// the line a fill evicts.
+    fn touch_or_fill<const WAYS: usize>(
+        cache: &mut Cache<WAYS>,
+        reference: &mut RefCache,
+        row: usize,
+        set: usize,
+        tag: u64,
+        what: &str,
+    ) {
+        let hit = cache.touch_at(row, tag).is_some();
+        let evicted = if hit {
+            None
+        } else {
+            cache.insert_at(row, tag, LineState::Shared).map(|e| e.line)
+        };
+        let (ref_hit, ref_evicted) = reference.access(set, tag);
+        assert_eq!(hit, ref_hit, "{what}: hit diverged");
+        let ref_line = ref_evicted.map(|t| cache.line_addr(row, t));
+        assert_eq!(evicted, ref_line, "{what}: eviction diverged");
+    }
+
+    /// The production cache and the naive reference model agree on every
+    /// hit, fill victim and invalidation over arbitrary streams that mix
+    /// touches, fills and invalidations, so fills land in sets with
+    /// holes anywhere — the rule that a fill takes the LRU-most invalid
+    /// way and evicts only from a full set.
+    fn matches_reference_lru<const WAYS: usize>() {
+        for seed in 0..64u64 {
+            let mut rng = prng::SimRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..600usize);
+            let cfg = CacheConfig::new(512 * WAYS as u64, WAYS as u32, 64).unwrap();
+            let mut cache = Cache::<WAYS>::new(cfg);
+            let mut reference = RefCache::new(cfg);
+            for _ in 0..n {
+                let a = Addr(rng.gen_range(0..(1u64 << 12)));
+                let (set, tag) = cache.locate(a);
+                let what = format!("{WAYS} ways, seed {seed}, {a}");
+                if rng.gen_range(0..4u32) == 0 {
+                    let was = cache.invalidate_at(set, tag).is_some();
+                    assert_eq!(was, reference.invalidate(set, tag), "{what}: invalidate");
+                } else {
+                    touch_or_fill(&mut cache, &mut reference, set, set, tag, &what);
+                }
+                assert_eq!(
+                    cache.probe(a).is_some(),
+                    reference.holds(set, tag),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cache_matches_reference_lru() {
+        matches_reference_lru::<2>();
+        matches_reference_lru::<4>();
+    }
+
+    /// A partitioned cache is independent LRU caches in one table: a
+    /// seeded stream interleaved over the partitions hits and evicts
+    /// exactly where one reference cache per partition does, a
+    /// snoop-style invalidation of every holder a row scan finds empties
+    /// exactly the partitions whose reference holds the line, and
+    /// `holders` names exactly those partitions.
+    fn partitions_match_reference_lru<const WAYS: usize>() {
+        for (seed, parts) in [1usize, 2, 3, 5, 8, 16, 64].into_iter().enumerate() {
+            let mut rng = prng::SimRng::seed_from_u64(seed as u64);
+            let cfg = CacheConfig::new(256 * WAYS as u64, WAYS as u32, 64).unwrap();
+            let mut cache = Cache::<WAYS>::partitioned(cfg, parts);
+            let mut reference: Vec<RefCache> = (0..parts).map(|_| RefCache::new(cfg)).collect();
+            for _ in 0..4000 {
+                let p = rng.gen_range(0..parts);
+                let a = Addr(rng.gen_range(0..(1u64 << 12)));
+                let (set, tag) = cache.locate(a);
+                let what = format!("{WAYS} ways, {parts} parts, partition {p}, {a}");
+                match rng.gen_range(0..8u32) {
+                    0 => {
+                        // Invalidate every copy outside `p`, as a write snoop does.
+                        let mut scan = cache.holder_slots(set, tag, Some(p));
+                        while let Some((q, slot)) = scan.next(&cache) {
+                            assert!(reference[q].invalidate(set, tag), "{what}: holder {q}");
+                            let _ = cache.invalidate_slot(slot);
+                        }
+                    }
+                    1 => {
+                        let row = cache.row(set, p);
+                        let was = cache.invalidate_at(row, tag).is_some();
+                        assert_eq!(was, reference[p].invalidate(set, tag), "{what}");
+                    }
+                    _ => {
+                        let row = cache.row(set, p);
+                        touch_or_fill(&mut cache, &mut reference[p], row, set, tag, &what);
+                    }
+                }
+                let valid = (0..parts)
+                    .filter(|&q| reference[q].holds(set, tag))
+                    .fold(0u64, |m, q| m | 1 << q);
+                assert_eq!(cache.holders(set, tag), valid, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn partitions_are_independent_lru_caches() {
+        partitions_match_reference_lru::<2>();
+        partitions_match_reference_lru::<4>();
     }
 
     /// The kernel against its predicate on decoded words, for every row
@@ -607,6 +778,31 @@ mod tests {
         }
     }
 
+    /// The fixed-width promote and victim rule against their plain
+    /// definitions (`rotate_right` of the set's prefix; the last empty
+    /// way, else the last way), for every way and every pattern of empty
+    /// ways of a 2- and a 4-way set.
+    #[test]
+    fn promote_and_victim_match_their_definitions() {
+        fn check<const WAYS: usize>() {
+            for way in 0..WAYS {
+                let mut set: [u32; WAYS] = std::array::from_fn(|i| i as u32 + 1);
+                let mut want = set;
+                want[..=way].rotate_right(1);
+                promote(&mut set, way);
+                assert_eq!(set, want, "{WAYS} ways, promote way {way}");
+            }
+            for empty in 0..1u32 << WAYS {
+                let set: [u32; WAYS] =
+                    std::array::from_fn(|i| if empty >> i & 1 == 1 { 0 } else { 9 });
+                let want = (0..WAYS).rev().find(|&i| set[i] == 0).unwrap_or(WAYS - 1);
+                assert_eq!(victim(&set), want, "{WAYS} ways, empty ways {empty:#b}");
+            }
+        }
+        check::<2>();
+        check::<4>();
+    }
+
     /// The row scan against decoded fields, for rows of 4 to 256 slots
     /// (one to four 64-slot blocks): it yields exactly the slots holding
     /// the tag valid outside the skipped partition, in ascending order,
@@ -617,14 +813,15 @@ mod tests {
         let mut rng = prng::SimRng::seed_from_u64(27);
         let cfg = CacheConfig::new(1024, 4, 64).unwrap(); // 4 sets x 4 ways
         for parts in [1, 16, 32, 64] {
-            let mut c = Cache::partitioned(cfg, parts);
-            for w in c.meta.iter_mut() {
+            let mut c = Cache::<4>::partitioned(cfg, parts);
+            for w in c.meta.as_flattened_mut() {
                 if rng.gen_range(0..4u32) != 0 {
                     let state = LineState::from_code(rng.gen_range(1..5u32));
                     *w = pack(rng.gen_range(0..3u64), state);
                 }
             }
             let width = parts * 4;
+            let words = c.meta.as_flattened();
             for set in 0..4 {
                 let row = set * width;
                 for tag in [0, 1, 2, 1 << TAG_BITS] {
@@ -632,7 +829,7 @@ mod tests {
                         let want: Vec<(usize, usize)> = (row..row + width)
                             .map(|slot| ((slot - row) / 4, slot))
                             .filter(|&(part, slot)| {
-                                let w = c.meta[slot];
+                                let w = words[slot];
                                 word_state(w).is_valid() && word_tag(w) == tag && Some(part) != skip
                             })
                             .collect();
@@ -652,30 +849,14 @@ mod tests {
     }
 
     #[test]
-    fn sets_wider_than_64_ways_are_walked_in_blocks() {
-        // One set of 128 ways: the set walk takes the blocked path.
-        let mut c = Cache::new(CacheConfig::new(128 * 64, 128, 64).unwrap());
-        let stride = 64;
-        for i in 0..128 {
-            assert_eq!(c.insert(Addr(i * stride), LineState::Shared), None);
-        }
-        for i in 0..128 {
-            assert_eq!(
-                c.probe(Addr(i * stride)),
-                Some(LineState::Shared),
-                "line {i}"
-            );
-        }
-        // Line 0 is LRU; touching it makes line 1 the victim.
-        assert!(c.touch(Addr(0)).is_some());
-        let ev = c.insert(Addr(128 * stride), LineState::Shared).unwrap();
-        assert_eq!(ev.line, Addr(stride).line());
-        assert_eq!(c.probe(Addr(stride)), None);
+    #[should_panic(expected = "a 2-way cache built from a 16KB/4way/64B geometry")]
+    fn geometry_of_another_associativity_panics() {
+        let _ = Cache::<2>::new(CacheConfig::new(16 << 10, 4, 64).unwrap());
     }
 
     #[test]
     fn tags_wider_than_a_word_miss() {
-        let mut c = Cache::partitioned(CacheConfig::new(256, 2, 64).unwrap(), 2);
+        let mut c = Cache::<2>::partitioned(CacheConfig::new(256, 2, 64).unwrap(), 2);
         let (set, tag) = c.locate(Addr(0));
         c.insert_at(c.row(set, 1), tag, LineState::Shared);
         // Truncated to 32 bits, this tag's key would alias tag 0's.
@@ -705,7 +886,7 @@ mod tests {
 
     #[test]
     fn locate_matches_geometry() {
-        let c = Cache::new(CacheConfig::new(1 << 14, 4, 64).unwrap());
+        let c = Cache::<4>::new(CacheConfig::new(1 << 14, 4, 64).unwrap());
         // 64 sets: index bits 6..12, block bits 0..6.
         let (set, tag) = c.locate(Addr(0xdead_b000));
         assert_eq!(set, (0xdead_b000u64 >> 6) as usize & 63);
@@ -796,7 +977,7 @@ mod tests {
 
     #[test]
     fn presence_mask_follows_the_line() {
-        let mut c = Cache::new(CacheConfig::new(256, 2, 64).unwrap()).with_presence();
+        let mut c = small().with_presence();
         let (set, tag) = c.locate(Addr(0));
         c.insert_at(set, tag, LineState::Exclusive);
         c.or_presence_mru(set, tag, 0b101);
@@ -815,7 +996,7 @@ mod tests {
 
     #[test]
     fn eviction_carries_presence_and_untracked_caches_report_full() {
-        let mut c = Cache::new(CacheConfig::new(256, 2, 64).unwrap()).with_presence();
+        let mut c = small().with_presence();
         c.insert(Addr(0), LineState::Shared);
         let (set, tag) = c.locate(Addr(0));
         c.or_presence_mru(set, tag, 0b11);
@@ -837,7 +1018,7 @@ mod tests {
     #[test]
     fn evicted_line_address_reconstructed() {
         let cfg = CacheConfig::new(1 << 14, 4, 64).unwrap();
-        let mut c = Cache::new(cfg);
+        let mut c = Cache::<4>::new(cfg);
         let addr = Addr(0xdead_b000);
         c.insert(addr, LineState::Owned);
         // Fill the same set with conflicting lines to force eviction.
@@ -856,7 +1037,8 @@ mod tests {
     #[test]
     fn partitions_share_a_row_and_report_holders() {
         // 2 sets x 2 ways per partition, 3 partitions.
-        let mut c = Cache::partitioned(CacheConfig::new(256, 2, 64).unwrap(), 3).with_presence();
+        let mut c =
+            Cache::<2>::partitioned(CacheConfig::new(256, 2, 64).unwrap(), 3).with_presence();
         let (set, tag) = c.locate(Addr(0x40));
         assert_eq!(c.holders(set, tag), 0);
         c.insert_at(c.row(set, 0), tag, LineState::Shared);

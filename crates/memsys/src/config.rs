@@ -32,6 +32,17 @@ pub enum ConfigError {
         /// Number of sets.
         sets: u64,
     },
+    /// A hierarchy cache has an associativity the memory system has no
+    /// kernel for: its L1s are 2-way and its L2s 4-way
+    /// ([`HierarchyConfig::L1_WAYS`], [`HierarchyConfig::L2_WAYS`]).
+    UnsupportedWays {
+        /// Which cache (`"L1I"`, `"L1D"` or `"L2"`).
+        cache: &'static str,
+        /// The associativity asked for.
+        ways: u32,
+        /// The associativity that level supports.
+        supported: u32,
+    },
     /// The processor count is not divisible by the sharing degree.
     BadSharing {
         /// Number of processors.
@@ -58,6 +69,14 @@ impl fmt::Display for ConfigError {
             ConfigError::TagTooWide { block, sets } => write!(
                 f,
                 "{block} B blocks in {sets} set(s) leave 32-bit address tags too wide for a way word"
+            ),
+            ConfigError::UnsupportedWays {
+                cache,
+                ways,
+                supported,
+            } => write!(
+                f,
+                "{cache} must be {supported}-way set-associative, got {ways} ways"
             ),
             ConfigError::BadSharing { cpus, per_cache } => write!(
                 f,
@@ -218,6 +237,14 @@ pub struct HierarchyConfig {
 }
 
 impl HierarchyConfig {
+    /// The associativity of every L1 (instruction and data): the
+    /// memory system's L1s are `Cache<2>`.
+    pub const L1_WAYS: u32 = 2;
+
+    /// The associativity of every L2: the memory system's L2 tag table
+    /// is a `Cache<4>`.
+    pub const L2_WAYS: u32 = 4;
+
     /// E6000-like configuration: 16 KB L1I, 16 KB L1D, private 1 MB L2.
     ///
     /// # Errors
@@ -232,8 +259,8 @@ impl HierarchyConfig {
     pub fn builder(cpus: usize) -> HierarchyBuilder {
         HierarchyBuilder {
             cpus,
-            l1i: CacheConfig::new(16 << 10, 2, LINE_BYTES).expect("static L1I config"),
-            l1d: CacheConfig::new(16 << 10, 2, LINE_BYTES).expect("static L1D config"),
+            l1i: CacheConfig::new(16 << 10, Self::L1_WAYS, LINE_BYTES).expect("static L1I config"),
+            l1d: CacheConfig::new(16 << 10, Self::L1_WAYS, LINE_BYTES).expect("static L1D config"),
             l2: CacheConfig::default(),
             cpus_per_l2: 1,
             memory: MemoryConfig::default(),
@@ -256,6 +283,19 @@ impl HierarchyConfig {
                 cpus: self.cpus,
                 per_cache: self.cpus_per_l2,
             });
+        }
+        for (cache, cfg, supported) in [
+            ("L1I", self.l1i, Self::L1_WAYS),
+            ("L1D", self.l1d, Self::L1_WAYS),
+            ("L2", self.l2, Self::L2_WAYS),
+        ] {
+            if cfg.ways != supported {
+                return Err(ConfigError::UnsupportedWays {
+                    cache,
+                    ways: cfg.ways,
+                    supported,
+                });
+            }
         }
         Ok(())
     }
@@ -307,7 +347,9 @@ impl HierarchyBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] for invalid sharing degrees.
+    /// Returns [`ConfigError`] for invalid sharing degrees, and
+    /// [`ConfigError::UnsupportedWays`] for an L1 that is not 2-way or
+    /// an L2 that is not 4-way.
     pub fn build(&self) -> Result<HierarchyConfig, ConfigError> {
         let cfg = HierarchyConfig {
             cpus: self.cpus,
@@ -407,6 +449,45 @@ mod tests {
         assert!(b.cpus_per_l2(3).build().is_err());
         let b0 = HierarchyConfig::builder(0);
         assert!(b0.build().is_err());
+    }
+
+    #[test]
+    fn l1_of_another_associativity_rejected() {
+        let mut b = HierarchyConfig::builder(2);
+        b.l1d(CacheConfig::new(16 << 10, 4, 64).unwrap());
+        assert_eq!(
+            b.build(),
+            Err(ConfigError::UnsupportedWays {
+                cache: "L1D",
+                ways: 4,
+                supported: 2
+            })
+        );
+        let mut b = HierarchyConfig::builder(2);
+        b.l1i(CacheConfig::new(16 << 10, 1, 64).unwrap());
+        assert!(matches!(
+            b.build(),
+            Err(ConfigError::UnsupportedWays { cache: "L1I", .. })
+        ));
+    }
+
+    #[test]
+    fn l2_of_another_associativity_rejected() {
+        let mut b = HierarchyConfig::builder(2);
+        b.l2(CacheConfig::new(512, 2, 64).unwrap());
+        let err = b.build().unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::UnsupportedWays {
+                cache: "L2",
+                ways: 2,
+                supported: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "L2 must be 4-way set-associative, got 2 ways"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! them with simple recording sinks. This trait is the seam between the
 //! two halves.
 
-use crate::addr::Addr;
+use crate::addr::{Addr, AddrRange, LineAddr};
 use crate::stats::AccessKind;
 
 /// A consumer of one thread's execution stream.
@@ -20,7 +20,9 @@ pub trait MemSink {
     /// Performs one memory reference.
     fn access(&mut self, kind: AccessKind, addr: Addr);
 
-    /// Convenience: a load.
+    /// Convenience: a load. A sink may override `load`, `store` and
+    /// `ifetch` with a path whose kind is fixed, but each must do what
+    /// [`MemSink::access`] does with its kind.
     fn load(&mut self, addr: Addr) {
         self.access(AccessKind::Load, addr);
     }
@@ -35,26 +37,34 @@ pub trait MemSink {
         self.access(AccessKind::Ifetch, addr);
     }
 
-    /// Touches every line of `range` with `kind` (bulk copy/scan helper).
-    fn sweep(&mut self, kind: AccessKind, range: crate::addr::AddrRange) {
-        if range.is_empty() {
-            return;
-        }
-        let mut line = range.start().line();
-        for _ in 0..range.line_count() {
-            self.access(kind, line.base());
-            line = line.step(1);
+    /// Touches every line of `range` with `kind`, in ascending order
+    /// (bulk copy/scan helper). The kind is matched once per range, so
+    /// each line takes the sink's `load`, `store` or `ifetch`.
+    fn sweep(&mut self, kind: AccessKind, range: AddrRange) {
+        let lines = range.lines().map(LineAddr::base);
+        match kind {
+            AccessKind::Load => lines.for_each(|a| self.load(a)),
+            AccessKind::Store => lines.for_each(|a| self.store(a)),
+            AccessKind::Ifetch => lines.for_each(|a| self.ifetch(a)),
         }
     }
-}
 
-impl<S: MemSink + ?Sized> MemSink for &mut S {
-    fn instructions(&mut self, n: u64) {
-        (**self).instructions(n);
-    }
-
-    fn access(&mut self, kind: AccessKind, addr: Addr) {
-        (**self).access(kind, addr);
+    /// Executes a run of `lines` consecutive code lines from `first`:
+    /// per line, its instruction fetch, then `per_line` instructions
+    /// retired. The retires stay per line: a CPU timer sums them in
+    /// floating point, so one sum of all the lines is not the same
+    /// number.
+    ///
+    /// `sweep` and `fetch_code` are one call through a `&mut dyn
+    /// MemSink` per range or run. Their bodies are compiled for each
+    /// sink type, so a sink whose `load`, `store`, `ifetch` and
+    /// `instructions` are `#[inline(always)]` runs every line without a
+    /// further call.
+    fn fetch_code(&mut self, first: LineAddr, lines: u64, per_line: u64) {
+        for i in 0..lines {
+            self.ifetch(first.step(i).base());
+            self.instructions(per_line);
+        }
     }
 }
 
@@ -121,7 +131,6 @@ impl MemSink for RecordingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::AddrRange;
 
     #[test]
     fn counting_sink_counts_by_kind() {
@@ -151,6 +160,20 @@ mod tests {
         let mut s = CountingSink::new();
         s.sweep(AccessKind::Load, AddrRange::new(Addr(0), 0));
         assert_eq!(s.loads + s.stores + s.ifetches, 0);
+    }
+
+    #[test]
+    fn fetch_code_fetches_then_retires_each_line() {
+        let mut s = RecordingSink::new();
+        s.fetch_code(LineAddr(3), 2, 16);
+        assert_eq!(
+            s.refs,
+            vec![
+                (AccessKind::Ifetch, Addr(3 * 64)),
+                (AccessKind::Ifetch, Addr(4 * 64))
+            ]
+        );
+        assert_eq!(s.instructions, 32);
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl SweepPoint {
 /// A bank of caches of different sizes fed by one reference stream.
 #[derive(Debug, Clone)]
 pub struct CacheSweep {
-    caches: Vec<Cache>,
+    caches: Vec<Cache<4>>,
     points: Vec<SweepPoint>,
     sizes: Vec<u64>,
 }

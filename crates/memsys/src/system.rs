@@ -13,8 +13,13 @@
 //! ## Hot path
 //!
 //! [`MemorySystem::access`] is the simulator's throughput ceiling, so it is
-//! built around three structural optimizations that change no statistic:
+//! built around four structural optimizations that change no statistic:
 //!
+//! - **Associativity fixed by type.** The L1s are [`Cache<2>`] and the
+//!   L2 tag table a [`Cache<4>`], the only geometries
+//!   [`HierarchyConfig`] accepts, so each level's set walk, fill and
+//!   promote are straight-line code for its width, inlined here: an L1
+//!   hit, and an L1 miss that hits the L2, make no out-of-line call.
 //! - **Single-lookup accesses.** Each address is decomposed into its
 //!   `(set, tag)` key once per cache level ([`Cache::locate`]) and the key
 //!   is threaded through every protocol step, so multi-step actions (touch
@@ -25,10 +30,9 @@
 //!   all groups is one contiguous row. A bus transaction scans that row
 //!   once for the slots holding the line valid outside the requester's
 //!   group, and downgrades or invalidates those slots directly, as a
-//!   duplicate-tag snoop filter would; no holder's set is walked again
-//!   ([`Cache::holders`] folds the same scan into a group bitset). Broadcast
-//!   probes of non-holders are no-ops, so filtering is bit-identical to
-//!   broadcast MOESI; [`BusStats::snoops_sent`] and
+//!   duplicate-tag snoop filter would; no holder's set is walked again.
+//!   Broadcast probes of non-holders are no-ops, so filtering is
+//!   bit-identical to broadcast MOESI; [`BusStats::snoops_sent`] and
 //!   [`BusStats::snoops_filtered`] record its effectiveness, and
 //!   [`MemorySystem::new_broadcast`] builds the unfiltered reference
 //!   implementation the differential oracle checks against. Per-line L1
@@ -36,8 +40,10 @@
 //!   invalidations skip processors that never held the line.
 //! - **One path per access kind.** `access` is inlined into its callers,
 //!   so one that passes a constant kind (the kernel's sinks implement
-//!   `load`, `store` and `ifetch` separately) resolves every
-//!   kind branch here and in [`SystemStats`] at compile time. A per-CPU
+//!   `load`, `store` and `ifetch` of [`crate::MemSink`] with the kind
+//!   fixed, and its bulk `sweep` and code-run `fetch_code` inline them
+//!   per line) resolves every kind branch here and in [`SystemStats`]
+//!   at compile time. A per-CPU
 //!   table maps each processor to its L2 group and presence bit, so no
 //!   reference divides by `cpus_per_l2`.
 
@@ -56,10 +62,10 @@ use crate::stats::{AccessKind, AccessOutcome, HitLevel, SystemStats};
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     cfg: HierarchyConfig,
-    l1i: Vec<Cache>,
-    l1d: Vec<Cache>,
+    l1i: Vec<Cache<2>>,
+    l1d: Vec<Cache<2>>,
     /// Every L2 group's tags, one partition per group.
-    l2: Cache,
+    l2: Cache<4>,
     /// Each processor's L2 group and its bit in that group's presence
     /// masks, so the hot path never divides by `cpus_per_l2`.
     cpu_groups: Box<[(usize, u64)]>,
@@ -327,11 +333,18 @@ impl MemorySystem {
         }
     }
 
+    /// An L1 read miss: a hit in the group's L2, inlined into the access
+    /// path, or the bus read (`read_miss`).
+    #[inline(always)]
     fn read_l2(&mut self, group: usize, addr: Addr, set: usize, tag: u64) -> AccessOutcome {
         if self.l2.touch_at(self.l2.row(set, group), tag).is_some() {
             return AccessOutcome::hit(HitLevel::L2);
         }
-        // L2 read miss: GetS on the bus.
+        self.read_miss(group, addr, set, tag)
+    }
+
+    /// An L2 read miss: GetS on the bus, then the fill.
+    fn read_miss(&mut self, group: usize, addr: Addr, set: usize, tag: u64) -> AccessOutcome {
         let (supplied, any_remote) = self.snoop_read(group, set, tag);
         self.bus.record(BusOp::GetS, supplied);
         let fill_state = if any_remote {
@@ -607,39 +620,37 @@ mod tests {
 
     #[test]
     fn dirty_eviction_writes_back() {
-        // Tiny L2 to force evictions quickly.
+        // Tiny 4-way L2 (4 sets) to force evictions quickly.
         let mut b = HierarchyConfig::builder(1);
-        b.l2(CacheConfig::new(512, 2, 64).unwrap());
+        b.l2(CacheConfig::new(1024, 4, 64).unwrap());
         b.l1i(CacheConfig::new(256, 2, 64).unwrap());
         b.l1d(CacheConfig::new(256, 2, 64).unwrap());
         let mut m = MemorySystem::new(b.build().unwrap());
-        // Dirty a line, then stream conflicting lines through its set.
+        // Dirty a line, then stream conflicting lines through its set:
+        // the fifth line in the set evicts it.
         m.access(0, AccessKind::Store, Addr(0));
-        let sets = 512 / (2 * 64);
-        let stride = (sets * 64) as u64;
-        for i in 1..=3u64 {
+        let stride = 4 * 64;
+        for i in 1..=4u64 {
             m.access(0, AccessKind::Load, Addr(i * stride));
         }
-        assert!(
-            m.bus_stats().writebacks >= 1,
-            "dirty victim must write back"
-        );
+        assert_eq!(m.bus_stats().writebacks, 1, "dirty victim must write back");
     }
 
     #[test]
     fn l1_inclusion_after_l2_eviction() {
+        // A 4-way L2 of 4 sets under the default 128-set L1s: the lines
+        // below share one L2 set but sit in different L1 sets, so only
+        // the inclusion invalidation can take line 0 out of the L1.
         let mut b = HierarchyConfig::builder(1);
-        b.l2(CacheConfig::new(512, 2, 64).unwrap());
-        b.l1i(CacheConfig::new(256, 2, 64).unwrap());
-        b.l1d(CacheConfig::new(256, 2, 64).unwrap());
+        b.l2(CacheConfig::new(1024, 4, 64).unwrap());
         let mut m = MemorySystem::new(b.build().unwrap());
         m.access(0, AccessKind::Load, Addr(0));
-        let sets = 512 / (2 * 64);
-        let stride = (sets * 64) as u64;
+        let stride = 4 * 64;
         // Evict line 0 from L2 via conflicting fills.
-        for i in 1..=2u64 {
+        for i in 1..=4u64 {
             m.access(0, AccessKind::Load, Addr(i * stride));
         }
+        assert!(m.l1_holds(0, Addr(stride)), "the L1 keeps the other lines");
         // The L1 copy must have been invalidated with it: this access
         // cannot be an L1 hit.
         let o = m.access(0, AccessKind::Load, Addr(0));
@@ -725,7 +736,7 @@ mod tests {
     #[test]
     fn snoops_reach_exactly_the_holders_through_upgrades_and_evictions() {
         let mut b = HierarchyConfig::builder(4);
-        b.l2(CacheConfig::new(512, 2, 64).unwrap());
+        b.l2(CacheConfig::new(1024, 4, 64).unwrap());
         b.l1i(CacheConfig::new(256, 2, 64).unwrap());
         b.l1d(CacheConfig::new(256, 2, 64).unwrap());
         let mut m = MemorySystem::new(b.build().unwrap());
@@ -737,7 +748,8 @@ mod tests {
         // The upgrade probes the three other holders and leaves cpu 2 alone.
         m.access(2, AccessKind::Store, Addr(0x40));
         assert_eq!(m.bus_stats().snoops_sent, 6 + 3);
-        // Churning cpu 0's set touches lines nobody else holds.
+        // Churning cpu 0's set (4 sets of 4 ways) past its capacity
+        // touches lines nobody else holds.
         for i in 1..=6u64 {
             m.access(0, AccessKind::Load, Addr(0x40 + i * 256));
         }

@@ -1,115 +1,10 @@
-//! Randomized verification of the cache and coherence models against
-//! naive reference implementations, driven by the in-tree seeded PRNG.
+//! Randomized verification of the coherence model's invariants, driven by
+//! the in-tree seeded PRNG. The cache's reference-model tests live in
+//! `cache.rs`'s unit tests, where they can interleave invalidations.
 
 use prng::SimRng;
 
-use memsys::{
-    AccessKind, Addr, AddrRange, Cache, CacheConfig, HierarchyConfig, LineState, MemorySystem,
-};
-
-/// A reference model of a set-associative LRU cache: per-set vectors in
-/// MRU order, implemented as naively as possible.
-struct RefCache {
-    sets: Vec<Vec<u64>>,
-    ways: usize,
-    block_bits: u32,
-    set_bits: u32,
-}
-
-impl RefCache {
-    fn new(cfg: CacheConfig) -> Self {
-        RefCache {
-            sets: vec![Vec::new(); cfg.sets() as usize],
-            ways: cfg.ways as usize,
-            block_bits: cfg.block_bits(),
-            set_bits: cfg.sets().trailing_zeros(),
-        }
-    }
-
-    fn key(&self, addr: u64) -> (usize, u64) {
-        let line = addr >> self.block_bits;
-        let set = (line & ((1 << self.set_bits) - 1)) as usize;
-        (set, line >> self.set_bits)
-    }
-
-    /// Whether `addr`'s line is resident, without touching LRU order.
-    fn holds(&self, addr: u64) -> bool {
-        let (set, tag) = self.key(addr);
-        self.sets[set].contains(&tag)
-    }
-
-    /// Returns whether the access hit, applying LRU update / fill.
-    fn access(&mut self, addr: u64) -> bool {
-        let (set, tag) = self.key(addr);
-        let s = &mut self.sets[set];
-        if let Some(pos) = s.iter().position(|&t| t == tag) {
-            s.remove(pos);
-            s.insert(0, tag);
-            true
-        } else {
-            if s.len() == self.ways {
-                s.pop();
-            }
-            s.insert(0, tag);
-            false
-        }
-    }
-}
-
-/// The production cache and the naive reference model agree on every
-/// hit/miss over arbitrary access streams.
-#[test]
-fn cache_matches_reference_lru() {
-    for seed in 0..64u64 {
-        let mut rng = SimRng::seed_from_u64(seed);
-        let n = rng.gen_range(1..600usize);
-        let cfg = CacheConfig::new(2048, 4, 64).unwrap();
-        let mut cache = Cache::new(cfg);
-        let mut reference = RefCache::new(cfg);
-        for _ in 0..n {
-            let a = rng.gen_range(0..(1u64 << 14));
-            let hit = cache.touch(Addr(a)).is_some();
-            if !hit {
-                let _ = cache.insert(Addr(a), LineState::Shared);
-            }
-            let ref_hit = reference.access(a);
-            assert_eq!(hit, ref_hit, "seed {seed}: divergence at {a:#x}");
-        }
-    }
-}
-
-/// A partitioned cache is independent LRU caches in one table: a seeded
-/// stream interleaved over the partitions hits exactly where one reference
-/// cache per partition does, and `holders` names exactly the partitions
-/// whose reference cache holds the line.
-#[test]
-fn partitions_are_independent_lru_caches() {
-    for (seed, parts) in [1usize, 2, 3, 5, 8, 16, 64].into_iter().enumerate() {
-        let mut rng = SimRng::seed_from_u64(seed as u64);
-        let cfg = CacheConfig::new(1024, 4, 64).unwrap();
-        let mut cache = Cache::partitioned(cfg, parts);
-        let mut reference: Vec<RefCache> = (0..parts).map(|_| RefCache::new(cfg)).collect();
-        for _ in 0..4000 {
-            let p = rng.gen_range(0..parts);
-            let a = rng.gen_range(0..(1u64 << 13));
-            let (set, tag) = cache.locate(Addr(a));
-            let row = cache.row(set, p);
-            let hit = cache.touch_at(row, tag).is_some();
-            if !hit {
-                let _ = cache.insert_at(row, tag, LineState::Shared);
-            }
-            assert_eq!(
-                hit,
-                reference[p].access(a),
-                "{parts} parts: partition {p} diverged at {a:#x}"
-            );
-            let valid = (0..parts)
-                .filter(|&q| reference[q].holds(a))
-                .fold(0u64, |m, q| m | 1 << q);
-            assert_eq!(cache.holders(set, tag), valid, "{parts} parts: {a:#x}");
-        }
-    }
-}
+use memsys::{AccessKind, Addr, AddrRange, CacheConfig, HierarchyConfig, LineState, MemorySystem};
 
 /// Coherence single-writer invariant: after any access stream, no line
 /// is dirty/exclusive in one L2 while valid in another.
@@ -163,9 +58,9 @@ fn l1_inclusion_invariant() {
     for seed in 0..64u64 {
         let mut rng = SimRng::seed_from_u64(seed);
         let n = rng.gen_range(1..500usize);
-        // Tiny L2s to force evictions.
+        // Tiny 4-way L2s (4 sets) to force evictions.
         let mut b = HierarchyConfig::builder(2);
-        b.l2(CacheConfig::new(1024, 2, 64).unwrap());
+        b.l2(CacheConfig::new(1024, 4, 64).unwrap());
         b.l1i(CacheConfig::new(256, 2, 64).unwrap());
         b.l1d(CacheConfig::new(256, 2, 64).unwrap());
         let mut sys = MemorySystem::new(b.build().unwrap());

@@ -109,13 +109,16 @@ impl NetStack {
         sink.instructions(OVERHEAD_INSTRUCTIONS);
 
         // Kernel text walk: a rotating window over the hot text, so the
-        // whole footprint is exercised across messages.
+        // whole footprint is exercised across messages. One code run per
+        // stretch before the window wraps to the text's start.
         let text_lines = self.text.line_count();
         let walk_lines = TEXT_WALK_BYTES / LINE_BYTES;
-        for i in 0..walk_lines {
-            let idx = (self.text_cursor + i) % text_lines;
-            sink.ifetch(self.text.start().line().step(idx).base());
-            sink.instructions(LINE_BYTES / 4);
+        let (mut idx, mut left) = (self.text_cursor, walk_lines);
+        while left > 0 {
+            let run = left.min(text_lines - idx);
+            sink.fetch_code(self.text.start().line().step(idx), run, LINE_BYTES / 4);
+            left -= run;
+            idx = (idx + run) % text_lines;
         }
         self.text_cursor = (self.text_cursor + (walk_lines * 2 / 3).max(1)) % text_lines;
 
@@ -213,6 +216,34 @@ mod tests {
             seen.len(),
             total
         );
+    }
+
+    /// The text walk, in code runs split at the wrap-around, fetches
+    /// exactly the lines `(cursor + i) mod text lines` in order, each
+    /// followed by its instructions.
+    #[test]
+    fn text_walk_wraps_in_line_order() {
+        let mut s = stack(1);
+        let text_lines = s.text.line_count();
+        let walk_lines = TEXT_WALK_BYTES / LINE_BYTES;
+        let mut wrapped = false;
+        for _ in 0..300 {
+            let cursor = s.text_cursor;
+            wrapped |= cursor + walk_lines > text_lines;
+            let want: Vec<Addr> = (0..walk_lines)
+                .map(|i| s.text.start().line().step((cursor + i) % text_lines).base())
+                .collect();
+            let mut sink = RecordingSink::new();
+            s.emit_transfer(0, 64, &mut sink);
+            let got: Vec<Addr> = sink
+                .refs
+                .iter()
+                .filter(|(k, _)| *k == memsys::AccessKind::Ifetch)
+                .map(|&(_, a)| a)
+                .collect();
+            assert_eq!(got, want, "walk from line {cursor}");
+        }
+        assert!(wrapped, "300 walks must cross the wrap-around");
     }
 
     #[test]
